@@ -105,9 +105,10 @@ def t_to_p(t, dof: int, two_sided: bool = False):
     used here.
     """
     t = np.asarray(t, dtype=np.float64)
-    p = stdtr(dof, -t)
     if two_sided:
         p = 2.0 * stdtr(dof, -np.abs(t))
+    else:
+        p = stdtr(dof, -t)
     return np.minimum(p, 1.0)
 
 

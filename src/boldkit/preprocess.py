@@ -8,11 +8,11 @@ then smoothing, with drift handled inside the GLM (or here, standalone).
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import ndimage
-from scipy.optimize import minimize
 
 from .errors import InsufficientDataError, NumericError, ShapeError
 from .task_design import dct_highpass_basis
@@ -20,6 +20,8 @@ from .volume_io import Volume4D
 
 FWHM_TO_SIGMA = 1.0 / (2.0 * np.sqrt(2.0 * np.log(2.0)))
 KERNEL_TRUNCATE_SIGMAS = 4.0
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -135,6 +137,24 @@ def rotation_matrix(rotation_rad) -> np.ndarray:
     return mz @ my @ mx
 
 
+# derivatives at zero angle of the rotations about x, y and z
+_ROTATION_GENERATORS = np.array([
+    [[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]],
+    [[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [-1.0, 0.0, 0.0]],
+    [[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+])
+
+
+def _rotation_derivatives(rotation_rad):
+    """dR/drx, dR/dry, dR/drz of ``rotation_matrix`` (R = Rz Ry Rx)."""
+    rx, ry, rz = rotation_rad
+    mx = rotation_matrix([rx, 0.0, 0.0])
+    my = rotation_matrix([0.0, ry, 0.0])
+    mz = rotation_matrix([0.0, 0.0, rz])
+    kx, ky, kz = _ROTATION_GENERATORS
+    return mz @ my @ mx @ kx, mz @ my @ ky @ mx, kz @ mz @ my @ mx
+
+
 def invert_rigid(motion: RigidMotion) -> RigidMotion:
     """Parameters of the inverse transform (same axis-order convention)."""
     rot = rotation_matrix(motion.rotation_rad)
@@ -173,21 +193,24 @@ def resample_rigid(data3d: np.ndarray, motion: RigidMotion, voxel_size_mm) -> np
 
 
 class _AlignmentCost:
-    """MSE between a spline-resampled volume and the reference over a
-    fixed central domain.
+    """Residuals between a spline-resampled volume and the reference over
+    a fixed central domain.
 
     The moving volume is spline-prefiltered once; each evaluation then
     samples it with cubic interpolation at the rigidly-mapped positions
-    of a border-eroded voxel set and averages the squared difference
-    against the reference there. Scoring a domain that depends on the
-    parameters (an overlap mask) lets the optimizer trade alignment for
-    mask placement and biases the minimum, so the domain is pinned once;
-    eroding the border keeps its samples inside the field of view for
-    the motion magnitudes being estimated.
+    of a border-eroded voxel set and returns the differences against the
+    reference there, with their mean square as the cost. Scoring a domain
+    that depends on the parameters (an overlap mask) lets the optimizer
+    trade alignment for mask placement and biases the minimum, so the
+    domain is pinned once; eroding the border keeps its samples inside
+    the field of view for the motion magnitudes being estimated.
     """
 
     ERODE_VOX = 3
     ORDER = 3
+    # differences below this many units in the last place of the data
+    # are rounding, not signal
+    ROUNDING_ULPS = 1000.0
 
     def __init__(self, moving, reference, voxel):
         self.filtered = ndimage.spline_filter(moving, order=self.ORDER)
@@ -200,9 +223,18 @@ class _AlignmentCost:
             indexing="ij",
         )
         self.domain_grid = np.stack([g.ravel() for g in grids], axis=0)
+        center_mm = (self.shape - 1.0) / 2.0 * self.voxel
+        self.offsets_mm = (self.domain_grid * self.voxel[:, np.newaxis]
+                           - center_mm[:, np.newaxis])
         self.reference_values = reference[domain].ravel()
+        magnitude = max(np.abs(self.filtered).max(initial=0.0),
+                        np.abs(self.reference_values).max(initial=0.0))
+        self.rounding = self.ROUNDING_ULPS * np.finfo(np.float64).eps * magnitude
+        self.evaluations = 0
 
     def __call__(self, params):
+        """Residual vector (sampled - reference) and its mean square."""
+        self.evaluations += 1
         motion = RigidMotion.from_params(params)
         matrix, offset = _rigid_matrix_offset(self.shape, motion, self.voxel)
         coords = matrix @ self.domain_grid + offset[:, np.newaxis]
@@ -210,50 +242,92 @@ class _AlignmentCost:
             self.filtered, coords, order=self.ORDER, mode="constant", cval=0.0,
             prefilter=False,
         )
-        diff = sampled - self.reference_values
-        cost = float(np.mean(diff * diff))
+        residual = sampled - self.reference_values
+        cost = float(np.mean(residual * residual))
         if not np.isfinite(cost):
             raise NumericError("non-finite registration cost")
-        return cost
+        return residual, cost
+
+    def jacobian(self, params, residual):
+        """Derivatives of the residuals, one column per parameter.
+
+        A translation shifts every sample along one voxel axis, so forward
+        differences in the three translations give the image gradient at
+        the sampled positions; the rotation columns follow from it by the
+        chain rule through dR/dangle. A probe that moves no sample beyond
+        rounding carries no information and leaves its column zero.
+        """
+        jac = np.zeros((residual.size, 6))
+        for axis in range(3):
+            probe = params.copy()
+            probe[axis] += _FD_STEP_MM
+            delta = self(probe)[0] - residual
+            if np.abs(delta).max() > self.rounding:
+                jac[:, axis] = delta / _FD_STEP_MM
+        for k, d_rot in enumerate(_rotation_derivatives(params[3:])):
+            jac[:, 3 + k] = np.einsum("nj,jn->n", jac[:, :3], d_rot @ self.offsets_mm)
+        return jac
 
 
-_SIMPLEX_STEPS = np.array([1.0, 1.0, 1.0, 0.02, 0.02, 0.02])
+_FD_STEP_MM = 1e-4
+# 1 mm of translation and 0.02 rad of rotation move the domain's samples
+# by comparable distances, so the step tolerance scales the same way
+_STEP_TOL = 1e-7 * np.array([1.0, 1.0, 1.0, 0.02, 0.02, 0.02])
+_COST_RTOL = 1e-10
+_MAX_ITERATIONS = 100
+_DAMPING_START = 1e-3
+_DAMPING_MAX = 1e10
 
 
-def _initial_simplex(x0, scale=1.0):
-    simplex = np.tile(x0, (7, 1))
-    for i in range(6):
-        simplex[i + 1, i] += _SIMPLEX_STEPS[i] * scale
-    return simplex
+def _levenberg_marquardt(cost):
+    """Damped Gauss-Newton descent on ``cost`` from zero motion.
+
+    Each iteration solves the Marquardt-scaled 6x6 normal equations for
+    a step and accepts it only if the exact cost falls, raising the
+    damping and re-solving otherwise. Stops when the step falls below
+    the parameter tolerance, when an accepted step improves the cost by
+    less than the relative tolerance, or when the damping saturates.
+    Returns (params, cost, iterations).
+    """
+    x = np.zeros(6)
+    residual, current = cost(x)
+    damping = _DAMPING_START
+    for iteration in range(1, _MAX_ITERATIONS + 1):
+        jac = cost.jacobian(x, residual)
+        gradient = jac.T @ residual
+        normal = jac.T @ jac
+        while True:
+            lhs = normal + damping * np.diag(np.diag(normal))
+            # lstsq: a zero column (no information) makes lhs singular
+            step = np.linalg.lstsq(lhs, -gradient, rcond=None)[0]
+            if np.all(np.abs(step) <= _STEP_TOL):
+                return x, current, iteration
+            trial_residual, trial = cost(x + step)
+            if trial < current:
+                break
+            damping *= 10.0
+            if damping > _DAMPING_MAX:
+                return x, current, iteration
+        converged = current - trial <= _COST_RTOL * current
+        x, residual, current = x + step, trial_residual, trial
+        damping = max(damping / 10.0, _DAMPING_START)
+        if converged:
+            break
+    return x, current, iteration
 
 
-def _translation_stage(cost, voxel):
-    """Coarse translation-only simplex pass to seed the full search."""
-    def translation_cost(t):
-        return cost(np.concatenate([t, np.zeros(3)]))
-
-    simplex = np.zeros((4, 3))
-    for i in range(3):
-        simplex[i + 1, i] = voxel[i]
-    result = minimize(
-        translation_cost,
-        np.zeros(3),
-        method="Nelder-Mead",
-        options={"initial_simplex": simplex, "maxiter": 300, "xatol": 1e-3, "fatol": 1e-10},
-    )
-    return np.concatenate([result.x, np.zeros(3)])
-
-
-def estimate_motion(vol: Volume4D, reference_index: int = 0, max_restarts: int = 3) -> list:
+def estimate_motion(vol: Volume4D, reference_index: int = 0) -> list:
     """Rigid parameters aligning every volume to the reference volume.
 
-    Minimizes the mean squared intensity difference after rigid
-    resampling, scored over a fixed border-eroded domain, using
-    derivative-free simplex descent: a coarse translation-only pass from
-    zero motion, then the full 6-DOF search restarted from the running
-    best until the cost improves by less than 1e-8 relative or the
-    restart budget is spent. The reference volume gets exact identity
-    parameters.
+    Minimizes the mean squared intensity difference between the cubic
+    spline-resampled volume and the reference, scored over a fixed
+    border-eroded domain, by damped Gauss-Newton (Levenberg-Marquardt)
+    least squares from zero motion; the Jacobian combines forward-difference
+    image gradients with the analytic derivative of the rigid map.
+    The reference volume gets exact identity parameters; a volume whose
+    samples do not respond to motion (flat or empty) keeps identity.
+    One DEBUG record per registered volume reports its iterations, cost
+    evaluations and final cost.
     """
     nt = vol.n_vols
     if not 0 <= reference_index < nt:
@@ -267,35 +341,12 @@ def estimate_motion(vol: Volume4D, reference_index: int = 0, max_restarts: int =
             estimates.append(RigidMotion())
             continue
         cost = _AlignmentCost(vol.data[..., i], reference, voxel)
-        best_x = np.zeros(6)
-        best_cost = cost(best_x)
-
-        seeded = _translation_stage(cost, voxel)
-        seeded_cost = cost(seeded)
-        if seeded_cost < best_cost:
-            best_cost, best_x = seeded_cost, seeded
-
-        scale = 1.0
-        for _ in range(max_restarts + 1):
-            result = minimize(
-                cost,
-                best_x,
-                method="Nelder-Mead",
-                options={
-                    "initial_simplex": _initial_simplex(best_x, scale),
-                    "maxiter": 200 * 6,
-                    "xatol": 1e-5,
-                    "fatol": 1e-12,
-                },
-            )
-            improved = best_cost - result.fun
-            if result.fun < best_cost:
-                best_cost = float(result.fun)
-                best_x = result.x
-            if improved < 1e-8 * max(best_cost, 1e-30):
-                break
-            scale *= 0.25
-        estimates.append(RigidMotion.from_params(best_x))
+        params, final_cost, iterations = _levenberg_marquardt(cost)
+        logger.debug(
+            "volume %d: %d iterations, %d cost evaluations, final cost %.6g",
+            i, iterations, cost.evaluations, final_cost,
+        )
+        estimates.append(RigidMotion.from_params(params))
     return estimates
 
 

@@ -1,5 +1,7 @@
 """Slice timing, rigid motion, Gaussian smoothing, high-pass filtering."""
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -181,15 +183,25 @@ class TestEstimateMotion:
             assert np.abs(motion.rotation_rad).max() < 1e-4
 
     def test_recovers_injected_translation(self):
-        dims = (16, 16, 12)
-        field, grid = smooth_blob_field(dims, seed=5)
-        ref = field(grid)
-        true = np.array([1.5 * 3.3, -0.8 * 3.3, 0.4 * 4.8, 0.0, 0.0, 0.0])
-        moved = inject_rigid_analytic(field, grid, dims, true)
-        vol = make_volume(np.stack([ref, moved], axis=-1), voxel_size_mm=VOXEL, tr_seconds=3.0)
-        est = estimate_motion(vol)[1]
-        err_vox = np.abs((est.translation_mm - true[:3]) / np.asarray(VOXEL))
-        assert err_vox.max() < 0.1
+        # (dims, field seed, shift in voxels, angles in degrees, rotation
+        # tolerance in degrees); the second input sits at the edge of the
+        # capture range. On the small field the objective's own minimum lies
+        # 0.6 deg off in rotation, so only its translation is checked.
+        cases = [
+            ((16, 16, 12), 5, [1.5, -0.8, 0.4], [0.0, 0.0, 0.0], np.inf),
+            ((24, 24, 21), 4, [2.5, -2.5, 2.0], [1.0, -1.5, 2.0], 0.5),
+        ]
+        for dims, seed, shift_vox, angles_deg, tol_deg in cases:
+            field, grid = smooth_blob_field(dims, seed=seed)
+            ref = field(grid)
+            true = np.concatenate([np.multiply(shift_vox, VOXEL), np.deg2rad(angles_deg)])
+            moved = inject_rigid_analytic(field, grid, dims, true)
+            vol = make_volume(np.stack([ref, moved], axis=-1), voxel_size_mm=VOXEL,
+                              tr_seconds=3.0)
+            est = estimate_motion(vol)[1]
+            err_vox = np.abs((est.translation_mm - true[:3]) / np.asarray(VOXEL))
+            assert err_vox.max() < 0.1
+            assert np.abs(np.rad2deg(est.rotation_rad - true[3:])).max() < tol_deg
 
     def test_recovers_injected_rotation(self):
         dims = (16, 16, 12)
@@ -201,6 +213,31 @@ class TestEstimateMotion:
         est = estimate_motion(vol)[1]
         assert abs(np.rad2deg(est.rotation_rad[2]) - 2.0) < 0.5
         assert np.abs(np.rad2deg(est.rotation_rad[:2])).max() < 0.5
+
+    def test_flat_or_empty_volume_keeps_identity(self):
+        field, grid = smooth_blob_field((12, 12, 10))
+        ref = field(grid)
+        flat = np.full(ref.shape, 1234.567)
+        for reference, moving in ((ref, np.zeros_like(ref)), (ref, flat), (flat, flat)):
+            vol = make_volume(np.stack([reference, moving], axis=-1), voxel_size_mm=VOXEL,
+                              tr_seconds=3.0)
+            params = estimate_motion(vol)[1].params
+            assert np.all(np.isfinite(params))
+            assert np.abs(params).max() < 1e-6
+
+    def test_logs_one_debug_record_per_registered_volume(self, caplog):
+        field, grid = smooth_blob_field((12, 12, 10))
+        frame = field(grid)
+        vol = make_volume(np.stack([frame] * 3, axis=-1), voxel_size_mm=VOXEL, tr_seconds=3.0)
+        with caplog.at_level(logging.DEBUG, logger="boldkit.preprocess"):
+            estimate_motion(vol, reference_index=1)
+        records = [r for r in caplog.records if r.name == "boldkit.preprocess"]
+        assert [r.levelno for r in records] == [logging.DEBUG, logging.DEBUG]
+        assert [r.args[0] for r in records] == [0, 2]
+        for record in records:
+            message = record.getMessage()
+            assert "iterations" in message and "cost evaluations" in message
+            assert "final cost" in message
 
     def test_apply_after_estimate_reduces_msd(self):
         dims = (16, 16, 12)
