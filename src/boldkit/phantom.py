@@ -1,9 +1,9 @@
 """Synthetic low-field BOLD phantom with ground-truth activation masks.
 
 Every voxel series is baseline + activation * HRF response + AR(1) noise
-+ signed linear drift. All randomness comes from per-voxel Philox
-(counter-based) streams keyed by (seed, voxel index), consumed along
-time, so output is bit-reproducible and independent of any parallel
++ signed linear drift. All randomness of a run comes from one Philox
+(counter-based) stream keyed by (seed, run index) and drawn in a single
+call, so output is bit-reproducible and independent of any parallel
 schedule.
 """
 
@@ -126,24 +126,6 @@ class AcquisitionParams:
             raise ValueError("n_vols must be at least 4")
 
 
-def _voxel_noise_block(seed: int, run_index: int, n_voxels: int, n_draws: int) -> np.ndarray:
-    """(n_voxels, n_draws) standard normals from per-voxel Philox streams.
-
-    The 128-bit stream key packs seed, run, and voxel index into disjoint
-    bit fields so no two (seed, run, voxel) triples share a stream.
-    """
-    if not 0 <= run_index < 2**16:
-        raise ValueError("run_index must fit in 16 bits")
-    if n_voxels >= 2**48:
-        raise ValueError("voxel count exceeds the stream key space")
-    out = np.empty((n_voxels, n_draws), dtype=np.float64)
-    base = (seed << 64) | (run_index << 48)
-    for v in range(n_voxels):
-        stream = np.random.Generator(np.random.Philox(key=base | v))
-        out[v] = stream.standard_normal(n_draws)
-    return out
-
-
 def generate_phantom(
     spec: PhantomSpec,
     acq: AcquisitionParams,
@@ -156,9 +138,16 @@ def generate_phantom(
 
     The activation time course is the HRF-convolved task boxcar rescaled
     to unit peak, so cnr * noise_sigma * field_snr_scale is the peak
-    signal amplitude inside target ROIs. run_index offsets the random
-    streams so multi-run sets are mutually independent at equal seeds.
+    signal amplitude inside target ROIs. run_index selects the random
+    stream so multi-run sets are mutually independent at equal seeds.
+
+    The stream is Philox keyed by (seed << 64) | run_index and drawn once
+    as standard normals of shape (nt + 1, n_voxels), voxels in canonical
+    scan order (x fastest): row 0 sets the drift signs, rows 1..nt are
+    the AR(1) innovations.
     """
+    if not 0 <= run_index < 2**64:
+        raise ValueError("run_index must fit in an unsigned 64-bit integer")
     nx, ny, nz = spec.dims
     nt = acq.n_vols
     n_voxels = nx * ny * nz
@@ -169,29 +158,28 @@ def generate_phantom(
         response = response / peak
     amplitude = spec.cnr * spec.noise_sigma * field_snr_scale(spec.field_tesla)
 
-    # Per-voxel stream layout: draw 0 sets the drift sign, draws 1..nt
-    # are the AR(1) innovations.
-    draws = _voxel_noise_block(spec.seed, run_index, n_voxels, nt + 1)
-    drift_sign = np.where(draws[:, 0] >= 0.0, 1.0, -1.0)
-    innovations = draws[:, 1:]
+    stream = np.random.Generator(np.random.Philox(key=(spec.seed << 64) | run_index))
+    draws = stream.standard_normal((nt + 1, n_voxels))
+    drift_sign = np.where(draws[0] >= 0.0, 1.0, -1.0)
+    innovations = draws[1:]
 
     rho = spec.ar1_rho
     noise = np.empty_like(innovations)
-    noise[:, 0] = innovations[:, 0] * spec.noise_sigma
+    noise[0] = innovations[0] * spec.noise_sigma
     if rho > 0.0:
         step = spec.noise_sigma * np.sqrt(1.0 - rho**2)
         for t in range(1, nt):
-            noise[:, t] = rho * noise[:, t - 1] + step * innovations[:, t]
+            noise[t] = rho * noise[t - 1] + step * innovations[t]
     else:
-        noise[:, 1:] = innovations[:, 1:] * spec.noise_sigma
+        noise[1:] = innovations[1:] * spec.noise_sigma
 
-    ramp = np.arange(nt, dtype=np.float64) / 100.0
-    series = BASELINE + noise + (drift_sign[:, np.newaxis] * spec.drift_amplitude) * ramp
+    ramp = np.arange(nt, dtype=np.float64)[:, np.newaxis] / 100.0
+    series = BASELINE + noise + (drift_sign * spec.drift_amplitude) * ramp
 
-    # Volume layout is x-fastest, matching the canonical scan order used
-    # for voxel stream keys.
+    # series is (nt, n_voxels); its transpose is Fortran-contiguous, so the
+    # x-fastest reshape below is a view.
     amplitude_map = np.where(spec.target_mask(), amplitude, 0.0)
-    data = series.reshape((nx, ny, nz, nt), order="F")
+    data = series.T.reshape((nx, ny, nz, nt), order="F")
     data = data + amplitude_map[..., np.newaxis] * response
 
     header = VolumeHeader(

@@ -71,8 +71,13 @@ def slice_offsets_s(order: SliceOrder, tr_s: float) -> np.ndarray:
 def slice_timing_correct(vol: Volume4D, order: SliceOrder) -> Volume4D:
     """Shift every slice's series to the reference time within the TR.
 
-    Linear interpolation between adjacent volumes; the first and last
-    samples are clamped. The operation is linear in the data.
+    Each series is resampled by a Fourier phase shift (sinc
+    interpolation), mirrored first so that its periodic extension has no
+    jump at the ends. A phase shift passes every frequency at unit gain,
+    so white noise stays white; linear interpolation between volumes
+    would low-pass it, removing up to half its variance and giving lag-1
+    autocorrelation up to 0.5, which inflates OLS t-values. The
+    operation is linear in the data.
     """
     nx, ny, nz, nt = vol.header.dims
     if nz != len(order.acquisition_sequence):
@@ -86,16 +91,18 @@ def slice_timing_correct(vol: Volume4D, order: SliceOrder) -> Volume4D:
     reference_s = order.reference_fraction * tr
     offsets = slice_offsets_s(order, tr)
 
+    # The shift is linear and the same for every voxel of a slice, so it is
+    # applied as an nt x nt matrix whose rows are the shifted unit impulses.
+    impulses = np.eye(nt)
+    spectrum = np.fft.rfft(np.concatenate([impulses, impulses[:, ::-1]], axis=1), axis=1)
+    freqs = np.fft.rfftfreq(2 * nt)
     out = np.empty_like(vol.data)
-    base = np.arange(nt, dtype=np.float64)
     for z in range(nz):
         shift_vols = (reference_s - offsets[z]) / tr
-        pos = np.clip(base + shift_vols, 0.0, nt - 1.0)
-        lo = np.floor(pos).astype(np.int64)
-        hi = np.minimum(lo + 1, nt - 1)
-        w = pos - lo
-        series = vol.data[:, :, z, :]
-        out[:, :, z, :] = series[:, :, lo] * (1.0 - w) + series[:, :, hi] * w
+        resample = np.fft.irfft(spectrum * np.exp(2j * np.pi * freqs * shift_vols),
+                                n=2 * nt, axis=1)[:, :nt]
+        series = vol.data[:, :, z, :].reshape(nx * ny, nt, order="F")
+        out[:, :, z, :] = (series @ resample).reshape(nx, ny, nt, order="F")
     return Volume4D(header=vol.header, data=out)
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import gamma as gamma_dist
+from scipy.special import gammaln, xlogy
 
 from .errors import NumericError, OutOfRangeError, ShapeError
 
@@ -165,6 +165,17 @@ def boxcar(design: BlockDesign, tr_s: float, n_vols: int, oversample: int = 1) -
     return box
 
 
+def _gamma_pdf(t: np.ndarray, shape: float, scale: float) -> np.ndarray:
+    """Gamma density at t >= 0, in closed form through its logarithm.
+
+    This is the evaluation scipy.stats.gamma.pdf performs, term for term,
+    without importing scipy.stats, which dominates the package's import
+    time.
+    """
+    x = t / scale
+    return np.exp(xlogy(shape - 1.0, x) - x - gammaln(shape)) / scale
+
+
 def canonical_hrf(params: HrfParams = DEFAULT_HRF, dt_s: float = 0.1) -> np.ndarray:
     """Canonical double-gamma response sampled at 0, dt, ..., kernel length.
 
@@ -176,10 +187,10 @@ def canonical_hrf(params: HrfParams = DEFAULT_HRF, dt_s: float = 0.1) -> np.ndar
     if dt_s > params.kernel_length_s:
         raise ValueError("dt_s must not exceed the kernel length")
     t = np.arange(0.0, params.kernel_length_s + dt_s * 0.5, dt_s)
-    peak = gamma_dist.pdf(t, params.peak_delay_s / params.peak_dispersion_s,
-                          scale=params.peak_dispersion_s)
-    under = gamma_dist.pdf(t, params.undershoot_delay_s / params.undershoot_dispersion_s,
-                           scale=params.undershoot_dispersion_s)
+    peak = _gamma_pdf(t, params.peak_delay_s / params.peak_dispersion_s,
+                      params.peak_dispersion_s)
+    under = _gamma_pdf(t, params.undershoot_delay_s / params.undershoot_dispersion_s,
+                       params.undershoot_dispersion_s)
     kernel = peak - under / params.undershoot_ratio
     if not np.all(np.isfinite(kernel)):
         raise NumericError("gamma density evaluation produced non-finite values")

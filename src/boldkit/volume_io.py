@@ -13,7 +13,11 @@ used when flattening masks.
 
 from __future__ import annotations
 
+import contextlib
 import gzip
+import math
+import os
+import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +34,9 @@ HEADER_SIZE = 348
 VOX_OFFSET = 352
 MAGIC_SINGLE = b"n+1\x00"
 GZIP_MAGIC = b"\x1f\x8b"
+MAX_VOX_OFFSET = 2**31
+# Deflate expands at most 1032-fold, which bounds what a gzip file can hold.
+MAX_DEFLATE_RATIO = 1032
 
 # NIfTI-1 datatype codes accepted on read.
 DTYPE_CODES = {
@@ -131,10 +138,12 @@ class VolumeHeader:
         if len(self.dims) != 4 or any(d < 1 for d in self.dims):
             raise ShapeError(f"dims must be four positive integers, got {self.dims}")
         self.voxel_size_mm = tuple(float(v) for v in self.voxel_size_mm)
-        if any(v <= 0 for v in self.voxel_size_mm):
-            raise ShapeError(f"voxel sizes must be positive, got {self.voxel_size_mm}")
-        if self.dims[3] > 1 and not self.tr_seconds > 0:
-            raise FormatError(f"tr_seconds must be positive for a time series, got {self.tr_seconds}")
+        if not all(0 < v < math.inf for v in self.voxel_size_mm):
+            raise ShapeError(f"voxel sizes must be positive and finite, got {self.voxel_size_mm}")
+        if self.dims[3] > 1 and not 0 < self.tr_seconds < math.inf:
+            raise FormatError(
+                f"tr_seconds must be positive and finite for a time series, got {self.tr_seconds}"
+            )
 
 
 @dataclass
@@ -178,11 +187,21 @@ def make_volume(data, voxel_size_mm=(3.3, 3.3, 4.8), tr_seconds=3.0) -> Volume4D
 
 
 def _open_for_read(path):
+    """Open path, gunzipping if needed, with a bound on the bytes it can yield."""
+    size = os.path.getsize(path)
     with open(path, "rb") as fh:
         head = fh.read(2)
     if head == GZIP_MAGIC:
-        return gzip.open(path, "rb")
-    return open(path, "rb")
+        return gzip.open(path, "rb"), size * MAX_DEFLATE_RATIO
+    return open(path, "rb"), size
+
+
+@contextlib.contextmanager
+def _corrupt_gzip_is_format_error(path):
+    try:
+        yield
+    except (gzip.BadGzipFile, EOFError, zlib.error) as exc:
+        raise FormatError(f"{path}: corrupt gzip stream ({exc})") from exc
 
 
 def read_nifti(path) -> Volume4D:
@@ -192,11 +211,13 @@ def read_nifti(path) -> Volume4D:
     treated as one). Both byte orders are accepted; gzip compression is
     detected from the leading two bytes regardless of file name.
 
-    Raises FormatError for a malformed header, UnsupportedDatatypeError
-    for datatypes outside the supported set, and TruncatedFileError when
-    the data section is short.
+    Raises FormatError for a malformed header or gzip stream,
+    UnsupportedDatatypeError for datatypes outside the supported set, and
+    TruncatedFileError when the data section is short, or longer than the
+    file could hold (checked before reading it).
     """
-    with _open_for_read(path) as fh:
+    fh, max_bytes = _open_for_read(path)
+    with fh, _corrupt_gzip_is_format_error(path):
         raw_header = fh.read(HEADER_SIZE)
         if len(raw_header) < HEADER_SIZE:
             raise FormatError(f"{path}: file shorter than the {HEADER_SIZE}-byte header")
@@ -227,15 +248,22 @@ def read_nifti(path) -> Volume4D:
             raise UnsupportedDatatypeError(code)
         dtype = np.dtype(DTYPE_CODES[code]).newbyteorder(byteorder)
 
-        n_values = int(np.prod(shape))
-        offset = int(header["vox_offset"])
-        if offset < HEADER_SIZE:
-            raise FormatError(f"{path}: vox_offset {offset} overlaps the header")
-        fh.seek(offset)
-        payload = fh.read(n_values * dtype.itemsize)
-        if len(payload) < n_values * dtype.itemsize:
+        n_values = math.prod(shape)
+        n_bytes = n_values * dtype.itemsize
+        offset = float(header["vox_offset"])
+        if not HEADER_SIZE <= offset < MAX_VOX_OFFSET:  # also rejects NaN
+            raise FormatError(f"{path}: vox_offset {offset} outside [{HEADER_SIZE}, 2**31)")
+        offset = int(offset)
+        if offset + n_bytes > max_bytes:
             raise TruncatedFileError(
-                f"{path}: expected {n_values * dtype.itemsize} data bytes, got {len(payload)}"
+                f"{path}: expected {n_bytes} data bytes at offset {offset}, "
+                "more than the file can hold"
+            )
+        fh.seek(offset)
+        payload = fh.read(n_bytes)
+        if len(payload) < n_bytes:
+            raise TruncatedFileError(
+                f"{path}: expected {n_bytes} data bytes, got {len(payload)}"
             )
 
     raw = np.frombuffer(payload, dtype=dtype, count=n_values)
@@ -246,14 +274,15 @@ def read_nifti(path) -> Volume4D:
     if slope == 0.0:
         slope = 1.0
     if slope != 1.0 or inter != 0.0:
-        data = data * slope + inter
+        with np.errstate(over="ignore", invalid="ignore"):  # caught just below
+            data = data * slope + inter
     if not np.all(np.isfinite(data)):
         raise FormatError(f"{path}: data contains non-finite values after scaling")
 
     orientation = {name: np.array(header[name]).tolist() for name in _ORIENTATION_FIELDS}
     vox = tuple(float(v) for v in header["pixdim"][1:4])
     tr = float(header["pixdim"][4])
-    if shape[3] == 1 and tr <= 0:
+    if shape[3] == 1 and not 0 < tr < math.inf:
         tr = 1.0  # single volume: TR is meaningless, keep header constructible
 
     vol_header = VolumeHeader(
@@ -274,7 +303,8 @@ def write_nifti(vol: Volume4D, path) -> None:
 
     The data section starts at byte 352 (348-byte header plus a zeroed
     4-byte extension flag); scl_slope/scl_inter are written as 1/0. A
-    ``.gz`` suffix selects gzip compression (mtime pinned to zero so
+    ``.gz`` suffix selects gzip compression at level 1, the fastest, since
+    float32 noise barely compresses at any level (mtime pinned to zero so
     identical volumes produce identical bytes).
     """
     header = np.zeros((), dtype=_header_dtype("<"))
@@ -304,7 +334,8 @@ def write_nifti(vol: Volume4D, path) -> None:
     if path.endswith(".gz"):
         # pin mtime and drop the FNAME field so equal volumes give equal bytes
         with open(path, "wb") as raw:
-            with gzip.GzipFile(filename="", fileobj=raw, mode="wb", mtime=0) as fh:
+            with gzip.GzipFile(filename="", fileobj=raw, mode="wb", mtime=0,
+                               compresslevel=1) as fh:
                 fh.write(blob)
     else:
         with open(path, "wb") as fh:

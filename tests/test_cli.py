@@ -2,14 +2,19 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import boldkit
 from boldkit.cli import main
 from boldkit.config import load_config, validate_config
 from boldkit.errors import ConfigError
 from boldkit.volume_io import read_nifti
+
+SRC_PATH = os.path.dirname(os.path.dirname(boldkit.__file__))
 
 FAST_PHANTOM = {
     "dims": [12, 12, 8],
@@ -204,6 +209,18 @@ class TestAnalyze:
         clusters = json.loads((out / "clusters.json").read_text())
         assert clusters == []
 
+    def test_null_phantoms_rarely_reject(self, tmp_path):
+        # q bounds the chance that an all-null map rejects anything at all;
+        # the default preprocessing must not inflate it
+        nonempty = 0
+        for seed in range(100, 140):
+            cfg = write_config(tmp_path, seed=seed,
+                               phantom=dict(FAST_PHANTOM, cnr=0.0, ar1_rho=0.0))
+            out = tmp_path / f"null-{seed}"
+            assert main(["analyze", "--config", cfg, "--out", str(out)]) == 0
+            nonempty += json.loads((out / "clusters.json").read_text()) != []
+        assert nonempty <= 5, f"{nonempty} of 40 null phantoms gave clusters at q=0.05"
+
     def test_missing_input_file_is_data_error(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"runs": ["/no/such/run.nii.gz"],
@@ -279,6 +296,14 @@ class TestDurationStudy:
 
 
 class TestMisc:
+    def test_import_leaves_slow_scipy_subpackages_unloaded(self):
+        # scipy.stats and scipy.signal each add about a second to start-up
+        code = ("import sys, boldkit.cli; "
+                "print(sorted(m for m in ('scipy.stats', 'scipy.signal') if m in sys.modules))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, timeout=120, env=dict(os.environ, PYTHONPATH=SRC_PATH))
+        assert out.stdout.strip() == "[]"
+
     def test_version_command(self, capsys):
         assert main(["version"]) == 0
         assert "boldkit" in capsys.readouterr().out

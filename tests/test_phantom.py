@@ -92,6 +92,14 @@ class TestGeneration:
         corr = np.corrcoef((a.data - BASELINE).ravel(), (b.data - BASELINE).ravel())[0, 1]
         assert abs(corr) < 0.02
 
+    def test_null_phantom_is_the_documented_stream(self):
+        spec = small_spec(cnr=0.0, drift_amplitude=0.0, ar1_rho=0.0, seed=7)
+        vol, _ = generate_phantom(spec, short_acq(), short_design(), run_index=3)
+        stream = np.random.Generator(np.random.Philox(key=(7 << 64) | 3))
+        draws = stream.standard_normal((30 + 1, int(np.prod(SMALL_DIMS))))
+        expected = (BASELINE + spec.noise_sigma * draws[1:]).T
+        assert np.array_equal(vol.data, expected.reshape(SMALL_DIMS + (30,), order="F"))
+
     def test_null_phantom_has_no_task_signal(self):
         spec = small_spec(cnr=0.0, drift_amplitude=0.0, ar1_rho=0.0)
         vol, truth = generate_phantom(spec, short_acq(), short_design())

@@ -110,6 +110,18 @@ class TestSliceTiming:
             err = np.abs(out.data[0, 0, z, 1:-1] - expected[1:-1])
             assert err.max() < bound * 1.05
 
+    def test_white_noise_stays_white(self):
+        # sub-volume shifts of 0.5, 0.25, 0 and -0.25 TR
+        rng = np.random.default_rng(4)
+        noise = rng.standard_normal((8, 8, 4, 200))
+        out = slice_timing_correct(make_volume(noise, voxel_size_mm=VOXEL, tr_seconds=3.0),
+                                   sequential_order(4)).data
+        for z in range(4):
+            series = out[:, :, z, :]
+            lag1 = np.mean(series[..., 1:] * series[..., :-1]) / series.var()
+            assert series.var() == pytest.approx(1.0, abs=0.05)
+            assert abs(lag1) < 0.05
+
     def test_linearity(self):
         rng = np.random.default_rng(1)
         a = rng.standard_normal((3, 3, 4, 12))

@@ -128,6 +128,23 @@ class TestCanonicalHrf:
         for dt in (0.01, 0.1875, 1.0, 3.0):
             assert canonical_hrf(dt_s=dt).max() == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("params", [
+        HrfParams(),
+        HrfParams(peak_dispersion_s=0.9, undershoot_dispersion_s=1.3),
+    ])
+    @pytest.mark.parametrize("dt", [0.05, 0.1, 0.1875, 1.0])
+    def test_bit_identical_to_scipy_stats_gamma(self, params, dt):
+        from scipy.stats import gamma
+
+        t = np.arange(0.0, params.kernel_length_s + dt * 0.5, dt)
+        peak = gamma.pdf(t, params.peak_delay_s / params.peak_dispersion_s,
+                         scale=params.peak_dispersion_s)
+        under = gamma.pdf(t, params.undershoot_delay_s / params.undershoot_dispersion_s,
+                          scale=params.undershoot_dispersion_s)
+        reference = peak - under / params.undershoot_ratio
+        reference = reference / reference.max()
+        assert np.array_equal(canonical_hrf(params, dt_s=dt), reference)
+
     def test_parameter_invariants(self):
         with pytest.raises(ValueError):
             HrfParams(peak_delay_s=10.0, undershoot_delay_s=8.0)

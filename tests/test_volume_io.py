@@ -5,8 +5,11 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from boldkit.errors import (
+    DataError,
     EmptyMaskError,
     FormatError,
     ShapeError,
@@ -140,6 +143,81 @@ class TestRead:
         path.write_bytes(blob)
         with pytest.raises(TruncatedFileError):
             read_nifti(path)
+
+    @pytest.mark.parametrize("offset", [float("nan"), float("inf"), -float("inf"), 1e30, 2.0**31])
+    def test_implausible_vox_offset_rejected(self, tmp_path, offset):
+        blob = bytearray(build_raw_nifti((1, 1, 1, 1), b"\x00" * 4, datatype=16, bitpix=32))
+        struct.pack_into("<f", blob, 108, offset)
+        path = tmp_path / "offset.nii"
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match=r"vox_offset \S+ outside"):
+            read_nifti(path)
+
+    @pytest.mark.parametrize("pixdim_index", [1, 4])  # a voxel size; the TR
+    def test_non_finite_pixdim_rejected(self, tmp_path, pixdim_index):
+        blob = bytearray(build_raw_nifti((1, 1, 1, 2), b"\x00" * 8, datatype=16, bitpix=32))
+        struct.pack_into("<f", blob, 76 + 4 * pixdim_index, float("nan"))
+        path = tmp_path / "pixdim.nii"
+        path.write_bytes(bytes(blob))
+        with pytest.raises(DataError, match="positive and finite"):
+            read_nifti(path)
+
+    @pytest.mark.parametrize("gzipped", [False, True])
+    def test_payload_larger_than_file_can_hold_rejected(self, tmp_path, gzipped):
+        # 32767^4 float64 values: far more bytes than any file here holds
+        blob = build_raw_nifti((32767, 32767, 32767, 32767), b"\x00" * 8,
+                               datatype=64, bitpix=64)
+        path = tmp_path / "huge.nii"
+        path.write_bytes(gzip.compress(blob, mtime=0) if gzipped else blob)
+        with pytest.raises(TruncatedFileError):
+            read_nifti(path)
+
+    def test_corrupt_gzip_stream_is_format_error(self, tmp_path):
+        vol = random_volume(np.random.default_rng(3))
+        path = tmp_path / "vol.nii.gz"
+        write_nifti(vol, path)
+        blob = path.read_bytes()
+        path.write_bytes(blob[:10] + bytes(b ^ 0x5A for b in blob[10:40]) + blob[40:])
+        with pytest.raises(FormatError):
+            read_nifti(path)
+
+
+_VALID_HEADER = build_raw_nifti((3, 2, 2, 4), np.arange(48, dtype=np.float32).tobytes(),
+                                datatype=16, bitpix=32)
+
+_SPECIAL_FLOATS = st.sampled_from([0.0, -1.0, 1e-30, 1e30, 2.0**31, float("nan"),
+                                   float("inf"), -float("inf")])
+
+# Byte positions of the float32 fields pixdim, vox_offset, scl_slope and
+# scl_inter, and of the int16 fields dim, datatype and bitpix.
+_FLOAT_FIELDS = st.sampled_from(list(range(76, 120, 4)))
+_INT16_FIELDS = st.sampled_from(list(range(40, 56, 2)) + [70, 72])
+
+# One mutation of the 352-byte header prefix: a raw byte anywhere, or an
+# extreme value written into one of the numeric fields the reader uses.
+_MUTATION = st.one_of(
+    st.tuples(st.just("B"), st.integers(0, 351), st.integers(0, 255)),
+    st.tuples(st.just("<f"), _FLOAT_FIELDS, _SPECIAL_FLOATS),
+    st.tuples(st.just("<h"), _INT16_FIELDS,
+              st.sampled_from([-32768, -1, 0, 1, 2, 7, 8, 16, 64, 32767])),
+)
+
+
+class TestMalformedHeaders:
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(mutations=st.lists(_MUTATION, min_size=1, max_size=6))
+    def test_mutated_header_reads_or_raises_data_error(self, tmp_path, mutations):
+        blob = bytearray(_VALID_HEADER)
+        for fmt, pos, value in mutations:
+            struct.pack_into(fmt, blob, pos, value)
+        path = tmp_path / "mutated.nii"
+        path.write_bytes(bytes(blob))
+        try:
+            vol = read_nifti(path)
+        except DataError:
+            return
+        assert isinstance(vol, Volume4D)
 
 
 class TestWrite:
