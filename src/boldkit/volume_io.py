@@ -13,7 +13,6 @@ used when flattening masks.
 
 from __future__ import annotations
 
-import contextlib
 import gzip
 import math
 import os
@@ -187,21 +186,11 @@ def make_volume(data, voxel_size_mm=(3.3, 3.3, 4.8), tr_seconds=3.0) -> Volume4D
 
 
 def _open_for_read(path):
-    """Open path, gunzipping if needed, with a bound on the bytes it can yield."""
-    size = os.path.getsize(path)
     with open(path, "rb") as fh:
         head = fh.read(2)
     if head == GZIP_MAGIC:
-        return gzip.open(path, "rb"), size * MAX_DEFLATE_RATIO
-    return open(path, "rb"), size
-
-
-@contextlib.contextmanager
-def _corrupt_gzip_is_format_error(path):
-    try:
-        yield
-    except (gzip.BadGzipFile, EOFError, zlib.error) as exc:
-        raise FormatError(f"{path}: corrupt gzip stream ({exc})") from exc
+        return gzip.open(path, "rb")
+    return open(path, "rb")
 
 
 def read_nifti(path) -> Volume4D:
@@ -216,55 +205,64 @@ def read_nifti(path) -> Volume4D:
     TruncatedFileError when the data section is short, or longer than the
     file could hold (checked before reading it).
     """
-    fh, max_bytes = _open_for_read(path)
-    with fh, _corrupt_gzip_is_format_error(path):
-        raw_header = fh.read(HEADER_SIZE)
-        if len(raw_header) < HEADER_SIZE:
-            raise FormatError(f"{path}: file shorter than the {HEADER_SIZE}-byte header")
+    max_bytes = os.path.getsize(path)
+    with _open_for_read(path) as fh:
+        if isinstance(fh, gzip.GzipFile):
+            max_bytes *= MAX_DEFLATE_RATIO
+        try:
+            raw_header = fh.read(HEADER_SIZE)
+            if len(raw_header) < HEADER_SIZE:
+                raise FormatError(f"{path}: file shorter than the {HEADER_SIZE}-byte header")
 
-        header = np.frombuffer(raw_header, dtype=_header_dtype("<"), count=1)[0]
-        byteorder = "<"
-        if header["sizeof_hdr"] != HEADER_SIZE:
-            header = np.frombuffer(raw_header, dtype=_header_dtype(">"), count=1)[0]
-            byteorder = ">"
+            header = np.frombuffer(raw_header, dtype=_header_dtype("<"), count=1)[0]
+            byteorder = "<"
             if header["sizeof_hdr"] != HEADER_SIZE:
-                raise FormatError(f"{path}: sizeof_hdr is not {HEADER_SIZE} in either byte order")
+                header = np.frombuffer(raw_header, dtype=_header_dtype(">"), count=1)[0]
+                byteorder = ">"
+                if header["sizeof_hdr"] != HEADER_SIZE:
+                    raise FormatError(
+                        f"{path}: sizeof_hdr is not {HEADER_SIZE} in either byte order"
+                    )
 
-        # numpy strips trailing NULs from S fields, so compare without them
-        magic = bytes(header["magic"])
-        if magic != MAGIC_SINGLE.rstrip(b"\x00"):
-            raise FormatError(f"{path}: magic {magic!r} is not single-file NIfTI-1 ('n+1\\0')")
+            # numpy strips trailing NULs from S fields, so compare without them
+            magic = bytes(header["magic"])
+            if magic != MAGIC_SINGLE.rstrip(b"\x00"):
+                raise FormatError(f"{path}: magic {magic!r} is not single-file NIfTI-1 ('n+1\\0')")
 
-        ndim = int(header["dim"][0])
-        if not 1 <= ndim <= 7:
-            raise FormatError(f"{path}: dim[0]={ndim} outside 1..7")
-        shape = [max(1, int(d)) for d in header["dim"][1 : ndim + 1]]
-        if any(d > 1 for d in shape[4:]):
-            raise FormatError(f"{path}: volumes with more than 4 non-singleton dims unsupported")
-        shape = (shape + [1, 1, 1, 1])[:4]
+            ndim = int(header["dim"][0])
+            if not 1 <= ndim <= 7:
+                raise FormatError(f"{path}: dim[0]={ndim} outside 1..7")
+            shape = [max(1, int(d)) for d in header["dim"][1 : ndim + 1]]
+            if any(d > 1 for d in shape[4:]):
+                raise FormatError(
+                    f"{path}: volumes with more than 4 non-singleton dims unsupported"
+                )
+            shape = (shape + [1, 1, 1, 1])[:4]
 
-        code = int(header["datatype"])
-        if code not in DTYPE_CODES:
-            raise UnsupportedDatatypeError(code)
-        dtype = np.dtype(DTYPE_CODES[code]).newbyteorder(byteorder)
+            code = int(header["datatype"])
+            if code not in DTYPE_CODES:
+                raise UnsupportedDatatypeError(code)
+            dtype = np.dtype(DTYPE_CODES[code]).newbyteorder(byteorder)
 
-        n_values = math.prod(shape)
-        n_bytes = n_values * dtype.itemsize
-        offset = float(header["vox_offset"])
-        if not HEADER_SIZE <= offset < MAX_VOX_OFFSET:  # also rejects NaN
-            raise FormatError(f"{path}: vox_offset {offset} outside [{HEADER_SIZE}, 2**31)")
-        offset = int(offset)
-        if offset + n_bytes > max_bytes:
-            raise TruncatedFileError(
-                f"{path}: expected {n_bytes} data bytes at offset {offset}, "
-                "more than the file can hold"
-            )
-        fh.seek(offset)
-        payload = fh.read(n_bytes)
-        if len(payload) < n_bytes:
-            raise TruncatedFileError(
-                f"{path}: expected {n_bytes} data bytes, got {len(payload)}"
-            )
+            n_values = math.prod(shape)
+            n_bytes = n_values * dtype.itemsize
+            offset = float(header["vox_offset"])
+            if not HEADER_SIZE <= offset < MAX_VOX_OFFSET:  # also rejects NaN
+                raise FormatError(f"{path}: vox_offset {offset} outside [{HEADER_SIZE}, 2**31)")
+            offset = int(offset)
+            if offset + n_bytes > max_bytes:
+                raise TruncatedFileError(
+                    f"{path}: expected {n_bytes} data bytes at offset {offset}, "
+                    "more than the file can hold"
+                )
+            fh.seek(offset)
+            payload = fh.read(n_bytes)
+            if len(payload) < n_bytes:
+                raise TruncatedFileError(
+                    f"{path}: expected {n_bytes} data bytes, got {len(payload)}"
+                )
+        except (gzip.BadGzipFile, EOFError, zlib.error) as exc:
+            raise FormatError(f"{path}: corrupt gzip stream ({exc})") from exc
 
     raw = np.frombuffer(payload, dtype=dtype, count=n_values)
     data = raw.reshape(shape, order="F").astype(np.float64)
@@ -274,8 +272,7 @@ def read_nifti(path) -> Volume4D:
     if slope == 0.0:
         slope = 1.0
     if slope != 1.0 or inter != 0.0:
-        with np.errstate(over="ignore", invalid="ignore"):  # caught just below
-            data = data * slope + inter
+        data = data * slope + inter
     if not np.all(np.isfinite(data)):
         raise FormatError(f"{path}: data contains non-finite values after scaling")
 

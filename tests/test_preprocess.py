@@ -5,6 +5,7 @@ import logging
 import numpy as np
 import pytest
 
+from boldkit import preprocess
 from boldkit.errors import InsufficientDataError, ShapeError
 from boldkit.preprocess import (
     RigidMotion,
@@ -121,6 +122,16 @@ class TestSliceTiming:
             lag1 = np.mean(series[..., 1:] * series[..., :-1]) / series.var()
             assert series.var() == pytest.approx(1.0, abs=0.05)
             assert abs(lag1) < 0.05
+
+    def test_fft_form_matches_matrix_form(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        vol = make_volume(rng.standard_normal((3, 4, 5, 37)), voxel_size_mm=VOXEL,
+                          tr_seconds=2.0)
+        order = interleaved_order(5)
+        by_matrix = slice_timing_correct(vol, order).data
+        monkeypatch.setattr(preprocess, "_MAX_MATRIX_VOLS", 0)
+        by_fft = slice_timing_correct(vol, order).data
+        np.testing.assert_allclose(by_fft, by_matrix, rtol=0, atol=1e-12)
 
     def test_linearity(self):
         rng = np.random.default_rng(1)
