@@ -10,6 +10,7 @@ previous run is also accepted anywhere a config is (its embedded
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
@@ -57,12 +58,24 @@ _DEFAULT_INFERENCE = {
 }
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 @dataclass
 class PipelineConfig:
-    """Validated, fully-defaulted parameters for one pipeline invocation."""
+    """Validated, fully-defaulted parameters for one pipeline invocation.
+
+    threads bounds how many input files are read at once. It cannot
+    change results, so as_dict (and with it the manifest) leaves it out.
+    """
 
     seed: int = 0
     output_dir: str = "boldkit-out"
+    threads: int = field(default_factory=usable_cpus)
     phantom: dict = None
     runs: list = None
     task: dict = field(default_factory=lambda: dict(_DEFAULT_TASK))
@@ -142,6 +155,7 @@ def validate_config(raw: dict) -> PipelineConfig:
 
     if "threads" in raw:
         _check_number(raw["threads"], "threads", low=1, integer=True)
+        cfg.threads = int(raw["threads"])
 
     if "runs" in raw:
         runs = raw["runs"]

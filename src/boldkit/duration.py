@@ -131,7 +131,11 @@ def average_runs(runset: RunSet) -> Volume4D:
         raise DesignMismatchError("averaging requires identical run lengths")
     if not runset.designs_identical():
         raise DesignMismatchError("averaging requires identical task designs across runs")
-    data = np.mean([run.data for run in runset.runs], axis=0)
+    # a running sum adds in the same order as np.mean over stacked runs
+    data = runset.runs[0].data + runset.runs[1].data
+    for run in runset.runs[2:]:
+        data += run.data
+    data /= len(runset.runs)
     header = VolumeHeader(
         dims=runset.runs[0].header.dims,
         voxel_size_mm=runset.runs[0].header.voxel_size_mm,

@@ -19,7 +19,7 @@ from .errors import (
     ShapeError,
 )
 from .task_design import DesignMatrix
-from .volume_io import Volume4D
+from .volume_io import Volume4D, fold_voxels, voxel_series
 
 Z_CLAMP = 40.0
 _RANK_RTOL = 1e-10
@@ -82,7 +82,9 @@ def fit_glm(Y: np.ndarray, X: DesignMatrix) -> GlmFit:
 
     u_r, s_r, vt_r = u[:, :rank], s[:rank], vt[:rank]
     beta = vt_r.T @ ((u_r.T @ Y) / s_r[:, np.newaxis])
-    residuals = Y - X.values @ beta
+    # X beta - Y: the negated residuals, in one (N, V) temporary
+    residuals = X.values @ beta
+    residuals -= Y
     residual_variance = np.einsum("nv,nv->v", residuals, residuals) / dof
 
     return GlmFit(
@@ -176,14 +178,14 @@ def correlation_map(vol: Volume4D, regressor) -> tuple[np.ndarray, np.ndarray]:
     if reg_norm == 0.0:
         raise DegenerateRegressorError("regressor is constant")
 
-    nx, ny, nz, nt = vol.header.dims
-    series = vol.data.reshape(-1, nt)
-    centered = series - series.mean(axis=1, keepdims=True)
-    norms = np.linalg.norm(centered, axis=1)
+    series = voxel_series(vol)
+    centered = series - series.mean(axis=0)
+    norms = np.sqrt(np.einsum("tv,tv->v", centered, centered))
     constant = norms == 0.0
 
-    r = np.zeros(series.shape[0])
+    r = np.zeros(series.shape[1])
     valid = ~constant
-    r[valid] = (centered[valid] @ reg) / (norms[valid] * reg_norm)
+    r[valid] = (reg @ centered)[valid] / (norms[valid] * reg_norm)
     np.clip(r, -1.0, 1.0, out=r)
-    return r.reshape(nx, ny, nz), constant.reshape(nx, ny, nz)
+    dims = vol.spatial_dims
+    return fold_voxels(r, dims), fold_voxels(constant, dims)

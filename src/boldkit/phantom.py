@@ -177,10 +177,9 @@ def generate_phantom(
     series = BASELINE + noise + (drift_sign * spec.drift_amplitude) * ramp
 
     # series is (nt, n_voxels); its transpose is Fortran-contiguous, so the
-    # x-fastest reshape below is a view.
-    amplitude_map = np.where(spec.target_mask(), amplitude, 0.0)
+    # x-fastest reshape below is a view and the signal is added in place.
     data = series.T.reshape((nx, ny, nz, nt), order="F")
-    data = data + amplitude_map[..., np.newaxis] * response
+    data[spec.target_mask()] += amplitude * response
 
     header = VolumeHeader(
         dims=(nx, ny, nz, nt),

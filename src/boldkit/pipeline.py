@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,7 +49,14 @@ from .preprocess import (
     slice_timing_correct,
 )
 from .task_design import BlockDesign, DesignMatrix, LABEL_TASK
-from .volume_io import Volume4D, VolumeHeader, read_nifti, write_nifti
+from .volume_io import (
+    Volume4D,
+    VolumeHeader,
+    fold_voxels,
+    read_nifti,
+    voxel_series,
+    write_nifti,
+)
 
 ADJUSTED_P_CEILING = 0.05
 
@@ -100,7 +108,13 @@ def phantom_pieces(cfg: PipelineConfig):
 
 
 def load_runs(cfg: PipelineConfig):
-    """Input runs plus ground-truth ROI masks (phantom source only)."""
+    """Input runs plus ground-truth ROI masks (phantom source only).
+
+    Files are read by up to cfg.threads threads at once (decompression
+    releases the GIL); the runs come back in config order, so results do
+    not depend on the thread count. Phantom runs are generated one at a
+    time, which bounds the generator's transient memory.
+    """
     design = block_design_from_config(cfg)
     if cfg.uses_phantom():
         spec, acq = phantom_pieces(cfg)
@@ -110,11 +124,11 @@ def load_runs(cfg: PipelineConfig):
             vol, truth = generate_phantom(spec, acq, design, run_index=r)
             runs.append(vol)
         return runs, design, truth
-    runs = []
     for path in cfg.runs:
         if not os.path.exists(path):
             raise DataError(f"input run not found: {path}")
-        runs.append(read_nifti(path))
+    with ThreadPoolExecutor(max_workers=min(cfg.threads, len(cfg.runs))) as pool:
+        runs = list(pool.map(read_nifti, cfg.runs))
     return runs, design, None
 
 
@@ -166,23 +180,25 @@ class AnalysisResult:
 
 
 def analyze_volume(vol: Volume4D, design: DesignMatrix, cfg: PipelineConfig) -> AnalysisResult:
-    """GLM fit, FDR over the in-brain mask, and cluster extraction."""
-    nx, ny, nz, nt = vol.header.dims
-    Y = vol.data.reshape(-1, nt).T
+    """GLM fit, FDR over the in-brain mask, and cluster extraction.
+
+    The in-brain mask is every voxel whose series is not constant and
+    whose fit is not degenerate.
+    """
+    shape = vol.spatial_dims
+    Y = voxel_series(vol)
     fit = fit_glm(Y, design)
     c = contrast_vector(cfg, design)
     stats = t_contrast(fit, c, two_sided=cfg.glm["two_sided"])
 
-    shape = (nx, ny, nz)
-    t3 = stats.t.reshape(shape)
-    p3 = stats.p.reshape(shape)
-    z3 = stats.z.reshape(shape)
-    degenerate3 = stats.degenerate.reshape(shape)
-    stats3d = StatMaps(t=t3, p=p3, z=z3, degenerate=degenerate3,
+    t3 = fold_voxels(stats.t, shape)
+    p3 = fold_voxels(stats.p, shape)
+    degenerate3 = fold_voxels(stats.degenerate, shape)
+    stats3d = StatMaps(t=t3, p=p3, z=fold_voxels(stats.z, shape), degenerate=degenerate3,
                        dof=stats.dof, two_sided=stats.two_sided)
 
-    variance = Y.var(axis=0).reshape(shape)
-    mask = (variance > 0.0) & ~degenerate3
+    varying = fold_voxels(Y.max(axis=0) > Y.min(axis=0), shape)
+    mask = varying & ~degenerate3
 
     q = cfg.inference["q"]
     adjusted = np.ones(shape)
@@ -291,7 +307,8 @@ def run_analyze(cfg: PipelineConfig) -> list:
     if mode in ("concatenate", "average") and len(runs) < 2:
         raise DataError(f"duration mode '{mode}' needs at least two runs, got {len(runs)}")
 
-    runs = [preprocess_run(run, cfg) for run in runs]
+    for i in range(len(runs)):  # replace in place so each raw run can be freed
+        runs[i] = preprocess_run(runs[i], cfg)
     vol, design_matrix = _prepare_condition(cfg, runs, design, mode)
     result = analyze_volume(vol, design_matrix, cfg)
 
@@ -329,7 +346,8 @@ def run_duration_study(cfg: PipelineConfig) -> list:
     if len(runs) != 2:
         raise ConfigError(f"config key 'runs': duration study needs exactly 2 runs, got {len(runs)}")
 
-    runs = [preprocess_run(run, cfg) for run in runs]
+    for i in range(len(runs)):  # replace in place so each raw run can be freed
+        runs[i] = preprocess_run(runs[i], cfg)
     conditions = {
         CONDITION_SINGLE: _prepare_condition(cfg, runs, design, "single"),
         CONDITION_CONCATENATED: _prepare_condition(cfg, runs, design, "concatenate"),

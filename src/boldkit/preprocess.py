@@ -9,6 +9,7 @@ then smoothing, with drift handled inside the GLM (or here, standalone).
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,7 +17,7 @@ from scipy import ndimage
 
 from .errors import InsufficientDataError, NumericError, ShapeError
 from .task_design import dct_highpass_basis
-from .volume_io import Volume4D
+from .volume_io import Volume4D, fold_voxels, voxel_series
 
 FWHM_TO_SIGMA = 1.0 / (2.0 * np.sqrt(2.0 * np.log(2.0)))
 KERNEL_TRUNCATE_SIGMAS = 4.0
@@ -111,18 +112,19 @@ def slice_timing_correct(vol: Volume4D, order: SliceOrder) -> Volume4D:
     offsets = slice_offsets_s(order, tr)
 
     freqs = np.fft.rfftfreq(2 * nt)
-    out = np.empty_like(vol.data)
+    out = np.empty(vol.header.dims, order="F")
     for z in range(nz):
         shift_vols = (reference_s - offsets[z]) / tr
         # spectrum of the 2*nt-periodic kernel that advances a series by shift_vols
         phase = np.exp(2j * np.pi * freqs * shift_vols)
+        # (nx*ny, nt) views of slice z, x-fastest
         series = vol.data[:, :, z, :].reshape(nx * ny, nt, order="F")
+        shifted = out[:, :, z, :].reshape(nx * ny, nt, order="F")
         if nt <= _MAX_MATRIX_VOLS:
-            shifted = series @ _mirrored_shift_matrix(np.fft.irfft(phase, n=2 * nt))
+            np.matmul(series, _mirrored_shift_matrix(np.fft.irfft(phase, n=2 * nt)), out=shifted)
         else:
             spectrum = np.fft.rfft(np.concatenate([series, series[:, ::-1]], axis=1), axis=1)
-            shifted = np.fft.irfft(spectrum * phase, n=2 * nt, axis=1)[:, :nt]
-        out[:, :, z, :] = shifted.reshape(nx, ny, nt, order="F")
+            shifted[...] = np.fft.irfft(spectrum * phase, n=2 * nt, axis=1)[:, :nt]
     return Volume4D(header=vol.header, data=out)
 
 
@@ -400,35 +402,67 @@ def fwhm_to_sigma_vox(fwhm_mm: float, voxel_size_mm) -> np.ndarray:
     return fwhm_mm * FWHM_TO_SIGMA / voxel
 
 
-def gaussian_kernel_1d(sigma_vox: float) -> np.ndarray:
-    """Unit-sum Gaussian taps truncated at 4 sigma (identity for tiny sigma)."""
-    radius = int(np.floor(KERNEL_TRUNCATE_SIGMAS * sigma_vox))
+def gaussian_kernel_1d(sigma_vox: float, max_radius: int | None = None) -> np.ndarray:
+    """Unit-sum Gaussian taps truncated at 4 sigma (identity for tiny sigma).
+
+    max_radius caps the taps on either side; along an axis of n voxels,
+    taps beyond n - 1 never meet data, so a cap of n - 1 changes nothing.
+    """
+    radius = KERNEL_TRUNCATE_SIGMAS * sigma_vox
+    if max_radius is not None:
+        radius = min(radius, max_radius)
+    radius = int(radius)
     if radius < 1:
         return np.array([1.0])
     taps = np.exp(-0.5 * (np.arange(-radius, radius + 1) / sigma_vox) ** 2)
     return taps / taps.sum()
 
 
+def _axis_smoothing_operator(n: int, sigma_vox: float) -> np.ndarray | None:
+    """n x n matrix of the truncated Gaussian along one axis, each row
+    divided by its in-field mass; None when it is the identity."""
+    kernel = gaussian_kernel_1d(sigma_vox, max_radius=n - 1)
+    radius = kernel.size // 2
+    if radius == 0:
+        return None
+    # tap weight by distance |i - j|, zero beyond the radius
+    by_distance = np.zeros(n)
+    by_distance[:radius + 1] = kernel[radius:]
+    operator = by_distance[np.abs(np.subtract.outer(np.arange(n), np.arange(n)))]
+    return operator / operator.sum(axis=1, keepdims=True)
+
+
 def gaussian_smooth(vol: Volume4D, fwhm_mm: float) -> Volume4D:
     """Separable 3-axis Gaussian smoothing with border renormalization.
 
-    Outside-volume support is handled by dividing by the smoothed
-    indicator of the field of view, so constant volumes stay constant
-    all the way to the edges.
+    Each axis is one matrix product with a small row-normalised operator
+    (see _axis_smoothing_operator) on the x-fastest data, so every output
+    voxel is the Gaussian-weighted mean of the in-field voxels around it:
+    outside-volume support is excluded rather than read as zero, and
+    constant volumes stay constant all the way to the edges. This equals
+    zero-padded convolution divided by the smoothed indicator of the
+    field of view.
     """
     if fwhm_mm <= 0:
         raise ValueError("fwhm_mm must be positive")
     sigmas = fwhm_to_sigma_vox(fwhm_mm, vol.header.voxel_size_mm)
+    dims = vol.header.dims
 
-    data = vol.data.copy()
-    support = np.ones(vol.spatial_dims, dtype=np.float64)
+    data, spare = vol.data, None
     for axis, sigma in enumerate(sigmas):
-        kernel = gaussian_kernel_1d(sigma)
-        if kernel.size == 1:
+        operator = _axis_smoothing_operator(dims[axis], sigma)
+        if operator is None:
             continue
-        data = ndimage.convolve1d(data, kernel, axis=axis, mode="constant", cval=0.0)
-        support = ndimage.convolve1d(support, kernel, axis=axis, mode="constant", cval=0.0)
-    data /= support[..., np.newaxis]
+        out = np.empty(dims, order="F") if spare is None else spare
+        # batches of (before, n) x-fastest matrices, one per index of the later axes
+        before, n, after = math.prod(dims[:axis]), dims[axis], math.prod(dims[axis + 1:])
+        src = data.reshape((before, n, after), order="F").transpose(2, 0, 1)
+        dst = out.reshape((before, n, after), order="F").transpose(2, 0, 1)
+        if before == 1:  # x axis: one (after, n) product, not `after` one-row products
+            src, dst = src[:, 0], dst[:, 0]
+        np.matmul(src, operator.T, out=dst)
+        spare = None if data is vol.data else data
+        data = out
     return Volume4D(header=vol.header, data=data)
 
 
@@ -446,8 +480,7 @@ def highpass_filter(vol: Volume4D, cutoff_hz: float) -> Volume4D:
     constant = np.full((nt, 1), 1.0 / np.sqrt(nt))
     q = np.hstack([constant, basis])
 
-    nx, ny, nz, _ = vol.header.dims
-    series = vol.data.reshape(-1, nt).T  # (nt, V)
+    series = voxel_series(vol)
     means = series.mean(axis=0)
     filtered = series - q @ (q.T @ series) + means
-    return Volume4D(header=vol.header, data=filtered.T.reshape(nx, ny, nz, nt))
+    return Volume4D(header=vol.header, data=fold_voxels(filtered, vol.spatial_dims))

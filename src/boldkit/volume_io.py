@@ -6,9 +6,12 @@ series; writing always emits little-endian float32 with scl_slope=1.
 Orientation fields (qform/sform) are carried through untouched and never
 interpreted.
 
-In memory a volume is a float64 array of shape (nx, ny, nz, nt), x varying
-fastest on disk (Fortran order), which is also the canonical scan order
-used when flattening masks.
+In memory a volume is a float64 array of shape (nx, ny, nz, nt) stored
+x-fastest (Fortran order), as on disk. ``Volume4D`` enforces that layout,
+and every stage works on views of it: ``voxel_series`` gives the
+(nt, V) time-by-voxel matrix without a copy and ``fold_voxels`` folds a
+per-voxel result back onto the grid. The same x-fastest order is the
+canonical scan order used when flattening masks.
 """
 
 from __future__ import annotations
@@ -149,15 +152,16 @@ class VolumeHeader:
 class Volume4D:
     """A 4-D scalar field with its acquisition geometry.
 
-    data has shape header.dims and dtype float64; values are finite.
-    Instances are treated as immutable once built and are safe to share.
+    data has shape header.dims, dtype float64 and x-fastest (Fortran)
+    layout; values are finite. Instances are treated as immutable once
+    built and are safe to share.
     """
 
     header: VolumeHeader
     data: np.ndarray
 
     def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=np.float64)
+        self.data = np.asfortranarray(self.data, dtype=np.float64)
         if self.data.shape != self.header.dims:
             raise ShapeError(
                 f"data shape {self.data.shape} does not match header dims {self.header.dims}"
@@ -172,6 +176,21 @@ class Volume4D:
     @property
     def spatial_dims(self) -> tuple[int, int, int]:
         return self.header.dims[:3]
+
+
+def voxel_series(vol: Volume4D) -> np.ndarray:
+    """The (nt, V) time-by-voxel matrix of a volume, voxels in x-fastest
+    scan order; a view of vol.data, not a copy."""
+    return vol.data.reshape(-1, vol.n_vols, order="F").T
+
+
+def fold_voxels(values: np.ndarray, spatial_dims) -> np.ndarray:
+    """Fold the voxel axis of a per-voxel array back onto the grid.
+
+    The inverse of ``voxel_series``: a (V,) map becomes (nx, ny, nz) and
+    an (nt, V) matrix becomes (nx, ny, nz, nt), x-fastest.
+    """
+    return values.T.reshape(tuple(spatial_dims) + values.shape[:-1], order="F")
 
 
 def make_volume(data, voxel_size_mm=(3.3, 3.3, 4.8), tr_seconds=3.0) -> Volume4D:
@@ -324,7 +343,7 @@ def write_nifti(vol: Volume4D, path) -> None:
         if name in _ORIENTATION_FIELDS:
             header[name] = value
 
-    payload = np.asfortranarray(vol.data.astype(np.float32)).tobytes(order="F")
+    payload = vol.data.astype(np.float32).tobytes(order="F")
     blob = header.tobytes() + b"\x00\x00\x00\x00" + payload
 
     path = str(path)
@@ -337,16 +356,6 @@ def write_nifti(vol: Volume4D, path) -> None:
     else:
         with open(path, "wb") as fh:
             fh.write(blob)
-
-
-def mask_order(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Coordinates of mask voxels in canonical scan order (x fastest)."""
-    mask = np.asarray(mask, dtype=bool)
-    xs, ys, zs = np.nonzero(mask)
-    nx, ny = mask.shape[0], mask.shape[1]
-    flat = xs + nx * (ys.astype(np.int64) + ny * zs.astype(np.int64))
-    order = np.argsort(flat, kind="stable")
-    return xs[order], ys[order], zs[order]
 
 
 def extract_roi_series(vol: Volume4D, mask: np.ndarray) -> np.ndarray:
@@ -362,5 +371,4 @@ def extract_roi_series(vol: Volume4D, mask: np.ndarray) -> np.ndarray:
         )
     if not mask.any():
         raise EmptyMaskError("ROI mask selects no voxels")
-    xs, ys, zs = mask_order(mask)
-    return vol.data[xs, ys, zs, :].T.copy()
+    return voxel_series(vol)[:, mask.reshape(-1, order="F")]

@@ -140,3 +140,30 @@ def gaussian_kernel_3d(sigmas, radii):
         axes.append(taps / taps.sum())
     kernel = axes[0][:, None, None] * axes[1][None, :, None] * axes[2][None, None, :]
     return kernel / kernel.sum()
+
+
+def smooth_zero_padded(data4d, sigmas):
+    """3-D Gaussian smoothing as the full kernel applied with zero padding,
+    divided by the same kernel applied to the field-of-view indicator.
+
+    Every volume is a direct sum over all kernel offsets of the 3-D
+    kernel (no separable passes, no matrices); the indicator division
+    renormalises the weights near the borders.
+    """
+    data4d = np.asarray(data4d, dtype=float)
+    radii = [int(np.floor(4.0 * s)) for s in sigmas]
+    kernel = gaussian_kernel_3d(sigmas, radii)
+    rx, ry, rz = [(k - 1) // 2 for k in kernel.shape]
+    nx, ny, nz, nt = data4d.shape
+    padded = np.zeros((nx + 2 * rx, ny + 2 * ry, nz + 2 * rz, nt))
+    padded[rx:rx + nx, ry:ry + ny, rz:rz + nz] = data4d
+    indicator = np.zeros(padded.shape[:3])
+    indicator[rx:rx + nx, ry:ry + ny, rz:rz + nz] = 1.0
+
+    out = np.zeros(data4d.shape)
+    support = np.zeros((nx, ny, nz))
+    for a, b, c in np.ndindex(kernel.shape):
+        weight = kernel[a, b, c]
+        out += weight * padded[a:a + nx, b:b + ny, c:c + nz]
+        support += weight * indicator[a:a + nx, b:b + ny, c:c + nz]
+    return out / support[..., None]

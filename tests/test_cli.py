@@ -12,7 +12,7 @@ import boldkit
 from boldkit.cli import main
 from boldkit.config import load_config, validate_config
 from boldkit.errors import ConfigError
-from boldkit.volume_io import read_nifti
+from boldkit.volume_io import make_volume, read_nifti, write_nifti
 
 SRC_PATH = os.path.dirname(os.path.dirname(boldkit.__file__))
 
@@ -34,6 +34,21 @@ def write_config(tmp_path, name="cfg.json", **extra):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
     return str(path)
+
+
+def write_runs_config(tmp_path, runs, name="runs.json", **extra):
+    cfg = {"seed": 9, "runs": runs, "task": dict(FAST_TASK)}
+    cfg.update(extra)
+    path = tmp_path / name
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+def simulate_runs(tmp_path, n_runs=2):
+    cfg = write_config(tmp_path, "sim.json", phantom=dict(FAST_PHANTOM, n_runs=n_runs))
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--config", cfg, "--out", str(sim)]) == 0
+    return [str(sim / f"run-{r + 1:02d}.nii.gz") for r in range(n_runs)]
 
 
 def read_all_bytes(directory):
@@ -227,6 +242,19 @@ class TestAnalyze:
                                     "task": dict(FAST_TASK)}))
         assert main(["analyze", "--config", str(path)]) == 3
 
+    def test_tiny_voxel_size_is_not_a_traceback(self, tmp_path):
+        # a 1e-30 mm voxel asks for a smoothing kernel far wider than the axis
+        rng = np.random.default_rng(3)
+        paths = []
+        for r in range(2):
+            data = 1000.0 + rng.standard_normal((8, 8, 6, 20))
+            path = tmp_path / f"run-{r + 1}.nii"
+            write_nifti(make_volume(data, voxel_size_mm=(1e-30, 3.3, 4.8), tr_seconds=3.0), path)
+            paths.append(str(path))
+        cfg = write_runs_config(tmp_path, paths, task={
+            "onsets_s": [0.0, 30.0], "durations_s": [15.0, 15.0], "run_length_s": 60.0})
+        assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "an")]) in (0, 3)
+
     def test_invalid_config_exit_code(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"inference": {"q": 2.0}}))
@@ -293,6 +321,50 @@ class TestDurationStudy:
     def test_wrong_run_count_exit_2(self, tmp_path):
         cfg = write_config(tmp_path, phantom=dict(FAST_PHANTOM, n_runs=3))
         assert main(["duration-study", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+
+
+class TestThreads:
+    """--threads sets how many input runs are read at once."""
+
+    def test_config_keeps_threads_out_of_the_manifest(self):
+        cfg = validate_config({"threads": 3})
+        assert cfg.threads == 3
+        assert "threads" not in cfg.as_dict()
+        assert validate_config({}).threads >= 1
+
+    def test_duration_study_identical_across_thread_counts(self, tmp_path):
+        cfg = write_runs_config(tmp_path, simulate_runs(tmp_path))
+        out = tmp_path / "dur"
+        outputs = []
+        for threads in ("1", "2"):
+            assert main(["duration-study", "--config", cfg, "--out", str(out),
+                         "--threads", threads]) == 0
+            outputs.append(read_all_bytes(out))
+        assert outputs[0] == outputs[1]
+
+    def test_more_threads_than_cores_matches_one_thread(self, tmp_path):
+        # a fresh interpreter under a timeout, so a stuck pool fails the test
+        cfg = write_runs_config(tmp_path, simulate_runs(tmp_path, n_runs=4),
+                                duration_mode="concatenate")
+        out = tmp_path / "an"
+        outputs = []
+        for threads in ("4", "1"):
+            subprocess.run([sys.executable, "-m", "boldkit.cli", "analyze", "--config", cfg,
+                            "--out", str(out), "--threads", threads],
+                           check=True, capture_output=True, timeout=120,
+                           env=dict(os.environ, PYTHONPATH=SRC_PATH))
+            outputs.append(read_all_bytes(out))
+        assert outputs[0] == outputs[1]
+
+    def test_truncated_second_run_is_data_error(self, tmp_path):
+        runs = simulate_runs(tmp_path)
+        with open(runs[1], "rb") as fh:
+            blob = fh.read()
+        with open(runs[1], "wb") as fh:
+            fh.write(blob[: len(blob) // 2])
+        cfg = write_runs_config(tmp_path, runs)
+        assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "an"),
+                     "--threads", "2"]) == 3
 
 
 class TestMisc:

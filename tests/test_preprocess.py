@@ -26,7 +26,7 @@ from boldkit.preprocess import (
 )
 from boldkit.volume_io import make_volume
 
-from oracles import gaussian_kernel_3d
+from oracles import gaussian_kernel_3d, smooth_zero_padded
 
 VOXEL = (3.3, 3.3, 4.8)
 
@@ -339,6 +339,37 @@ class TestGaussianSmooth:
         np.testing.assert_allclose(
             smooth(1.5 * a + 0.5 * b), 1.5 * smooth(a) + 0.5 * smooth(b), atol=1e-12
         )
+
+    @pytest.mark.parametrize("dims,voxel,order", [
+        ((10, 9, 7, 3), VOXEL, "F"),             # anisotropic voxels
+        ((3, 12, 2, 2), (1.0, 3.3, 1.2), "F"),   # axes shorter than the kernel
+        ((1, 8, 1, 2), VOXEL, "F"),              # length-1 axes
+        ((9, 8, 6, 1), VOXEL, "F"),              # a single volume
+        ((7, 6, 5, 4), VOXEL, "C"),              # C-ordered input
+    ])
+    def test_matches_direct_3d_oracle(self, dims, voxel, order):
+        rng = np.random.default_rng(14)
+        data = np.asarray(1.0 + rng.random(dims), order=order)
+        vol = make_volume(data, voxel_size_mm=voxel, tr_seconds=3.0)
+        out = gaussian_smooth(vol, 8.0)
+        expected = smooth_zero_padded(data, fwhm_to_sigma_vox(8.0, voxel))
+        np.testing.assert_allclose(out.data, expected, rtol=1e-12, atol=0)
+
+    def test_kernel_wider_than_axis_is_clipped(self):
+        # a 1e-30 mm voxel puts the 4-sigma radius far beyond any axis;
+        # every in-field tap then has weight 1, so x becomes a plain mean
+        rng = np.random.default_rng(15)
+        data = 1.0 + rng.random((5, 6, 4, 2))
+        tiny = make_volume(data, voxel_size_mm=(1e-30, 3.3, 4.8), tr_seconds=3.0)
+        out = gaussian_smooth(tiny, 8.0).data
+        x_mean = np.broadcast_to(data.mean(axis=0, keepdims=True), data.shape)
+        sigmas = fwhm_to_sigma_vox(8.0, VOXEL)
+        expected = smooth_zero_padded(x_mean, (0.0, sigmas[1], sigmas[2]))
+        np.testing.assert_allclose(out, expected, rtol=1e-12, atol=0)
+
+    def test_kernel_radius_capped(self):
+        assert gaussian_kernel_1d(1e30, max_radius=3).size == 7
+        assert gaussian_kernel_1d(2.0, max_radius=0).size == 1
 
 
 class TestHighpass:

@@ -16,12 +16,19 @@ from boldkit.errors import (
     TruncatedFileError,
     UnsupportedDatatypeError,
 )
+from boldkit import pipeline
+from boldkit.config import validate_config
+from boldkit.duration import RunSet, average_runs, concatenate_runs, single_run_design
+from boldkit.preprocess import gaussian_smooth, interleaved_order, slice_timing_correct
+from boldkit.task_design import BlockDesign
 from boldkit.volume_io import (
     Volume4D,
     VolumeHeader,
     extract_roi_series,
+    fold_voxels,
     make_volume,
     read_nifti,
+    voxel_series,
     write_nifti,
 )
 
@@ -340,3 +347,52 @@ class TestRoiSeries:
         vol = make_volume(np.zeros((2, 2, 2, 2)))
         with pytest.raises(ShapeError):
             extract_roi_series(vol, np.ones((3, 2, 2), dtype=bool))
+
+
+class TestLayout:
+    """4-D data stays x-fastest from read to GLM, so no stage pays for a
+    transposing copy."""
+
+    def test_stage_outputs_are_x_fastest(self, tmp_path):
+        rng = np.random.default_rng(6)
+        path = tmp_path / "run.nii.gz"
+        write_nifti(random_volume(rng, dims=(6, 5, 4, 8)), path)
+        vol = read_nifti(path)
+        timed = slice_timing_correct(vol, interleaved_order(4))
+        smoothed = gaussian_smooth(timed, 8.0)
+        design = BlockDesign(onsets_s=(0.0,), durations_s=(6.0,), run_length_s=24.0)
+        runset = RunSet(runs=[smoothed, timed], designs=[design, design])
+        concatenated, _ = concatenate_runs(runset)
+        for stage in (vol, timed, smoothed, concatenated, average_runs(runset)):
+            assert stage.data.flags.f_contiguous
+
+    def test_c_ordered_input_is_stored_x_fastest(self):
+        data = np.arange(24.0).reshape(2, 3, 2, 2)
+        vol = make_volume(data)
+        assert vol.data.flags.f_contiguous
+        np.testing.assert_array_equal(vol.data, data)
+
+    def test_voxel_series_is_a_view_in_scan_order(self):
+        rng = np.random.default_rng(7)
+        vol = random_volume(rng, dims=(4, 3, 2, 5))
+        series = voxel_series(vol)
+        assert series.shape == (5, 24)
+        assert np.shares_memory(series, vol.data)
+        np.testing.assert_array_equal(series, roi_series_walk(vol.data, np.ones((4, 3, 2), bool)))
+        np.testing.assert_array_equal(fold_voxels(series, (4, 3, 2)), vol.data)
+        np.testing.assert_array_equal(fold_voxels(series[2], (4, 3, 2)), vol.data[..., 2])
+
+    def test_analyze_volume_fits_a_view_of_the_data(self, monkeypatch):
+        original = pipeline.fit_glm
+        fitted = []
+
+        def recording_fit(Y, design):
+            fitted.append(Y)
+            return original(Y, design)
+
+        monkeypatch.setattr(pipeline, "fit_glm", recording_fit)
+        vol = random_volume(np.random.default_rng(8), dims=(6, 5, 4, 20))
+        design = BlockDesign(onsets_s=(0.0, 30.0), durations_s=(15.0, 15.0), run_length_s=60.0)
+        cfg = validate_config({})
+        pipeline.analyze_volume(vol, single_run_design(design, 3.0, 20), cfg)
+        assert np.shares_memory(fitted[0], vol.data)
