@@ -25,8 +25,8 @@ def _add_common_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--out", metavar="DIR", help="output directory")
     parser.add_argument("--seed", type=int, metavar="U64", help="simulation / seeding value")
     parser.add_argument("--threads", type=int, metavar="N",
-                        help="input runs read at once (default: usable CPUs); "
-                             "results never depend on it")
+                        help="input runs read, and volumes motion-registered, at once "
+                             "(default: usable CPUs); results never depend on it")
     parser.add_argument("--q", type=float, metavar="Q", help="FDR level (default 0.05)")
     parser.add_argument("--fwhm", type=float, metavar="MM",
                         help="smoothing kernel FWHM in mm (default 8)")

@@ -69,8 +69,9 @@ def usable_cpus() -> int:
 class PipelineConfig:
     """Validated, fully-defaulted parameters for one pipeline invocation.
 
-    threads bounds how many input files are read at once. It cannot
-    change results, so as_dict (and with it the manifest) leaves it out.
+    threads bounds how many input files are read at once and how many
+    volumes motion correction registers at once. It cannot change
+    results, so as_dict (and with it the manifest) leaves it out.
     """
 
     seed: int = 0

@@ -179,9 +179,17 @@ def correlation_map(vol: Volume4D, regressor) -> tuple[np.ndarray, np.ndarray]:
         raise DegenerateRegressorError("regressor is constant")
 
     series = voxel_series(vol)
-    centered = series - series.mean(axis=0)
+    means = series.mean(axis=0)
+    centered = series - means
     norms = np.sqrt(np.einsum("tv,tv->v", centered, centered))
-    constant = norms == 0.0
+    # Rounding can leave the mean of nt equal samples c off by up to
+    # nt/2 * eps * |c|, so a constant series need not centre to a zero
+    # norm; series whose norm is within twice sqrt(nt) times that bound
+    # are tested exactly.
+    nt = vol.n_vols
+    small = np.flatnonzero(norms <= nt**1.5 * np.finfo(np.float64).eps * np.abs(means))
+    constant = np.zeros(norms.shape, dtype=bool)
+    constant[small] = series[:, small].max(axis=0) == series[:, small].min(axis=0)
 
     r = np.zeros(series.shape[1])
     valid = ~constant

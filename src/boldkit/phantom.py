@@ -9,12 +9,11 @@ schedule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ShapeError
-from .preprocess import SliceOrder, interleaved_order
 from .task_design import DEFAULT_HRF, DEFAULT_OVERSAMPLE, BlockDesign, HrfParams, task_regressor
 from .volume_io import Volume4D, VolumeHeader
 
@@ -117,7 +116,6 @@ class AcquisitionParams:
     tr_s: float = 3.0
     te_ms: float = 85.0
     n_vols: int = 100
-    slice_order: SliceOrder = field(default=None)
 
     def __post_init__(self):
         if self.tr_s <= 0:
@@ -188,7 +186,3 @@ def generate_phantom(
     )
     truth = {name: mask.copy() for name, mask in spec.target_rois.items()}
     return Volume4D(header=header, data=data), truth
-
-
-def default_slice_order(nz: int) -> SliceOrder:
-    return interleaved_order(nz)

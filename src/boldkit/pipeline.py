@@ -142,7 +142,7 @@ def preprocess_run(vol: Volume4D, cfg: PipelineConfig) -> Volume4D:
             order = sequential_order(nz, pre["reference_fraction"])
         vol = slice_timing_correct(vol, order)
     if pre["motion_correction"]:
-        vol = apply_motion(vol, estimate_motion(vol))
+        vol = apply_motion(vol, estimate_motion(vol, threads=cfg.threads))
     if pre["fwhm_mm"] > 0:
         vol = gaussian_smooth(vol, pre["fwhm_mm"])
     return vol
@@ -167,7 +167,6 @@ def contrast_vector(cfg: PipelineConfig, design: DesignMatrix) -> np.ndarray:
 class AnalysisResult:
     """Stat maps and inference products of one GLM analysis."""
 
-    volume: Volume4D
     design: DesignMatrix
     stats3d: StatMaps
     mask: np.ndarray
@@ -214,7 +213,6 @@ def analyze_volume(vol: Volume4D, design: DesignMatrix, cfg: PipelineConfig) -> 
     task_col = design.columns_labeled(LABEL_TASK)
     regressor = design.values[:, task_col[0]] if task_col.size else np.zeros(design.n_rows)
     return AnalysisResult(
-        volume=vol,
         design=design,
         stats3d=stats3d,
         mask=mask,
@@ -348,19 +346,20 @@ def run_duration_study(cfg: PipelineConfig) -> list:
 
     for i in range(len(runs)):  # replace in place so each raw run can be freed
         runs[i] = preprocess_run(runs[i], cfg)
-    conditions = {
-        CONDITION_SINGLE: _prepare_condition(cfg, runs, design, "single"),
-        CONDITION_CONCATENATED: _prepare_condition(cfg, runs, design, "concatenate"),
-        CONDITION_AVERAGED: _prepare_condition(cfg, runs, design, "average"),
-    }
 
-    results = {}
-    r_maps = {}
-    for name, (vol, matrix) in conditions.items():
+    # one condition at a time: its volume is dropped before the next is built
+    t_maps, r_maps, counts = {}, {}, {}
+    for name, mode in ((CONDITION_SINGLE, "single"), (CONDITION_CONCATENATED, "concatenate"),
+                       (CONDITION_AVERAGED, "average")):
+        vol, matrix = _prepare_condition(cfg, runs, design, mode)
         result = analyze_volume(vol, matrix, cfg)
-        results[name] = result
-        r_map, _ = correlation_map(vol, result.regressor)
-        r_maps[name] = r_map
+        r_maps[name], _ = correlation_map(vol, result.regressor)
+        del vol
+        t_maps[name] = result.stats3d.t
+        counts[name] = {"n_rejected": int(result.rejected.sum()),
+                        "n_clusters": len(result.clusters)}
+        if name == CONDITION_CONCATENATED:
+            concatenated_rejected = result.rejected
 
     dims = runs[0].spatial_dims
     if truth is not None:
@@ -369,13 +368,13 @@ def run_duration_study(cfg: PipelineConfig) -> list:
         for mask in truth.values():
             activation_mask |= mask
     else:
-        activation_mask = results[CONDITION_CONCATENATED].rejected
+        activation_mask = concatenated_rejected
         targets = {"activation": activation_mask} if activation_mask.any() else {}
     nontargets = non_target_rois(dims, activation_mask, seed=cfg.seed)
 
     rows = []
     for condition in (CONDITION_SINGLE, CONDITION_CONCATENATED, CONDITION_AVERAGED):
-        t_map = results[condition].stats3d.t
+        t_map = t_maps[condition]
         finite_t = np.where(np.isfinite(t_map), t_map, 0.0)
         for roi_name, roi in list(targets.items()) + list(nontargets.items()):
             rows.append(
@@ -405,14 +404,7 @@ def run_duration_study(cfg: PipelineConfig) -> list:
             for row in rows:
                 fh.write(f"{row.condition},{row.roi},{row.lsd!r},{row.tv!r},{row.peak_r!r}\n")
 
-        summary = {
-            name: {
-                "n_rejected": int(results[name].rejected.sum()),
-                "n_clusters": len(results[name].clusters),
-            }
-            for name in results
-        }
-        _write_manifest(tracker, "duration-study", cfg, summary)
+        _write_manifest(tracker, "duration-study", cfg, counts)
     except BaseException:
         tracker.remove_all()
         raise

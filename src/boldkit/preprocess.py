@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import logging
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import ndimage
 
+from .config import usable_cpus
 from .errors import InsufficientDataError, NumericError, ShapeError
 from .task_design import dct_highpass_basis
 from .volume_io import Volume4D, fold_voxels, voxel_series
@@ -221,57 +223,71 @@ def resample_rigid(data3d: np.ndarray, motion: RigidMotion, voxel_size_mm) -> np
     )
 
 
-class _AlignmentCost:
-    """Residuals between a spline-resampled volume and the reference over
-    a fixed central domain.
+class _ScoringDomain:
+    """The fixed central voxel set every volume of a series is scored on,
+    with the reference's values there.
 
-    The moving volume is spline-prefiltered once; each evaluation then
-    samples it with cubic interpolation at the rigidly-mapped positions
-    of a border-eroded voxel set and returns the differences against the
-    reference there, with their mean square as the cost. Scoring a domain
-    that depends on the parameters (an overlap mask) lets the optimizer
-    trade alignment for mask placement and biases the minimum, so the
-    domain is pinned once; eroding the border keeps its samples inside
-    the field of view for the motion magnitudes being estimated.
+    Scoring a domain that depends on the parameters (an overlap mask)
+    lets the optimizer trade alignment for mask placement and biases the
+    minimum, so the domain is pinned once; eroding the border keeps its
+    samples inside the field of view for the motion magnitudes being
+    estimated. One domain serves all registrations of a series, which
+    only read it.
     """
 
     ERODE_VOX = 3
+
+    def __init__(self, reference, voxel):
+        self.voxel = np.asarray(voxel, dtype=np.float64)
+        self.shape = np.array(reference.shape)
+        margins = [min(self.ERODE_VOX, max(0, (n - 1) // 3)) for n in reference.shape]
+        domain = tuple(slice(m, n - m) for m, n in zip(margins, reference.shape))
+        grids = np.meshgrid(
+            *[np.arange(n, dtype=np.float64)[d] for n, d in zip(reference.shape, domain)],
+            indexing="ij",
+        )
+        self.grid = np.stack([g.ravel() for g in grids], axis=0)
+        center_mm = (self.shape - 1.0) / 2.0 * self.voxel
+        self.offsets_mm = self.grid * self.voxel[:, np.newaxis] - center_mm[:, np.newaxis]
+        self.reference_values = reference[domain].ravel()
+        self.reference_magnitude = np.abs(self.reference_values).max(initial=0.0)
+
+
+class _AlignmentCost:
+    """Residuals between a spline-resampled volume and the reference over
+    a scoring domain.
+
+    The moving volume is spline-prefiltered once; each evaluation then
+    samples it with cubic interpolation at the rigidly-mapped positions
+    of the domain's voxels and returns the differences against the
+    reference there, with their mean square as the cost.
+    """
+
     ORDER = 3
     # differences below this many units in the last place of the data
     # are rounding, not signal
     ROUNDING_ULPS = 1000.0
 
-    def __init__(self, moving, reference, voxel):
+    def __init__(self, moving, domain: _ScoringDomain):
         self.filtered = ndimage.spline_filter(moving, order=self.ORDER)
-        self.voxel = np.asarray(voxel, dtype=np.float64)
-        self.shape = np.array(moving.shape)
-        margins = [min(self.ERODE_VOX, max(0, (n - 1) // 3)) for n in moving.shape]
-        domain = tuple(slice(m, n - m) for m, n in zip(margins, moving.shape))
-        grids = np.meshgrid(
-            *[np.arange(n, dtype=np.float64)[d] for n, d in zip(moving.shape, domain)],
-            indexing="ij",
-        )
-        self.domain_grid = np.stack([g.ravel() for g in grids], axis=0)
-        center_mm = (self.shape - 1.0) / 2.0 * self.voxel
-        self.offsets_mm = (self.domain_grid * self.voxel[:, np.newaxis]
-                           - center_mm[:, np.newaxis])
-        self.reference_values = reference[domain].ravel()
-        magnitude = max(np.abs(self.filtered).max(initial=0.0),
-                        np.abs(self.reference_values).max(initial=0.0))
+        self.domain = domain
+        magnitude = max(np.abs(self.filtered).max(initial=0.0), domain.reference_magnitude)
         self.rounding = self.ROUNDING_ULPS * np.finfo(np.float64).eps * magnitude
         self.evaluations = 0
 
     def __call__(self, params):
         """Residual vector (sampled - reference) and its mean square."""
         self.evaluations += 1
+        domain = self.domain
         motion = RigidMotion.from_params(params)
-        matrix, offset = _rigid_matrix_offset(self.shape, motion, self.voxel)
-        coords = matrix @ self.domain_grid + offset[:, np.newaxis]
+        matrix, offset = _rigid_matrix_offset(domain.shape, motion, domain.voxel)
+        coords = matrix @ domain.grid
+        coords += offset[:, np.newaxis]
         sampled = ndimage.map_coordinates(
             self.filtered, coords, order=self.ORDER, mode="constant", cval=0.0,
             prefilter=False,
         )
-        residual = sampled - self.reference_values
+        residual = sampled - domain.reference_values
         cost = float(np.mean(residual * residual))
         if not np.isfinite(cost):
             raise NumericError("non-finite registration cost")
@@ -294,7 +310,7 @@ class _AlignmentCost:
             if np.abs(delta).max() > self.rounding:
                 jac[:, axis] = delta / _FD_STEP_MM
         for k, d_rot in enumerate(_rotation_derivatives(params[3:])):
-            jac[:, 3 + k] = np.einsum("nj,jn->n", jac[:, :3], d_rot @ self.offsets_mm)
+            jac[:, 3 + k] = np.einsum("nj,jn->n", jac[:, :3], d_rot @ self.domain.offsets_mm)
         return jac
 
 
@@ -325,6 +341,7 @@ def _levenberg_marquardt(cost):
         jac = cost.jacobian(x, residual)
         gradient = jac.T @ residual
         normal = jac.T @ jac
+        del jac  # so the next Jacobian does not coexist with this one
         while True:
             lhs = normal + damping * np.diag(np.diag(normal))
             # lstsq: a zero column (no information) makes lhs singular
@@ -345,7 +362,7 @@ def _levenberg_marquardt(cost):
     return x, current, iteration
 
 
-def estimate_motion(vol: Volume4D, reference_index: int = 0) -> list:
+def estimate_motion(vol: Volume4D, reference_index: int = 0, threads: int | None = None) -> list:
     """Rigid parameters aligning every volume to the reference volume.
 
     Minimizes the mean squared intensity difference between the cubic
@@ -355,27 +372,38 @@ def estimate_motion(vol: Volume4D, reference_index: int = 0) -> list:
     image gradients with the analytic derivative of the rigid map.
     The reference volume gets exact identity parameters; a volume whose
     samples do not respond to motion (flat or empty) keeps identity.
-    One DEBUG record per registered volume reports its iterations, cost
-    evaluations and final cost.
+
+    Volumes are registered independently, up to ``threads`` at once
+    (default: the usable CPUs); the resampling releases the GIL. Each
+    registration runs the same arithmetic at any thread count, so the
+    parameters do not depend on it. One DEBUG record per registered
+    volume, in volume order, reports its iterations, cost evaluations and
+    final cost.
     """
     nt = vol.n_vols
     if not 0 <= reference_index < nt:
         raise ShapeError(f"reference index {reference_index} outside 0..{nt - 1}")
-    reference = vol.data[..., reference_index]
-    voxel = np.asarray(vol.header.voxel_size_mm, dtype=np.float64)
+    if threads is None:
+        threads = usable_cpus()
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
+    domain = _ScoringDomain(vol.data[..., reference_index], vol.header.voxel_size_mm)
+    moving = [i for i in range(nt) if i != reference_index]
 
-    estimates = []
-    for i in range(nt):
-        if i == reference_index:
-            estimates.append(RigidMotion())
-            continue
-        cost = _AlignmentCost(vol.data[..., i], reference, voxel)
-        params, final_cost, iterations = _levenberg_marquardt(cost)
+    def register(i):
+        cost = _AlignmentCost(vol.data[..., i], domain)
+        return _levenberg_marquardt(cost), cost.evaluations
+
+    with ThreadPoolExecutor(max_workers=max(1, min(threads, len(moving)))) as pool:
+        registered = list(pool.map(register, moving))
+
+    estimates = [RigidMotion() for _ in range(nt)]
+    for i, ((params, final_cost, iterations), evaluations) in zip(moving, registered):
         logger.debug(
             "volume %d: %d iterations, %d cost evaluations, final cost %.6g",
-            i, iterations, cost.evaluations, final_cost,
+            i, iterations, evaluations, final_cost,
         )
-        estimates.append(RigidMotion.from_params(params))
+        estimates[i] = RigidMotion.from_params(params)
     return estimates
 
 

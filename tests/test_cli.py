@@ -324,7 +324,7 @@ class TestDurationStudy:
 
 
 class TestThreads:
-    """--threads sets how many input runs are read at once."""
+    """--threads sets how many input runs are read, and volumes registered, at once."""
 
     def test_config_keeps_threads_out_of_the_manifest(self):
         cfg = validate_config({"threads": 3})
@@ -338,6 +338,16 @@ class TestThreads:
         outputs = []
         for threads in ("1", "2"):
             assert main(["duration-study", "--config", cfg, "--out", str(out),
+                         "--threads", threads]) == 0
+            outputs.append(read_all_bytes(out))
+        assert outputs[0] == outputs[1]
+
+    def test_motion_corrected_analyze_identical_across_thread_counts(self, tmp_path):
+        cfg = write_config(tmp_path, preprocess={"motion_correction": True})
+        out = tmp_path / "an"
+        outputs = []
+        for threads in ("1", "2"):
+            assert main(["analyze", "--config", cfg, "--out", str(out),
                          "--threads", threads]) == 0
             outputs.append(read_all_bytes(out))
         assert outputs[0] == outputs[1]

@@ -199,6 +199,19 @@ class TestCorrelationMap:
         assert flagged[0, 0, 0] and not flagged[1, 0, 0]
         assert r[0, 0, 0] == 0.0
 
+    def test_constant_series_whose_mean_rounds_is_flagged(self):
+        # np.mean of seven 0.1 samples is 0.09999999999999999, so the
+        # centred series is not exactly zero; one ulp of variation is not
+        # constant
+        regressor = np.arange(7.0)
+        data = np.full((2, 1, 1, 7), 0.1)
+        data[1, 0, 0, 3] = np.nextafter(0.1, 1.0)
+        assert data[0, 0, 0].mean() != 0.1
+        r, flagged = correlation_map(make_volume(data, tr_seconds=2.0), regressor)
+        assert flagged[0, 0, 0] and not flagged[1, 0, 0]
+        assert r[0, 0, 0] == 0.0
+        assert np.isfinite(r[1, 0, 0])
+
     def test_constant_regressor_rejected(self):
         vol = make_volume(np.random.default_rng(13).random((2, 2, 2, 10)))
         with pytest.raises(DegenerateRegressorError):

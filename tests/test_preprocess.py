@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from boldkit import preprocess
-from boldkit.errors import InsufficientDataError, ShapeError
+from boldkit.errors import InsufficientDataError, NumericError, ShapeError
 from boldkit.preprocess import (
     RigidMotion,
     SliceOrder,
@@ -261,6 +261,43 @@ class TestEstimateMotion:
             message = record.getMessage()
             assert "iterations" in message and "cost evaluations" in message
             assert "final cost" in message
+
+    def test_thread_count_changes_neither_parameters_nor_log_order(self, caplog):
+        dims = (12, 12, 10)
+        field, grid = smooth_blob_field(dims, seed=9)
+        rng = np.random.default_rng(10)
+        frames = [field(grid)]
+        for _ in range(4):
+            params = np.concatenate([rng.uniform(-1.0, 1.0, 3) * np.asarray(VOXEL),
+                                     np.deg2rad(rng.uniform(-1.0, 1.0, 3))])
+            frames.append(inject_rigid_analytic(field, grid, dims, params))
+        vol = make_volume(np.stack(frames, axis=-1), voxel_size_mm=VOXEL, tr_seconds=3.0)
+        estimates = []
+        for threads in (1, 2, 4):
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="boldkit.preprocess"):
+                motion = estimate_motion(vol, reference_index=2, threads=threads)
+            estimates.append(np.stack([m.params for m in motion]))
+            records = [r for r in caplog.records if r.name == "boldkit.preprocess"]
+            assert [r.args[0] for r in records] == [0, 1, 3, 4]
+        assert not np.any(estimates[0][2])
+        np.testing.assert_array_equal(estimates[1], estimates[0])
+        np.testing.assert_array_equal(estimates[2], estimates[0])
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_non_finite_cost_raises_from_its_worker(self):
+        field, grid = smooth_blob_field((12, 12, 10))
+        frame = field(grid)
+        # squared residuals of 1e200 overflow to inf
+        vol = make_volume(np.stack([frame, frame, frame * 1e200, frame], axis=-1),
+                          voxel_size_mm=VOXEL, tr_seconds=3.0)
+        with pytest.raises(NumericError):
+            estimate_motion(vol, threads=2)
+
+    def test_zero_threads_rejected(self):
+        vol = make_volume(np.random.default_rng(11).random((6, 6, 6, 3)), tr_seconds=3.0)
+        with pytest.raises(ValueError):
+            estimate_motion(vol, threads=0)
 
     def test_apply_after_estimate_reduces_msd(self):
         dims = (16, 16, 12)
