@@ -3,6 +3,12 @@
 The design is factored once by SVD; every voxel shares the decomposition.
 Rank-deficient designs get the minimum-norm solution with degrees of
 freedom based on the effective rank.
+
+``fit_glm`` and ``correlation_map`` stream over column blocks of the
+(N, V) voxel matrix, each about 1 MB, so no (N, V) temporary (residuals,
+centred series) is ever allocated. The block loop is serial: ``--threads``
+does not apply to it, because worker threads contend with BLAS's own
+threads and made the fit slower.
 """
 
 from __future__ import annotations
@@ -23,13 +29,20 @@ from .volume_io import Volume4D, fold_voxels, voxel_series
 
 Z_CLAMP = 40.0
 _RANK_RTOL = 1e-10
+_BLOCK_BYTES = 1 << 20
+
+
+def _block_width(n_rows: int) -> int:
+    """Columns per block: a fixed float64 byte budget over n_rows rows."""
+    return max(1, _BLOCK_BYTES // (8 * n_rows))
 
 
 @dataclass
 class GlmFit:
     """Per-voxel OLS estimates for one shared design.
 
-    beta is (P, V), residual_variance is (V,), dof = N - rank(X). The SVD
+    beta is (P, V), residual_variance is (V,), dof = N - rank(X), and
+    varying flags the voxels whose series is not constant. The SVD
     factors of the design are kept so contrast variances reuse them;
     _y_scale (mean square of Y per voxel) anchors the zero-residual test.
     """
@@ -39,6 +52,7 @@ class GlmFit:
     dof: int
     design: DesignMatrix
     rank: int
+    varying: np.ndarray
     _vt: np.ndarray = field(repr=False, default=None)
     _singular_values: np.ndarray = field(repr=False, default=None)
     _y_scale: np.ndarray = field(repr=False, default=None)
@@ -64,7 +78,8 @@ def fit_glm(Y: np.ndarray, X: DesignMatrix) -> GlmFit:
     """Least-squares fit of every column of Y on the design.
 
     Y is (N, V). Solved through the SVD of X (never the normal
-    equations); residual variance divides by N - rank(X).
+    equations); residual variance divides by N - rank(X). Y is read in
+    column blocks, so memory beyond the (P, V) outputs stays bounded.
     """
     Y = np.asarray(Y, dtype=np.float64)
     if Y.ndim == 1:
@@ -81,11 +96,26 @@ def fit_glm(Y: np.ndarray, X: DesignMatrix) -> GlmFit:
         )
 
     u_r, s_r, vt_r = u[:, :rank], s[:rank], vt[:rank]
-    beta = vt_r.T @ ((u_r.T @ Y) / s_r[:, np.newaxis])
-    # X beta - Y: the negated residuals, in one (N, V) temporary
-    residuals = X.values @ beta
-    residuals -= Y
-    residual_variance = np.einsum("nv,nv->v", residuals, residuals) / dof
+    n, v = Y.shape
+    beta = np.empty((X.n_cols, v))
+    residual_variance = np.empty(v)
+    y_scale = np.empty(v)
+    varying = np.empty(v, dtype=bool)
+    width = _block_width(n)
+    scratch = np.empty((n, min(width, v)))
+    for start in range(0, v, width):
+        cols = slice(start, start + width)
+        block = Y[:, cols]
+        block_beta = vt_r.T @ ((u_r.T @ block) / s_r[:, np.newaxis])
+        beta[:, cols] = block_beta
+        # X beta - Y: the negated residuals of this block only
+        residuals = np.matmul(X.values, block_beta, out=scratch[:, :block.shape[1]])
+        residuals -= block
+        residual_variance[cols] = np.einsum("nv,nv->v", residuals, residuals)
+        y_scale[cols] = np.einsum("nv,nv->v", block, block)
+        varying[cols] = block.max(axis=0) > block.min(axis=0)
+    residual_variance /= dof
+    y_scale /= n
 
     return GlmFit(
         beta=beta,
@@ -93,9 +123,10 @@ def fit_glm(Y: np.ndarray, X: DesignMatrix) -> GlmFit:
         dof=dof,
         design=X,
         rank=rank,
+        varying=varying,
         _vt=vt_r,
         _singular_values=s_r,
-        _y_scale=np.einsum("nv,nv->v", Y, Y) / Y.shape[0],
+        _y_scale=y_scale,
     )
 
 
@@ -179,21 +210,26 @@ def correlation_map(vol: Volume4D, regressor) -> tuple[np.ndarray, np.ndarray]:
         raise DegenerateRegressorError("regressor is constant")
 
     series = voxel_series(vol)
-    means = series.mean(axis=0)
-    centered = series - means
-    norms = np.sqrt(np.einsum("tv,tv->v", centered, centered))
-    # Rounding can leave the mean of nt equal samples c off by up to
-    # nt/2 * eps * |c|, so a constant series need not centre to a zero
-    # norm; series whose norm is within twice sqrt(nt) times that bound
-    # are tested exactly.
-    nt = vol.n_vols
-    small = np.flatnonzero(norms <= nt**1.5 * np.finfo(np.float64).eps * np.abs(means))
-    constant = np.zeros(norms.shape, dtype=bool)
-    constant[small] = series[:, small].max(axis=0) == series[:, small].min(axis=0)
-
-    r = np.zeros(series.shape[1])
-    valid = ~constant
-    r[valid] = (reg @ centered)[valid] / (norms[valid] * reg_norm)
+    nt, v = series.shape
+    r = np.zeros(v)
+    constant = np.zeros(v, dtype=bool)
+    width = _block_width(nt)
+    scratch = np.empty((nt, min(width, v)))
+    for start in range(0, v, width):
+        cols = slice(start, start + width)
+        block = series[:, cols]
+        means = block.mean(axis=0)
+        centered = np.subtract(block, means, out=scratch[:, :block.shape[1]])
+        norms = np.sqrt(np.einsum("tv,tv->v", centered, centered))
+        # Rounding can leave the mean of nt equal samples c off by up to
+        # nt/2 * eps * |c|, so a constant series need not centre to a zero
+        # norm; series whose norm is within twice sqrt(nt) times that bound
+        # are tested exactly.
+        small = np.flatnonzero(norms <= nt**1.5 * np.finfo(np.float64).eps * np.abs(means))
+        block_constant, block_r = constant[cols], r[cols]  # views into the outputs
+        block_constant[small] = block[:, small].max(axis=0) == block[:, small].min(axis=0)
+        valid = ~block_constant
+        block_r[valid] = (reg @ centered)[valid] / (norms[valid] * reg_norm)
     np.clip(r, -1.0, 1.0, out=r)
     dims = vol.spatial_dims
     return fold_voxels(r, dims), fold_voxels(constant, dims)

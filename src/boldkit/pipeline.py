@@ -107,8 +107,13 @@ def phantom_pieces(cfg: PipelineConfig):
     return spec, acq
 
 
-def load_runs(cfg: PipelineConfig):
+def load_runs(cfg: PipelineConfig, n_used: int | None = None):
     """Input runs plus ground-truth ROI masks (phantom source only).
+
+    Only the first n_used runs (all when None) are returned. Phantom runs
+    past them are never generated; each run draws from its own stream, so
+    the runs kept do not depend on n_used. File runs are all read, so a
+    bad input is reported whichever runs the flow uses.
 
     Files are read by up to cfg.threads threads at once (decompression
     releases the GIL); the runs come back in config order, so results do
@@ -120,7 +125,7 @@ def load_runs(cfg: PipelineConfig):
         spec, acq = phantom_pieces(cfg)
         runs = []
         truth = None
-        for r in range(int(cfg.phantom["n_runs"])):
+        for r in range(int(cfg.phantom["n_runs"]))[:n_used]:
             vol, truth = generate_phantom(spec, acq, design, run_index=r)
             runs.append(vol)
         return runs, design, truth
@@ -129,23 +134,29 @@ def load_runs(cfg: PipelineConfig):
             raise DataError(f"input run not found: {path}")
     with ThreadPoolExecutor(max_workers=min(cfg.threads, len(cfg.runs))) as pool:
         runs = list(pool.map(read_nifti, cfg.runs))
-    return runs, design, None
+    return runs[:n_used], design, None
 
 
-def preprocess_run(vol: Volume4D, cfg: PipelineConfig) -> Volume4D:
+def preprocess_runs(runs: list, cfg: PipelineConfig) -> None:
+    """Preprocess every run of the list in place, stage by stage.
+
+    runs[i] is replaced after each stage (slice timing, motion, smoothing),
+    so each stage's input is freed as soon as the stage returns rather than
+    when the whole run is done; the list must hold the only reference.
+    """
     pre = cfg.preprocess
-    if pre["slice_timing"]:
-        nz = vol.header.dims[2]
-        if pre["slice_order"] == "interleaved":
-            order = interleaved_order(nz, pre["reference_fraction"])
-        else:
-            order = sequential_order(nz, pre["reference_fraction"])
-        vol = slice_timing_correct(vol, order)
-    if pre["motion_correction"]:
-        vol = apply_motion(vol, estimate_motion(vol, threads=cfg.threads))
-    if pre["fwhm_mm"] > 0:
-        vol = gaussian_smooth(vol, pre["fwhm_mm"])
-    return vol
+    for i in range(len(runs)):
+        if pre["slice_timing"]:
+            nz = runs[i].header.dims[2]
+            if pre["slice_order"] == "interleaved":
+                order = interleaved_order(nz, pre["reference_fraction"])
+            else:
+                order = sequential_order(nz, pre["reference_fraction"])
+            runs[i] = slice_timing_correct(runs[i], order)
+        if pre["motion_correction"]:
+            runs[i] = apply_motion(runs[i], estimate_motion(runs[i], threads=cfg.threads))
+        if pre["fwhm_mm"] > 0:
+            runs[i] = gaussian_smooth(runs[i], pre["fwhm_mm"])
 
 
 def contrast_vector(cfg: PipelineConfig, design: DesignMatrix) -> np.ndarray:
@@ -185,8 +196,7 @@ def analyze_volume(vol: Volume4D, design: DesignMatrix, cfg: PipelineConfig) -> 
     whose fit is not degenerate.
     """
     shape = vol.spatial_dims
-    Y = voxel_series(vol)
-    fit = fit_glm(Y, design)
+    fit = fit_glm(voxel_series(vol), design)
     c = contrast_vector(cfg, design)
     stats = t_contrast(fit, c, two_sided=cfg.glm["two_sided"])
 
@@ -196,8 +206,7 @@ def analyze_volume(vol: Volume4D, design: DesignMatrix, cfg: PipelineConfig) -> 
     stats3d = StatMaps(t=t3, p=p3, z=fold_voxels(stats.z, shape), degenerate=degenerate3,
                        dof=stats.dof, two_sided=stats.two_sided)
 
-    varying = fold_voxels(Y.max(axis=0) > Y.min(axis=0), shape)
-    mask = varying & ~degenerate3
+    mask = fold_voxels(fit.varying, shape) & ~degenerate3
 
     q = cfg.inference["q"]
     adjusted = np.ones(shape)
@@ -300,13 +309,13 @@ def _prepare_condition(cfg: PipelineConfig, runs, design: BlockDesign, mode: str
 
 def run_analyze(cfg: PipelineConfig) -> list:
     """Preprocess, fit, threshold, and report one analysis."""
-    runs, design, _ = load_runs(cfg)
     mode = cfg.duration_mode
+    # single mode analyses run 1 only; the other runs are never preprocessed
+    runs, design, _ = load_runs(cfg, n_used=1 if mode == "single" else None)
     if mode in ("concatenate", "average") and len(runs) < 2:
         raise DataError(f"duration mode '{mode}' needs at least two runs, got {len(runs)}")
 
-    for i in range(len(runs)):  # replace in place so each raw run can be freed
-        runs[i] = preprocess_run(runs[i], cfg)
+    preprocess_runs(runs, cfg)
     vol, design_matrix = _prepare_condition(cfg, runs, design, mode)
     result = analyze_volume(vol, design_matrix, cfg)
 
@@ -344,8 +353,7 @@ def run_duration_study(cfg: PipelineConfig) -> list:
     if len(runs) != 2:
         raise ConfigError(f"config key 'runs': duration study needs exactly 2 runs, got {len(runs)}")
 
-    for i in range(len(runs)):  # replace in place so each raw run can be freed
-        runs[i] = preprocess_run(runs[i], cfg)
+    preprocess_runs(runs, cfg)
 
     # one condition at a time: its volume is dropped before the next is built
     t_maps, r_maps, counts = {}, {}, {}

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import boldkit
+from boldkit import pipeline
 from boldkit.cli import main
 from boldkit.config import load_config, validate_config
 from boldkit.errors import ConfigError
@@ -158,6 +159,32 @@ class TestAnalyze:
         first = read_all_bytes(out)
         assert main(["analyze", "--config", cfg, "--out", str(out), "--threads", "8"]) == 0
         assert read_all_bytes(out) == first
+
+    def test_single_mode_preprocesses_only_the_analysed_run(self, tmp_path, monkeypatch):
+        # run 1 draws from its own stream, so a one-run phantom gives the same outputs
+        calls = []
+        for name in ("generate_phantom", "estimate_motion"):
+            original = getattr(pipeline, name)
+
+            def counted(*args, _original=original, _name=name, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(pipeline, name, counted)
+        preprocess = {"motion_correction": True}
+        two = write_config(tmp_path, "two.json", preprocess=preprocess)
+        one = write_config(tmp_path, "one.json", preprocess=preprocess,
+                           phantom=dict(FAST_PHANTOM, n_runs=1))
+        files, summaries = [], []
+        for cfg in (two, one):
+            out = tmp_path / f"out-{os.path.basename(cfg)}"
+            assert main(["analyze", "--config", cfg, "--out", str(out)]) == 0
+            assert calls == ["generate_phantom", "estimate_motion"]
+            calls.clear()
+            written = read_all_bytes(out)
+            summaries.append(json.loads(written.pop("manifest.json"))["summary"])
+            files.append(written)
+        assert files[0] == files[1] and summaries[0] == summaries[1]
 
     def test_analyze_from_files_matches_phantom_geometry(self, tmp_path):
         cfg = write_config(tmp_path)

@@ -1,5 +1,7 @@
 """OLS fitting, t/p/z maps, and correlation maps against oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.stats import kstest
@@ -9,12 +11,12 @@ from boldkit.errors import (
     DegreesOfFreedomError,
     InestimableContrastError,
 )
-from boldkit.glm import correlation_map, fit_glm, p_to_z, t_contrast, t_to_p
+from boldkit.glm import _block_width, correlation_map, fit_glm, p_to_z, t_contrast, t_to_p
 from boldkit.phantom import AcquisitionParams, PhantomSpec, generate_phantom
 from boldkit.task_design import DesignMatrix, alternating_block_design
 from boldkit.volume_io import make_volume
 
-from oracles import p_upper_tail_quadrature, t_stat_normal_equations
+from oracles import normal_equations_beta, p_upper_tail_quadrature, t_stat_normal_equations
 
 
 def design_of(values, tr=2.0):
@@ -230,3 +232,99 @@ class TestCorrelationMap:
         data = series.T.reshape(nt, n_voxels).T.reshape(n_voxels, 1, 1, nt)
         r, _ = correlation_map(make_volume(data, tr_seconds=2.0), regressor)
         assert float(r.mean()) == pytest.approx(expected_r, abs=0.02)
+
+
+def traced_peak(fn, *args):
+    """Peak bytes numpy and Python allocate while fn(*args) runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestBlockedPasses:
+    """fit_glm and correlation_map stream over column blocks of the voxel matrix."""
+
+    N = 40
+    CONSTANT = 0.1  # np.mean of forty 0.1 samples is 0.10000000000000005
+
+    def blocked_problem(self, rank_deficient):
+        rng = np.random.default_rng(31)
+        n = self.N
+        task = np.sin(np.arange(n) / 3.0)
+        other = rng.standard_normal(n)
+        columns = [task, other, task + other] if rank_deficient else [task, other]
+        X = np.column_stack(columns + [np.ones(n)])
+        width = _block_width(n)
+        v = 3 * width + 123  # four blocks, the last one partial
+        Y = 1000.0 + 20.0 * rng.standard_normal((n, v))
+        constant = [width + 5, v - 3]  # second and last block
+        exact = [width + 6, v - 2]
+        Y[:, constant[0]] = 7.0
+        Y[:, constant[1]] = self.CONSTANT
+        Y[:, exact] = X @ rng.standard_normal((X.shape[1], 2))
+        assert Y.mean(axis=0)[constant[1]] != self.CONSTANT
+        return design_of(X), Y, constant, exact
+
+    @pytest.mark.parametrize("rank_deficient", [False, True])
+    def test_fit_matches_one_shot_and_oracle_across_blocks(self, rank_deficient):
+        design, Y, constant, exact = self.blocked_problem(rank_deficient)
+        X = design.values
+        fit = fit_glm(Y, design)
+        assert fit.rank == 3
+
+        one_shot = np.linalg.lstsq(X, Y, rcond=None)[0]
+        residual_variance = ((Y - X @ one_shot) ** 2).sum(axis=0) / fit.dof
+        full_rank = X[:, [0, 1, -1]]  # the same column space
+        oracle_residuals = Y - full_rank @ normal_equations_beta(full_rank, Y)
+        oracle_variance = (oracle_residuals**2).sum(axis=0) / fit.dof
+
+        scale = np.abs(one_shot).max(axis=0)
+        assert np.all(np.abs(fit.beta - one_shot) <= 1e-12 * scale)
+        if not rank_deficient:
+            oracle_beta = normal_equations_beta(X, Y)
+            assert np.all(np.abs(fit.beta - oracle_beta) <= 1e-12 * scale)
+
+        expected_degenerate = np.zeros(Y.shape[1], dtype=bool)
+        expected_degenerate[constant + exact] = True
+        stats = t_contrast(fit, np.eye(design.n_cols)[-1])  # estimable in both designs
+        np.testing.assert_array_equal(stats.degenerate, expected_degenerate)
+        fitted = ~expected_degenerate
+        np.testing.assert_allclose(fit.residual_variance[fitted], residual_variance[fitted],
+                                   rtol=1e-12)
+        np.testing.assert_allclose(fit.residual_variance[fitted], oracle_variance[fitted],
+                                   rtol=1e-12)
+        np.testing.assert_array_equal(fit.varying, Y.max(axis=0) > Y.min(axis=0))
+        assert not fit.varying[constant].any() and fit.varying[exact].all()
+
+    def test_correlation_matches_one_shot_across_blocks(self):
+        design, Y, constant, _ = self.blocked_problem(rank_deficient=False)
+        regressor = design.values[:, 0]
+        r, flagged = correlation_map(make_volume(Y.T[:, None, None, :]), regressor)
+
+        expected_constant = (Y == Y[0]).all(axis=0)
+        assert expected_constant[constant].all() and expected_constant.sum() == 2
+        np.testing.assert_array_equal(flagged[:, 0, 0], expected_constant)
+        valid = ~expected_constant
+        centered = Y[:, valid] - Y[:, valid].mean(axis=0)
+        reg = regressor - regressor.mean()
+        one_shot = (reg @ centered) / (np.linalg.norm(centered, axis=0) * np.linalg.norm(reg))
+        np.testing.assert_allclose(r[:, 0, 0][valid], one_shot, rtol=1e-12, atol=1e-15)
+        assert np.all(r[:, 0, 0][constant] == 0.0)
+
+    def test_fit_memory_stays_below_a_quarter_of_the_data(self):
+        n = 100
+        v = 10 * _block_width(n) + 7
+        rng = np.random.default_rng(32)
+        design, _ = random_problem(rng, n=n, p=3, v=1)
+        Y = rng.standard_normal((n, v))
+        assert traced_peak(fit_glm, Y, design) < Y.nbytes / 4
+
+    def test_correlation_memory_stays_below_a_quarter_of_the_data(self):
+        n = 100
+        v = 10 * _block_width(n) + 7
+        rng = np.random.default_rng(33)
+        vol = make_volume(rng.standard_normal((v, 1, 1, n)))
+        assert traced_peak(correlation_map, vol, rng.standard_normal(n)) < vol.data.nbytes / 4
