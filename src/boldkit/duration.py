@@ -113,14 +113,7 @@ def concatenate_runs(runset: RunSet,
         columns.append(col)
         labels.append(LABEL_INTERCEPT)
 
-    values = np.column_stack(columns)
-    rank = np.linalg.matrix_rank(values)
-    design = DesignMatrix(
-        values=values,
-        column_labels=labels,
-        tr_seconds=tr,
-        rank_deficient=rank < values.shape[1],
-    )
+    design = DesignMatrix(values=np.column_stack(columns), column_labels=labels, tr_seconds=tr)
     return volume, design
 
 

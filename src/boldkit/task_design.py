@@ -8,6 +8,7 @@ confounds, and an intercept.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,7 +119,6 @@ class DesignMatrix:
     values: np.ndarray
     column_labels: list
     tr_seconds: float
-    rank_deficient: bool = False
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -126,6 +126,12 @@ class DesignMatrix:
             raise ShapeError("design matrix must be 2-D")
         if self.values.shape[1] != len(self.column_labels):
             raise ShapeError("one label per design column required")
+
+    @functools.cached_property
+    def rank_deficient(self) -> bool:
+        """Whether the columns are linearly dependent; its SVD runs on
+        first access only, since fitting does not need it."""
+        return bool(np.linalg.matrix_rank(self.values) < self.values.shape[1])
 
     @property
     def n_rows(self) -> int:
@@ -279,11 +285,5 @@ def build_design_matrix(task_regs, drift, confounds, n_vols: int, tr_s: float) -
     columns.append(np.ones(n_vols, dtype=np.float64))
     labels.append(LABEL_INTERCEPT)
 
-    values = np.column_stack(columns)
-    rank = np.linalg.matrix_rank(values)
-    return DesignMatrix(
-        values=values,
-        column_labels=labels,
-        tr_seconds=float(tr_s),
-        rank_deficient=rank < values.shape[1],
-    )
+    return DesignMatrix(values=np.column_stack(columns), column_labels=labels,
+                        tr_seconds=float(tr_s))

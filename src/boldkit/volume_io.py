@@ -6,6 +6,14 @@ series; writing always emits little-endian float32 with scl_slope=1.
 Orientation fields (qform/sform) are carried through untouched and never
 interpreted.
 
+A gzip file that is one well-formed member is inflated in a single call
+by the system libdeflate, loaded through ctypes on the first gzip read,
+straight into a buffer of the size its header promises; that is about
+twice as fast as zlib. Every other gzip file, and every gzip file when
+the library is missing, is read through ``GzipFile`` (zlib), which also
+raises every read error, so the data and errors never depend on the
+path. Writing always uses zlib.
+
 In memory a volume is a float64 array of shape (nx, ny, nz, nt) stored
 x-fastest (Fortran order), as on disk. ``Volume4D`` enforces that layout,
 and every stage works on views of it: ``voxel_series`` gives the
@@ -16,15 +24,20 @@ canonical scan order used when flattening masks.
 
 from __future__ import annotations
 
+import functools
 import gzip
+import logging
 import math
 import os
+import time
 import zlib
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import (
+    DataError,
     EmptyMaskError,
     FormatError,
     ShapeError,
@@ -39,6 +52,12 @@ GZIP_MAGIC = b"\x1f\x8b"
 MAX_VOX_OFFSET = 2**31
 # Deflate expands at most 1032-fold, which bounds what a gzip file can hold.
 MAX_DEFLATE_RATIO = 1032
+# Names the system libdeflate is loaded by (Linux, macOS), and its
+# LIBDEFLATE_SUCCESS result code.
+_LIBDEFLATE_NAMES = ("libdeflate.so.0", "libdeflate.0.dylib")
+_LIBDEFLATE_SUCCESS = 0
+
+logger = logging.getLogger(__name__)
 
 # NIfTI-1 datatype codes accepted on read.
 DTYPE_CODES = {
@@ -204,12 +223,158 @@ def make_volume(data, voxel_size_mm=(3.3, 3.3, 4.8), tr_seconds=3.0) -> Volume4D
     return Volume4D(header=header, data=data)
 
 
-def _open_for_read(path):
+class _Layout(NamedTuple):
+    """What a checked header says about the data section."""
+
+    header: np.void
+    shape: tuple
+    code: int
+    dtype: np.dtype
+    offset: int
+    n_bytes: int
+
+
+def _parse_header(path, raw_header: bytes, max_bytes: int) -> _Layout:
+    """Parse and check the 348-byte header; the data section it promises
+    must fit in max_bytes."""
+    if len(raw_header) < HEADER_SIZE:
+        raise FormatError(f"{path}: file shorter than the {HEADER_SIZE}-byte header")
+
+    header = np.frombuffer(raw_header, dtype=_header_dtype("<"), count=1)[0]
+    byteorder = "<"
+    if header["sizeof_hdr"] != HEADER_SIZE:
+        header = np.frombuffer(raw_header, dtype=_header_dtype(">"), count=1)[0]
+        byteorder = ">"
+        if header["sizeof_hdr"] != HEADER_SIZE:
+            raise FormatError(f"{path}: sizeof_hdr is not {HEADER_SIZE} in either byte order")
+
+    # numpy strips trailing NULs from S fields, so compare without them
+    magic = bytes(header["magic"])
+    if magic != MAGIC_SINGLE.rstrip(b"\x00"):
+        raise FormatError(f"{path}: magic {magic!r} is not single-file NIfTI-1 ('n+1\\0')")
+
+    ndim = int(header["dim"][0])
+    if not 1 <= ndim <= 7:
+        raise FormatError(f"{path}: dim[0]={ndim} outside 1..7")
+    shape = [max(1, int(d)) for d in header["dim"][1 : ndim + 1]]
+    if any(d > 1 for d in shape[4:]):
+        raise FormatError(f"{path}: volumes with more than 4 non-singleton dims unsupported")
+    shape = tuple((shape + [1, 1, 1, 1])[:4])
+
+    code = int(header["datatype"])
+    if code not in DTYPE_CODES:
+        raise UnsupportedDatatypeError(code)
+    dtype = np.dtype(DTYPE_CODES[code]).newbyteorder(byteorder)
+
+    n_bytes = math.prod(shape) * dtype.itemsize
+    offset = float(header["vox_offset"])
+    if not HEADER_SIZE <= offset < MAX_VOX_OFFSET:  # also rejects NaN
+        raise FormatError(f"{path}: vox_offset {offset} outside [{HEADER_SIZE}, 2**31)")
+    offset = int(offset)
+    if offset + n_bytes > max_bytes:
+        raise TruncatedFileError(
+            f"{path}: expected {n_bytes} data bytes at offset {offset}, "
+            "more than the file can hold"
+        )
+    return _Layout(header, shape, code, dtype, offset, n_bytes)
+
+
+def _read_stream(path, gzipped: bool, file_bytes: int) -> tuple[_Layout, bytes]:
+    """Header and data section read through a file object: plain files,
+    and gzip files through ``GzipFile`` (zlib). The reference path: it
+    raises every read error."""
+    max_bytes = file_bytes * MAX_DEFLATE_RATIO if gzipped else file_bytes
+    with gzip.open(path, "rb") if gzipped else open(path, "rb") as fh:
+        try:
+            layout = _parse_header(path, fh.read(HEADER_SIZE), max_bytes)
+            fh.seek(layout.offset)
+            payload = fh.read(layout.n_bytes)
+            if len(payload) < layout.n_bytes:
+                raise TruncatedFileError(
+                    f"{path}: expected {layout.n_bytes} data bytes, got {len(payload)}"
+                )
+        except (gzip.BadGzipFile, EOFError, zlib.error) as exc:
+            raise FormatError(f"{path}: corrupt gzip stream ({exc})") from exc
+    return layout, payload
+
+
+@functools.cache
+def _libdeflate():
+    """The system libdeflate's one-shot gzip inflater, or None when the
+    library or one of its symbols is missing.
+
+    Returns ``inflate(blob, out) -> bool``, which inflates the gzip file
+    ``blob`` into the uint8 array ``out`` with a decompressor of its own
+    (so concurrent calls are safe; ctypes releases the GIL during the
+    call). It is True only if the stream passes libdeflate's CRC-32 and
+    ISIZE checks, is one member that uses every input byte, and fills
+    ``out`` exactly. Loaded on the first gzip read, not at import.
+    """
+    import ctypes
+
+    for name in _LIBDEFLATE_NAMES:
+        try:
+            lib = ctypes.CDLL(name)
+            alloc = lib.libdeflate_alloc_decompressor
+            gzip_decompress = lib.libdeflate_gzip_decompress_ex
+            free = lib.libdeflate_free_decompressor
+        except (OSError, AttributeError):
+            continue
+        break
+    else:
+        return None
+    size_p = ctypes.POINTER(ctypes.c_size_t)
+    alloc.argtypes, alloc.restype = [], ctypes.c_void_p
+    free.argtypes, free.restype = [ctypes.c_void_p], None
+    gzip_decompress.argtypes = [ctypes.c_void_p, ctypes.c_char_p, ctypes.c_size_t,
+                                ctypes.c_void_p, ctypes.c_size_t, size_p, size_p]
+    gzip_decompress.restype = ctypes.c_int
+
+    def inflate(blob: bytes, out: np.ndarray) -> bool:
+        if not (out.flags.c_contiguous and out.flags.writeable):
+            raise ValueError("libdeflate inflates into a writable contiguous array only")
+        decompressor = alloc()
+        if not decompressor:
+            return False
+        used_in, used_out = ctypes.c_size_t(), ctypes.c_size_t()
+        try:
+            result = gzip_decompress(decompressor, blob, len(blob), out.ctypes.data, out.nbytes,
+                                     ctypes.byref(used_in), ctypes.byref(used_out))
+        finally:
+            free(decompressor)
+        return (result == _LIBDEFLATE_SUCCESS and used_in.value == len(blob)
+                and used_out.value == out.nbytes)
+
+    return inflate
+
+
+def _read_libdeflate(path, inflate) -> tuple[_Layout, np.ndarray] | None:
+    """Header and data section of a gzip file inflated in one call into a
+    buffer of exactly the size the header promises, or None whenever the
+    file is anything but one well-formed member of that size, so that
+    ``_read_stream`` reads it (and raises its error) instead.
+
+    The compressed bytes are local, so they are freed on return.
+    """
     with open(path, "rb") as fh:
-        head = fh.read(2)
-    if head == GZIP_MAGIC:
-        return gzip.open(path, "rb")
-    return open(path, "rb")
+        blob = fh.read()
+    try:
+        raw_header = zlib.decompressobj(31).decompress(blob, HEADER_SIZE)
+        layout = _parse_header(path, raw_header, len(blob) * MAX_DEFLATE_RATIO)
+    except (zlib.error, DataError):
+        return None
+    size = layout.offset + layout.n_bytes
+    # ISIZE, the last four bytes, is the member's length mod 2**32: a
+    # mismatch rules the fast path out before the buffer is allocated
+    if int.from_bytes(blob[-4:], "little") != size % 2**32:
+        return None
+    try:
+        buffer = np.empty(size, dtype=np.uint8)
+    except MemoryError:
+        return None
+    if not inflate(blob, buffer):
+        return None
+    return layout, buffer[layout.offset:]
 
 
 def read_nifti(path) -> Volume4D:
@@ -217,83 +382,42 @@ def read_nifti(path) -> Volume4D:
 
     Stored values become raw * scl_slope + scl_inter (a slope of zero is
     treated as one). Both byte orders are accepted; gzip compression is
-    detected from the leading two bytes regardless of file name.
+    detected from the leading two bytes regardless of file name. A gzip
+    file is inflated by the system libdeflate when it loads and the file
+    is one well-formed member; anything else goes through Python's zlib,
+    with identical data and errors either way. One DEBUG record per read
+    names the inflater, the file and raw bytes and the seconds taken.
 
-    Raises FormatError for a malformed header or gzip stream,
-    UnsupportedDatatypeError for datatypes outside the supported set, and
-    TruncatedFileError when the data section is short, or longer than the
-    file could hold (checked before reading it).
+    Raises FormatError for a malformed header or gzip stream or for
+    non-finite data after scaling, UnsupportedDatatypeError for datatypes
+    outside the supported set, and TruncatedFileError when the data
+    section is short, or longer than the file could hold (checked before
+    reading it).
     """
-    max_bytes = os.path.getsize(path)
-    with _open_for_read(path) as fh:
-        if isinstance(fh, gzip.GzipFile):
-            max_bytes *= MAX_DEFLATE_RATIO
-        try:
-            raw_header = fh.read(HEADER_SIZE)
-            if len(raw_header) < HEADER_SIZE:
-                raise FormatError(f"{path}: file shorter than the {HEADER_SIZE}-byte header")
+    start = time.perf_counter()
+    with open(path, "rb") as fh:
+        gzipped = fh.read(2) == GZIP_MAGIC
+        file_bytes = os.fstat(fh.fileno()).st_size
+    found = None
+    inflater = "zlib" if gzipped else "none"
+    if gzipped and (inflate := _libdeflate()) is not None:
+        found = _read_libdeflate(path, inflate)
+        if found is not None:
+            inflater = "libdeflate"
+    layout, payload = found or _read_stream(path, gzipped, file_bytes)
+    header, shape = layout.header, layout.shape
 
-            header = np.frombuffer(raw_header, dtype=_header_dtype("<"), count=1)[0]
-            byteorder = "<"
-            if header["sizeof_hdr"] != HEADER_SIZE:
-                header = np.frombuffer(raw_header, dtype=_header_dtype(">"), count=1)[0]
-                byteorder = ">"
-                if header["sizeof_hdr"] != HEADER_SIZE:
-                    raise FormatError(
-                        f"{path}: sizeof_hdr is not {HEADER_SIZE} in either byte order"
-                    )
-
-            # numpy strips trailing NULs from S fields, so compare without them
-            magic = bytes(header["magic"])
-            if magic != MAGIC_SINGLE.rstrip(b"\x00"):
-                raise FormatError(f"{path}: magic {magic!r} is not single-file NIfTI-1 ('n+1\\0')")
-
-            ndim = int(header["dim"][0])
-            if not 1 <= ndim <= 7:
-                raise FormatError(f"{path}: dim[0]={ndim} outside 1..7")
-            shape = [max(1, int(d)) for d in header["dim"][1 : ndim + 1]]
-            if any(d > 1 for d in shape[4:]):
-                raise FormatError(
-                    f"{path}: volumes with more than 4 non-singleton dims unsupported"
-                )
-            shape = (shape + [1, 1, 1, 1])[:4]
-
-            code = int(header["datatype"])
-            if code not in DTYPE_CODES:
-                raise UnsupportedDatatypeError(code)
-            dtype = np.dtype(DTYPE_CODES[code]).newbyteorder(byteorder)
-
-            n_values = math.prod(shape)
-            n_bytes = n_values * dtype.itemsize
-            offset = float(header["vox_offset"])
-            if not HEADER_SIZE <= offset < MAX_VOX_OFFSET:  # also rejects NaN
-                raise FormatError(f"{path}: vox_offset {offset} outside [{HEADER_SIZE}, 2**31)")
-            offset = int(offset)
-            if offset + n_bytes > max_bytes:
-                raise TruncatedFileError(
-                    f"{path}: expected {n_bytes} data bytes at offset {offset}, "
-                    "more than the file can hold"
-                )
-            fh.seek(offset)
-            payload = fh.read(n_bytes)
-            if len(payload) < n_bytes:
-                raise TruncatedFileError(
-                    f"{path}: expected {n_bytes} data bytes, got {len(payload)}"
-                )
-        except (gzip.BadGzipFile, EOFError, zlib.error) as exc:
-            raise FormatError(f"{path}: corrupt gzip stream ({exc})") from exc
-
-    raw = np.frombuffer(payload, dtype=dtype, count=n_values)
+    raw = np.frombuffer(payload, dtype=layout.dtype, count=math.prod(shape))
     data = raw.reshape(shape, order="F").astype(np.float64)
+    del found, payload, raw
 
     slope = float(header["scl_slope"])
     inter = float(header["scl_inter"])
     if slope == 0.0:
         slope = 1.0
     if slope != 1.0 or inter != 0.0:
-        data = data * slope + inter
-    if not np.all(np.isfinite(data)):
-        raise FormatError(f"{path}: data contains non-finite values after scaling")
+        data *= slope
+        data += inter
 
     orientation = {name: np.array(header[name]).tolist() for name in _ORIENTATION_FIELDS}
     vox = tuple(float(v) for v in header["pixdim"][1:4])
@@ -302,16 +426,22 @@ def read_nifti(path) -> Volume4D:
         tr = 1.0  # single volume: TR is meaningless, keep header constructible
 
     vol_header = VolumeHeader(
-        dims=tuple(shape),
+        dims=shape,
         voxel_size_mm=vox,
         tr_seconds=tr,
-        datatype_code=code,
+        datatype_code=layout.code,
         scl_slope=float(header["scl_slope"]),
         scl_inter=inter,
         magic=MAGIC_SINGLE,
         orientation=orientation,
     )
-    return Volume4D(header=vol_header, data=data)
+    try:
+        vol = Volume4D(header=vol_header, data=data)  # its finiteness check is the only one
+    except ValueError as exc:
+        raise FormatError(f"{path}: data contains non-finite values after scaling") from exc
+    logger.debug("read %s: %s, %d file bytes -> %d raw bytes in %.3f s", path, inflater,
+                 file_bytes, layout.offset + layout.n_bytes, time.perf_counter() - start)
+    return vol
 
 
 def write_nifti(vol: Volume4D, path) -> None:

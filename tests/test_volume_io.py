@@ -1,7 +1,13 @@
 """NIfTI-1 reading, writing, scaling, and ROI extraction."""
 
+import ctypes
 import gzip
+import logging
+import os
 import struct
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +22,7 @@ from boldkit.errors import (
     TruncatedFileError,
     UnsupportedDatatypeError,
 )
-from boldkit import pipeline
+from boldkit import pipeline, volume_io
 from boldkit.config import validate_config
 from boldkit.duration import RunSet, average_runs, concatenate_runs, single_run_design
 from boldkit.preprocess import gaussian_smooth, interleaved_order, slice_timing_correct
@@ -58,6 +64,36 @@ def build_raw_nifti(dims, payload: bytes, datatype: int, bitpix: int,
 def random_volume(rng, dims=(5, 4, 3, 6)):
     data = rng.standard_normal(dims).astype(np.float32).astype(np.float64)
     return make_volume(data, voxel_size_mm=(3.3, 3.3, 4.8), tr_seconds=3.0)
+
+
+LIBDEFLATE_MISSING = "the system libdeflate (libdeflate.so.0) is not installed"
+
+
+@pytest.fixture
+def zlib_only(monkeypatch):
+    """Make libdeflate unavailable, so every gzip read takes the zlib path."""
+    monkeypatch.setattr(volume_io, "_libdeflate", lambda: None)
+
+
+@pytest.fixture(params=["libdeflate", "zlib"])
+def inflater(request):
+    """Run a test once per gzip inflater; the libdeflate run is skipped
+    where the library is absent."""
+    if request.param == "zlib":
+        request.getfixturevalue("zlib_only")
+    elif volume_io._libdeflate() is None:
+        pytest.skip(LIBDEFLATE_MISSING)
+    return request.param
+
+
+def read_outcome(path):
+    """What read_nifti makes of a file: its data and header, or the class
+    and message of the DataError it raises."""
+    try:
+        vol = read_nifti(path)
+    except DataError as exc:
+        return type(exc), str(exc)
+    return vol.data.tobytes(order="F"), vol.header
 
 
 class TestRead:
@@ -189,6 +225,112 @@ class TestRead:
             read_nifti(path)
 
 
+@pytest.mark.usefixtures("zlib_only")
+class TestReadZlib(TestRead):
+    """Every read case again with gzip files inflated by zlib."""
+
+
+class TestGzipInflaters:
+    """libdeflate and zlib give the same data, or the same error, on the
+    same gzip file; libdeflate takes only single well-formed members."""
+
+    BLOB = build_raw_nifti((4, 3, 2, 5), np.arange(120, dtype=np.float32).tobytes(),
+                           datatype=16, bitpix=32)
+
+    def test_libdeflate_loads_where_installed(self):
+        # the fast-path tests are skipped only where this finds no library
+        found = False
+        for name in volume_io._LIBDEFLATE_NAMES:
+            try:
+                lib = ctypes.CDLL(name)
+                found = all(hasattr(lib, symbol) for symbol in (
+                    "libdeflate_alloc_decompressor", "libdeflate_gzip_decompress_ex",
+                    "libdeflate_free_decompressor"))
+            except OSError:
+                continue
+            break
+        assert (volume_io._libdeflate() is not None) == found
+
+    def test_missing_library_or_symbol_gives_none(self, monkeypatch):
+        # libc loads but has no libdeflate symbols; the second name loads nothing
+        monkeypatch.setattr(volume_io, "_LIBDEFLATE_NAMES", ("libc.so.6", "libnosuchlib.so.0"))
+        assert volume_io._libdeflate.__wrapped__() is None
+
+    def test_import_does_not_load_libdeflate(self):
+        code = ("import boldkit.cli, boldkit.volume_io as v; "
+                "assert v._libdeflate.cache_info().currsize == 0")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+    @pytest.mark.parametrize("gzipped", [False, True])
+    def test_one_debug_record_per_read(self, tmp_path, caplog, inflater, gzipped):
+        path = tmp_path / "run.nii"
+        path.write_bytes(gzip.compress(self.BLOB, mtime=0) if gzipped else self.BLOB)
+        with caplog.at_level(logging.DEBUG, logger="boldkit.volume_io"):
+            read_nifti(path)
+        used = inflater if gzipped else "none"
+        (record,) = caplog.records
+        assert record.levelno == logging.DEBUG
+        assert record.getMessage().startswith(
+            f"read {path}: {used}, {path.stat().st_size} file bytes -> {len(self.BLOB)} raw bytes in ")
+
+    def mangled(self, case):
+        member = gzip.compress(self.BLOB, mtime=0)
+        if case == "one member":
+            return member
+        if case == "two members":
+            return gzip.compress(self.BLOB[:200], mtime=0) + gzip.compress(self.BLOB[200:], mtime=0)
+        if case == "trailing bytes":
+            return member + b"\x00\x00junk"
+        if case == "cut in payload":
+            return member[: len(member) - 200]
+        if case == "corrupt body":  # the deflate data, trailer intact
+            body = bytearray(member)
+            body[len(body) // 2: len(body) // 2 + 16] = b"\xff" * 16
+            return bytes(body)
+        if case == "flipped crc":
+            crc = bytearray(member)
+            crc[-8] ^= 0x01  # the CRC-32 precedes the 4-byte ISIZE
+            return bytes(crc)
+        if case == "wrong isize":
+            isize = bytearray(member)
+            isize[-4] ^= 0x01
+            return bytes(isize)
+        raise AssertionError(case)
+
+    @pytest.mark.parametrize("case", ["one member", "two members", "trailing bytes",
+                                      "cut in payload", "corrupt body", "flipped crc",
+                                      "wrong isize"])
+    def test_streams_read_alike(self, tmp_path, monkeypatch, case):
+        path = tmp_path / "odd.nii.gz"
+        path.write_bytes(self.mangled(case))
+        fast = read_outcome(path)
+        monkeypatch.setattr(volume_io, "_libdeflate", lambda: None)
+        reference = read_outcome(path)
+        assert fast == reference
+        if case in ("one member", "two members"):
+            np.testing.assert_array_equal(np.frombuffer(reference[0]), np.arange(120.0))
+        if case in ("cut in payload", "corrupt body"):
+            assert issubclass(reference[0], FormatError)
+
+    def test_read_holds_no_more_than_payload_and_result(self, tmp_path, inflater):
+        # float32 on disk: the float64 result is twice the payload. Neither
+        # the compressed bytes (during the conversion) nor the payload
+        # (during the finiteness pass) may be held beside both.
+        vol = random_volume(np.random.default_rng(12), dims=(32, 32, 16, 20))
+        path = tmp_path / "run.nii.gz"
+        write_nifti(vol, path)
+        payload = 4 * vol.data.size
+        read_nifti(path)  # let one-time loading happen outside the trace
+        tracemalloc.start()
+        try:
+            read_nifti(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= payload + 2 * payload + 64 * 1024
+
+
 _VALID_HEADER = build_raw_nifti((3, 2, 2, 4), np.arange(48, dtype=np.float32).tobytes(),
                                 datatype=16, bitpix=32)
 
@@ -290,6 +432,11 @@ class TestWrite:
         vol = make_volume(np.zeros((2, 2, 2, 1)))
         with pytest.raises(OSError):
             write_nifti(vol, tmp_path / "no" / "such" / "dir" / "x.nii")
+
+
+@pytest.mark.usefixtures("zlib_only")
+class TestWriteZlib(TestWrite):
+    """Every write/read round trip again with gzip files inflated by zlib."""
 
 
 class TestVolumeInvariants:
@@ -396,3 +543,8 @@ class TestLayout:
         cfg = validate_config({})
         pipeline.analyze_volume(vol, single_run_design(design, 3.0, 20), cfg)
         assert np.shares_memory(fitted[0], vol.data)
+
+
+@pytest.mark.usefixtures("zlib_only")
+class TestLayoutZlib(TestLayout):
+    """The layout checks again with gzip files inflated by zlib."""
