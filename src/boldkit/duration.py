@@ -5,15 +5,13 @@ peak correlation) over target and non-target ROIs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import DesignMismatchError, EmptyMaskError, ShapeError
 from .task_design import (
     DEFAULT_CUTOFF_HZ,
-    DEFAULT_HRF,
-    DEFAULT_OVERSAMPLE,
     LABEL_DRIFT,
     LABEL_INTERCEPT,
     LABEL_TASK,
@@ -22,7 +20,7 @@ from .task_design import (
     dct_highpass_basis,
     task_regressor,
 )
-from .volume_io import Volume4D, VolumeHeader
+from .volume_io import Volume4D
 
 CONDITION_SINGLE = "single"
 CONDITION_CONCATENATED = "concatenated"
@@ -56,22 +54,35 @@ class RunSet:
         return all(d == d0 for d in self.designs[1:])
 
 
-def single_run_design(design: BlockDesign, tr_s: float, n_vols: int,
-                      cutoff_hz: float = DEFAULT_CUTOFF_HZ,
-                      oversample: int = DEFAULT_OVERSAMPLE,
-                      hrf=DEFAULT_HRF) -> DesignMatrix:
-    """Task + DCT drift + intercept design for one run."""
-    from .task_design import build_design_matrix
+def _design(designs, tr_s: float, n_per_run, cutoff_hz: float) -> DesignMatrix:
+    """Design for runs stacked along time, built in one preallocated matrix.
 
-    reg = task_regressor(design, tr_s, n_vols, oversample=oversample, hrf=hrf)
-    drift = dct_highpass_basis(n_vols, tr_s, cutoff_hz)
-    return build_design_matrix([reg], drift, None, n_vols, tr_s)
+    Columns are one task column spanning all runs, then each run's DCT
+    drift block, then one intercept per run; a run's drift and intercept
+    columns are zero outside its own rows.
+    """
+    tasks = [task_regressor(design, tr_s, n) for design, n in zip(designs, n_per_run)]
+    drifts = [dct_highpass_basis(n, tr_s, cutoff_hz) for n in n_per_run]
+    n_drift = sum(drift.shape[1] for drift in drifts)
+    values = np.zeros((sum(n_per_run), 1 + n_drift + len(n_per_run)))
+    row, col = 0, 1
+    for r, (task, drift, n) in enumerate(zip(tasks, drifts, n_per_run)):
+        values[row:row + n, 0] = task
+        values[row:row + n, col:col + drift.shape[1]] = drift
+        values[row:row + n, 1 + n_drift + r] = 1.0
+        row, col = row + n, col + drift.shape[1]
+    labels = [LABEL_TASK] + [LABEL_DRIFT] * n_drift + [LABEL_INTERCEPT] * len(n_per_run)
+    return DesignMatrix(values=values, column_labels=labels, tr_seconds=float(tr_s))
+
+
+def single_run_design(design: BlockDesign, tr_s: float, n_vols: int,
+                      cutoff_hz: float = DEFAULT_CUTOFF_HZ) -> DesignMatrix:
+    """Task + DCT drift + intercept design for one run."""
+    return _design([design], tr_s, [n_vols], cutoff_hz)
 
 
 def concatenate_runs(runset: RunSet,
-                     cutoff_hz: float = DEFAULT_CUTOFF_HZ,
-                     oversample: int = DEFAULT_OVERSAMPLE,
-                     hrf=DEFAULT_HRF) -> tuple[Volume4D, DesignMatrix]:
+                     cutoff_hz: float = DEFAULT_CUTOFF_HZ) -> tuple[Volume4D, DesignMatrix]:
     """Stack runs along time and build the matching design matrix.
 
     The design has a single task column spanning all runs, per-run DCT
@@ -79,42 +90,12 @@ def concatenate_runs(runset: RunSet,
     place of a global one, so inter-run baseline offsets cannot
     masquerade as activation.
     """
-    tr = runset.runs[0].header.tr_seconds
+    first = runset.runs[0]
     n_per_run = [run.n_vols for run in runset.runs]
-    total = sum(n_per_run)
-
     data = np.concatenate([run.data for run in runset.runs], axis=3)
-    header = VolumeHeader(
-        dims=runset.runs[0].spatial_dims + (total,),
-        voxel_size_mm=runset.runs[0].header.voxel_size_mm,
-        tr_seconds=tr,
-        orientation=dict(runset.runs[0].header.orientation),
-    )
-    volume = Volume4D(header=header, data=data)
-
-    task_col = np.concatenate([
-        task_regressor(design, tr, n, oversample=oversample, hrf=hrf)
-        for design, n in zip(runset.designs, n_per_run)
-    ])
-
-    columns = [task_col]
-    labels = [LABEL_TASK]
-    offsets = np.cumsum([0] + n_per_run)
-    for r, n in enumerate(n_per_run):
-        drift = dct_highpass_basis(n, tr, cutoff_hz)
-        for j in range(drift.shape[1]):
-            col = np.zeros(total)
-            col[offsets[r]:offsets[r + 1]] = drift[:, j]
-            columns.append(col)
-            labels.append(LABEL_DRIFT)
-    for r, n in enumerate(n_per_run):
-        col = np.zeros(total)
-        col[offsets[r]:offsets[r + 1]] = 1.0
-        columns.append(col)
-        labels.append(LABEL_INTERCEPT)
-
-    design = DesignMatrix(values=np.column_stack(columns), column_labels=labels, tr_seconds=tr)
-    return volume, design
+    header = replace(first.header, dims=first.spatial_dims + (sum(n_per_run),))
+    design = _design(runset.designs, first.header.tr_seconds, n_per_run, cutoff_hz)
+    return Volume4D(header=header, data=data), design
 
 
 def average_runs(runset: RunSet) -> Volume4D:
@@ -129,13 +110,7 @@ def average_runs(runset: RunSet) -> Volume4D:
     for run in runset.runs[2:]:
         data += run.data
     data /= len(runset.runs)
-    header = VolumeHeader(
-        dims=runset.runs[0].header.dims,
-        voxel_size_mm=runset.runs[0].header.voxel_size_mm,
-        tr_seconds=runset.runs[0].header.tr_seconds,
-        orientation=dict(runset.runs[0].header.orientation),
-    )
-    return Volume4D(header=header, data=data)
+    return Volume4D(header=replace(runset.runs[0].header), data=data)
 
 
 def local_standard_deviation(map3d: np.ndarray, roi: np.ndarray, radius_vox: int = 1) -> float:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError
-from .task_design import DEFAULT_HRF, DEFAULT_OVERSAMPLE, BlockDesign, HrfParams, task_regressor
+from .task_design import BlockDesign, task_regressor
 from .volume_io import Volume4D, VolumeHeader
 
 BASELINE = 1000.0
@@ -129,8 +129,6 @@ def generate_phantom(
     acq: AcquisitionParams,
     design: BlockDesign,
     run_index: int = 0,
-    hrf: HrfParams = DEFAULT_HRF,
-    oversample: int = DEFAULT_OVERSAMPLE,
 ) -> tuple[Volume4D, dict]:
     """Simulate one run and return it with its ground-truth ROI masks.
 
@@ -150,7 +148,7 @@ def generate_phantom(
     nt = acq.n_vols
     n_voxels = nx * ny * nz
 
-    response = task_regressor(design, acq.tr_s, nt, oversample=oversample, hrf=hrf)
+    response = task_regressor(design, acq.tr_s, nt)
     peak = np.abs(response).max()
     if peak > 0:
         response = response / peak

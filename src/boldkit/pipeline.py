@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -51,7 +51,6 @@ from .preprocess import (
 from .task_design import BlockDesign, DesignMatrix, LABEL_TASK
 from .volume_io import (
     Volume4D,
-    VolumeHeader,
     fold_voxels,
     read_nifti,
     voxel_series,
@@ -62,24 +61,50 @@ ADJUSTED_P_CEILING = 0.05
 
 
 class OutputTracker:
-    """Records written files so a failed run can clean up after itself."""
+    """Writes a flow's outputs and records each file's path; used as a
+    context manager, it removes every file it recorded if the block
+    raises, so a failed run leaves nothing behind."""
 
     def __init__(self, out_dir):
         self.out_dir = str(out_dir)
         self.files = []
         os.makedirs(self.out_dir, exist_ok=True)
 
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, traceback):
+        if exc_type is not None:
+            for path in self.files:
+                try:
+                    os.remove(path)
+                except OSError:
+                    pass
+
     def path(self, name: str) -> str:
         full = os.path.join(self.out_dir, name)
         self.files.append(full)
         return full
 
-    def remove_all(self):
-        for path in self.files:
-            try:
-                os.remove(path)
-            except OSError:
-                pass
+    def json(self, name: str, obj) -> None:
+        with open(self.path(name), "w") as fh:
+            json.dump(obj, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+
+    def map(self, name: str, data3d: np.ndarray, like: Volume4D) -> None:
+        """A 3-D map as a one-volume NIfTI with like's geometry."""
+        header = replace(like.header, dims=data3d.shape + (1,))
+        write_nifti(Volume4D(header=header, data=data3d[..., np.newaxis]), self.path(name))
+
+    def manifest(self, command: str, cfg: PipelineConfig, summary: dict) -> None:
+        """manifest.json, listing every file written before it."""
+        self.json("manifest.json", {
+            "boldkit_version": __version__,
+            "command": command,
+            "config": cfg.as_dict(),
+            "outputs": [os.path.basename(f) for f in self.files],
+            "summary": summary,
+        })
 
 
 def block_design_from_config(cfg: PipelineConfig) -> BlockDesign:
@@ -234,30 +259,6 @@ def analyze_volume(vol: Volume4D, design: DesignMatrix, cfg: PipelineConfig) -> 
     )
 
 
-def _map_volume(data3d: np.ndarray, like: Volume4D) -> Volume4D:
-    header = VolumeHeader(
-        dims=data3d.shape + (1,),
-        voxel_size_mm=like.header.voxel_size_mm,
-        tr_seconds=like.header.tr_seconds,
-        orientation=dict(like.header.orientation),
-    )
-    return Volume4D(header=header, data=data3d[..., np.newaxis].astype(np.float64))
-
-
-def _write_manifest(tracker: OutputTracker, command: str, cfg: PipelineConfig, summary: dict):
-    manifest = {
-        "boldkit_version": __version__,
-        "command": command,
-        "config": cfg.as_dict(),
-        "outputs": [os.path.basename(f) for f in tracker.files],
-        "summary": summary,
-    }
-    path = tracker.path("manifest.json")
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def run_simulate(cfg: PipelineConfig) -> list:
     """Write phantom run volumes and the ground-truth sidecar."""
     if not cfg.uses_phantom():
@@ -265,30 +266,16 @@ def run_simulate(cfg: PipelineConfig) -> list:
     spec, acq = phantom_pieces(cfg)
     design = block_design_from_config(cfg)
 
-    tracker = OutputTracker(cfg.output_dir)
-    try:
-        truth = None
+    with OutputTracker(cfg.output_dir) as out:
         for r in range(int(cfg.phantom["n_runs"])):
             vol, truth = generate_phantom(spec, acq, design, run_index=r)
-            write_nifti(vol, tracker.path(f"run-{r + 1:02d}.nii.gz"))
-
-        rois = {
-            name: sorted(map(tuple, np.argwhere(mask).tolist()))
-            for name, mask in truth.items()
-        }
-        truth_doc = {
-            "rois": {name: [list(v) for v in voxels] for name, voxels in rois.items()},
+            write_nifti(vol, out.path(f"run-{r + 1:02d}.nii.gz"))
+        out.json("truth.json", {
+            "rois": {name: sorted(np.argwhere(mask).tolist()) for name, mask in truth.items()},
             "config": cfg.as_dict(),
-        }
-        with open(tracker.path("truth.json"), "w") as fh:
-            json.dump(truth_doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-        _write_manifest(tracker, "simulate", cfg, {"n_runs": int(cfg.phantom["n_runs"])})
-    except BaseException:
-        tracker.remove_all()
-        raise
-    return tracker.files
+        })
+        out.manifest("simulate", cfg, {"n_runs": int(cfg.phantom["n_runs"])})
+    return out.files
 
 
 def _prepare_condition(cfg: PipelineConfig, runs, design: BlockDesign, mode: str):
@@ -319,32 +306,23 @@ def run_analyze(cfg: PipelineConfig) -> list:
     vol, design_matrix = _prepare_condition(cfg, runs, design, mode)
     result = analyze_volume(vol, design_matrix, cfg)
 
-    tracker = OutputTracker(cfg.output_dir)
-    try:
-        write_nifti(_map_volume(result.stats3d.t, vol), tracker.path("t_map.nii.gz"))
-        write_nifti(_map_volume(result.stats3d.z, vol), tracker.path("z_map.nii.gz"))
-        capped = np.minimum(result.adjusted_p, ADJUSTED_P_CEILING)
-        write_nifti(_map_volume(capped, vol), tracker.path("p_fdr_adjusted.nii.gz"))
-        write_nifti(_map_volume(result.rejected.astype(np.float64), vol),
-                    tracker.path("rejection_mask.nii.gz"))
-
+    with OutputTracker(cfg.output_dir) as out:
+        out.map("t_map.nii.gz", result.stats3d.t, vol)
+        out.map("z_map.nii.gz", result.stats3d.z, vol)
+        out.map("p_fdr_adjusted.nii.gz", np.minimum(result.adjusted_p, ADJUSTED_P_CEILING), vol)
+        out.map("rejection_mask.nii.gz", result.rejected, vol)
         rows = cluster_table(result.clusters)
-        write_cluster_csv(rows, tracker.path("clusters.csv"))
-        write_cluster_json(rows, tracker.path("clusters.json"))
-
-        summary = {
+        write_cluster_csv(rows, out.path("clusters.csv"))
+        write_cluster_json(rows, out.path("clusters.json"))
+        out.manifest("analyze", cfg, {
             "dof": result.stats3d.dof,
             "n_mask_voxels": int(result.mask.sum()),
             "n_rejected": int(result.rejected.sum()),
             "n_clusters": len(result.clusters),
             "n_degenerate": result.n_degenerate,
             "p_threshold": result.p_threshold,
-        }
-        _write_manifest(tracker, "analyze", cfg, summary)
-    except BaseException:
-        tracker.remove_all()
-        raise
-    return tracker.files
+        })
+    return out.files
 
 
 def run_duration_study(cfg: PipelineConfig) -> list:
@@ -395,25 +373,16 @@ def run_duration_study(cfg: PipelineConfig) -> list:
                 )
             )
 
-    tracker = OutputTracker(cfg.output_dir)
-    try:
-        report = {
+    with OutputTracker(cfg.output_dir) as out:
+        out.json("robustness.json", {
             "conditions": [CONDITION_SINGLE, CONDITION_CONCATENATED, CONDITION_AVERAGED],
             "target_rois": sorted(targets),
             "non_target_rois": sorted(nontargets),
             "rows": [row.as_dict() for row in rows],
-        }
-        with open(tracker.path("robustness.json"), "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-        with open(tracker.path("comparison.csv"), "w") as fh:
+        })
+        with open(out.path("comparison.csv"), "w") as fh:
             fh.write("condition,roi,lsd,tv,peak_r\n")
             for row in rows:
                 fh.write(f"{row.condition},{row.roi},{row.lsd!r},{row.tv!r},{row.peak_r!r}\n")
-
-        _write_manifest(tracker, "duration-study", cfg, counts)
-    except BaseException:
-        tracker.remove_all()
-        raise
-    return tracker.files
+        out.manifest("duration-study", cfg, counts)
+    return out.files

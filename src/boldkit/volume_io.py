@@ -52,6 +52,8 @@ GZIP_MAGIC = b"\x1f\x8b"
 MAX_VOX_OFFSET = 2**31
 # Deflate expands at most 1032-fold, which bounds what a gzip file can hold.
 MAX_DEFLATE_RATIO = 1032
+# Bytes read at a time past the data section of a gzip stream.
+_DRAIN_CHUNK = 1 << 20
 # Names the system libdeflate is loaded by (Linux, macOS), and its
 # LIBDEFLATE_SUCCESS result code.
 _LIBDEFLATE_NAMES = ("libdeflate.so.0", "libdeflate.0.dylib")
@@ -293,6 +295,10 @@ def _read_stream(path, gzipped: bool, file_bytes: int) -> tuple[_Layout, bytes]:
                 raise TruncatedFileError(
                     f"{path}: expected {layout.n_bytes} data bytes, got {len(payload)}"
                 )
+            # GzipFile checks a member's CRC-32 and ISIZE only once it reads
+            # past the member's end, so the rest of the stream is drained
+            while gzipped and fh.read(_DRAIN_CHUNK):
+                pass
         except (gzip.BadGzipFile, EOFError, zlib.error) as exc:
             raise FormatError(f"{path}: corrupt gzip stream ({exc})") from exc
     return layout, payload

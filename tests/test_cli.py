@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -9,9 +10,9 @@ import numpy as np
 import pytest
 
 import boldkit
-from boldkit import pipeline
+from boldkit import pipeline, volume_io
 from boldkit.cli import main
-from boldkit.config import load_config, validate_config
+from boldkit.config import PipelineConfig, load_config, validate_config
 from boldkit.errors import ConfigError
 from boldkit.volume_io import make_volume, read_nifti, write_nifti
 
@@ -67,6 +68,9 @@ class TestConfig:
         assert cfg.preprocess["fwhm_mm"] == 8.0
         assert cfg.glm["cutoff_hz"] == 0.005
         assert cfg.inference["connectivity"] == 26
+        default = PipelineConfig()
+        for section in ("phantom", "task", "preprocess", "glm", "inference"):
+            assert getattr(default, section) == getattr(cfg, section)
 
     def test_unknown_key_named(self):
         with pytest.raises(ConfigError, match="phantom.cnrr"):
@@ -83,6 +87,54 @@ class TestConfig:
             validate_config({"phantom": {"ar1_rho": 1.0}})
         with pytest.raises(ConfigError, match="duration_mode"):
             validate_config({"duration_mode": "tripled"})
+
+    # one out-of-range or wrong-type value per config key
+    BAD_VALUES = {
+        "seed": -1,
+        "output_dir": "",
+        "threads": 0,
+        "runs": [],
+        "duration_mode": "tripled",
+        "phantom.dims": [24, 24],
+        "phantom.voxel_size_mm": [3.3, 3.3, 0.0],
+        "phantom.cnr": -1.0,
+        "phantom.noise_sigma": 0.0,
+        "phantom.ar1_rho": 1.0,
+        "phantom.drift_amplitude": "big",
+        "phantom.field_tesla": 0,
+        "phantom.n_runs": 1.5,
+        "phantom.n_vols": 3,
+        "phantom.tr_s": -3.0,
+        "phantom.te_ms": True,
+        "task.onsets_s": "0, 60",
+        "task.durations_s": [30.0, -1.0, 30.0, 30.0, 30.0],
+        "task.run_length_s": 0.0,
+        "preprocess.slice_timing": 1,
+        "preprocess.slice_order": "random",
+        "preprocess.reference_fraction": 1.5,
+        "preprocess.motion_correction": "no",
+        "preprocess.fwhm_mm": -8.0,
+        "glm.cutoff_hz": 0.0,
+        "glm.contrast": "rest",
+        "glm.two_sided": None,
+        "inference.q": 0.0,
+        "inference.connectivity": 8,
+    }
+
+    def test_bad_values_cover_every_key(self):
+        cfg = validate_config({})
+        sections = ("phantom", "task", "preprocess", "glm", "inference")
+        keys = {f"{s}.{k}" for s in sections for k in getattr(cfg, s)}
+        keys |= {"seed", "output_dir", "threads", "runs", "duration_mode"}
+        assert keys == set(self.BAD_VALUES)
+
+    @pytest.mark.parametrize("key", sorted(BAD_VALUES))
+    def test_every_key_rejected_by_name(self, key):
+        section, _, name = key.partition(".")
+        value = self.BAD_VALUES[key]
+        raw = {section: {name: value}} if name else {key: value}
+        with pytest.raises(ConfigError, match=re.escape(f"config key '{key}': ")):
+            validate_config(raw)
 
     def test_flag_overrides_win(self, tmp_path):
         path = write_config(tmp_path, inference={"q": 0.10})
@@ -282,6 +334,23 @@ class TestAnalyze:
             "onsets_s": [0.0, 30.0], "durations_s": [15.0, 15.0], "run_length_s": 60.0})
         assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "an")]) in (0, 3)
 
+    def test_failed_flow_leaves_no_outputs(self, tmp_path, monkeypatch):
+        out = tmp_path / "an"
+        cfg = validate_config({"seed": 9, "phantom": dict(FAST_PHANTOM), "task": dict(FAST_TASK),
+                               "output_dir": str(out)})
+
+        written = []
+
+        def fail(rows, path):
+            written.extend(os.listdir(out))
+            raise OSError("disk full")
+
+        monkeypatch.setattr(pipeline, "write_cluster_json", fail)
+        with pytest.raises(OSError, match="disk full"):
+            pipeline.run_analyze(cfg)
+        assert {"t_map.nii.gz", "rejection_mask.nii.gz", "clusters.csv"} <= set(written)
+        assert os.listdir(out) == []
+
     def test_invalid_config_exit_code(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"inference": {"q": 2.0}}))
@@ -402,6 +471,19 @@ class TestThreads:
         cfg = write_runs_config(tmp_path, runs)
         assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "an"),
                      "--threads", "2"]) == 3
+
+    @pytest.mark.parametrize("libdeflate", [True, False])
+    def test_flipped_crc_is_format_error(self, tmp_path, monkeypatch, libdeflate):
+        runs = simulate_runs(tmp_path)
+        with open(runs[0], "rb") as fh:
+            blob = bytearray(fh.read())
+        blob[-8] ^= 0x01  # the gzip CRC-32 precedes the 4-byte ISIZE
+        with open(runs[0], "wb") as fh:
+            fh.write(blob)
+        if not libdeflate:
+            monkeypatch.setattr(volume_io, "_libdeflate", lambda: None)
+        cfg = write_runs_config(tmp_path, runs)
+        assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "an")]) == 3
 
 
 class TestMisc:
