@@ -89,13 +89,25 @@ def concatenate_runs(runset: RunSet,
     drift blocks (zero outside their own run), and per-run intercepts in
     place of a global one, so inter-run baseline offsets cannot
     masquerade as activation.
+
+    Each run is copied into its time slab of the stack, and runset.runs[i]
+    is then rebound to a new Volume4D that is a view of that slab; the
+    Volume4D objects passed in are left untouched. A run whose only holder
+    was the RunSet is thus freed as soon as it is copied, so building the
+    stack never holds more than three run-sized arrays.
     """
-    first = runset.runs[0]
+    header = runset.runs[0].header
     n_per_run = [run.n_vols for run in runset.runs]
-    data = np.concatenate([run.data for run in runset.runs], axis=3)
-    header = replace(first.header, dims=first.spatial_dims + (sum(n_per_run),))
-    design = _design(runset.designs, first.header.tr_seconds, n_per_run, cutoff_hz)
-    return Volume4D(header=header, data=data), design
+    # pages of the empty stack become resident only as each slab is written
+    data = np.empty(header.dims[:3] + (sum(n_per_run),), order="F")
+    start = 0
+    for i, n in enumerate(n_per_run):
+        slab = data[..., start:start + n]
+        slab[...] = runset.runs[i].data
+        runset.runs[i] = Volume4D(header=runset.runs[i].header, data=slab)
+        start += n
+    design = _design(runset.designs, header.tr_seconds, n_per_run, cutoff_hz)
+    return Volume4D(header=replace(header, dims=data.shape), data=data), design
 
 
 def average_runs(runset: RunSet) -> Volume4D:

@@ -25,16 +25,10 @@ from .errors import (
     ShapeError,
 )
 from .task_design import DesignMatrix
-from .volume_io import Volume4D, fold_voxels, voxel_series
+from .volume_io import Volume4D, block_width, fold_voxels, voxel_series
 
 Z_CLAMP = 40.0
 _RANK_RTOL = 1e-10
-_BLOCK_BYTES = 1 << 20
-
-
-def _block_width(n_rows: int) -> int:
-    """Columns per block: a fixed float64 byte budget over n_rows rows."""
-    return max(1, _BLOCK_BYTES // (8 * n_rows))
 
 
 @dataclass
@@ -101,7 +95,7 @@ def fit_glm(Y: np.ndarray, X: DesignMatrix) -> GlmFit:
     residual_variance = np.empty(v)
     y_scale = np.empty(v)
     varying = np.empty(v, dtype=bool)
-    width = _block_width(n)
+    width = block_width(n)
     scratch = np.empty((n, min(width, v)))
     for start in range(0, v, width):
         cols = slice(start, start + width)
@@ -213,7 +207,7 @@ def correlation_map(vol: Volume4D, regressor) -> tuple[np.ndarray, np.ndarray]:
     nt, v = series.shape
     r = np.zeros(v)
     constant = np.zeros(v, dtype=bool)
-    width = _block_width(nt)
+    width = block_width(nt)
     scratch = np.empty((nt, min(width, v)))
     for start in range(0, v, width):
         cols = slice(start, start + width)

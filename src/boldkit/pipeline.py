@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -259,6 +260,23 @@ def analyze_volume(vol: Volume4D, design: DesignMatrix, cfg: PipelineConfig) -> 
     )
 
 
+def _run_name(number: int) -> str:
+    return f"run-{number:02d}.nii.gz"
+
+
+def _remove_stale_runs(out_dir: str, n_runs: int) -> None:
+    """Delete the run files past n_runs that an earlier simulate with more
+    runs left in out_dir, so the directory holds only the runs the new
+    manifest lists. Only names simulate itself writes are touched."""
+    for name in os.listdir(out_dir):
+        match = re.fullmatch(r"run-(\d+)\.nii\.gz", name)
+        if not match or int(match[1]) <= n_runs or name != _run_name(int(match[1])):
+            continue
+        path = os.path.join(out_dir, name)
+        if os.path.isfile(path):
+            os.remove(path)
+
+
 def run_simulate(cfg: PipelineConfig) -> list:
     """Write phantom run volumes and the ground-truth sidecar."""
     if not cfg.uses_phantom():
@@ -266,15 +284,17 @@ def run_simulate(cfg: PipelineConfig) -> list:
     spec, acq = phantom_pieces(cfg)
     design = block_design_from_config(cfg)
 
+    n_runs = int(cfg.phantom["n_runs"])
     with OutputTracker(cfg.output_dir) as out:
-        for r in range(int(cfg.phantom["n_runs"])):
+        _remove_stale_runs(out.out_dir, n_runs)
+        for r in range(n_runs):
             vol, truth = generate_phantom(spec, acq, design, run_index=r)
-            write_nifti(vol, out.path(f"run-{r + 1:02d}.nii.gz"))
+            write_nifti(vol, out.path(_run_name(r + 1)))
         out.json("truth.json", {
             "rois": {name: sorted(np.argwhere(mask).tolist()) for name, mask in truth.items()},
             "config": cfg.as_dict(),
         })
-        out.manifest("simulate", cfg, {"n_runs": int(cfg.phantom["n_runs"])})
+        out.manifest("simulate", cfg, {"n_runs": n_runs})
     return out.files
 
 
@@ -285,6 +305,8 @@ def _prepare_condition(cfg: PipelineConfig, runs, design: BlockDesign, mode: str
     if mode == "single":
         vol = runs[0]
         return vol, single_run_design(design, tr, vol.n_vols, cutoff_hz=cutoff)
+    # the RunSet shares the caller's list, so concatenation rebinds the
+    # caller's runs to views of the stack and the original arrays are freed
     runset = RunSet(runs=runs, designs=[design] * len(runs))
     if mode == "concatenate":
         return concatenate_runs(runset, cutoff_hz=cutoff)
@@ -333,7 +355,8 @@ def run_duration_study(cfg: PipelineConfig) -> list:
 
     preprocess_runs(runs, cfg)
 
-    # one condition at a time: its volume is dropped before the next is built
+    # one condition at a time: its volume is dropped before the next is built;
+    # after concatenation the runs are views of the stack, which averaging reads
     t_maps, r_maps, counts = {}, {}, {}
     for name, mode in ((CONDITION_SINGLE, "single"), (CONDITION_CONCATENATED, "concatenate"),
                        (CONDITION_AVERAGED, "average")):

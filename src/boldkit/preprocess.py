@@ -19,7 +19,7 @@ from scipy import ndimage
 from .config import usable_cpus
 from .errors import InsufficientDataError, NumericError, ShapeError
 from .task_design import dct_highpass_basis
-from .volume_io import Volume4D, fold_voxels, voxel_series
+from .volume_io import Volume4D, block_width, fold_voxels, voxel_series
 
 FWHM_TO_SIGMA = 1.0 / (2.0 * np.sqrt(2.0 * np.log(2.0)))
 KERNEL_TRUNCATE_SIGMAS = 4.0
@@ -470,28 +470,48 @@ def gaussian_smooth(vol: Volume4D, fwhm_mm: float) -> Volume4D:
     constant volumes stay constant all the way to the edges. This equals
     zero-padded convolution divided by the smoothed indicator of the
     field of view.
+
+    Volumes are smoothed independently, a chunk of whole volumes (about
+    1 MB, see block_width) at a time. Within a chunk the axis passes
+    alternate between the chunk's slab of the output and one chunk-sized
+    scratch buffer, arranged so the last pass lands in the output; the
+    only full-size allocation is the output itself.
     """
     if fwhm_mm <= 0:
         raise ValueError("fwhm_mm must be positive")
     sigmas = fwhm_to_sigma_vox(fwhm_mm, vol.header.voxel_size_mm)
     dims = vol.header.dims
+    passes = [(axis, operator) for axis, sigma in enumerate(sigmas)
+              if (operator := _axis_smoothing_operator(dims[axis], sigma)) is not None]
+    if not passes:
+        return Volume4D(header=vol.header, data=vol.data)
+    out = np.empty(dims, order="F")
+    _smooth_chunks(vol.data, passes, out)
+    return Volume4D(header=vol.header, data=out)
 
-    data, spare = vol.data, None
-    for axis, sigma in enumerate(sigmas):
-        operator = _axis_smoothing_operator(dims[axis], sigma)
-        if operator is None:
-            continue
-        out = np.empty(dims, order="F") if spare is None else spare
-        # batches of (before, n) x-fastest matrices, one per index of the later axes
-        before, n, after = math.prod(dims[:axis]), dims[axis], math.prod(dims[axis + 1:])
-        src = data.reshape((before, n, after), order="F").transpose(2, 0, 1)
-        dst = out.reshape((before, n, after), order="F").transpose(2, 0, 1)
-        if before == 1:  # x axis: one (after, n) product, not `after` one-row products
-            src, dst = src[:, 0], dst[:, 0]
-        np.matmul(src, operator.T, out=dst)
-        spare = None if data is vol.data else data
-        data = out
-    return Volume4D(header=vol.header, data=data)
+
+def _smooth_chunks(data: np.ndarray, passes: list, out: np.ndarray) -> None:
+    """Apply the (axis, operator) passes to data into out, a chunk of
+    volumes at a time; the scratch buffer is freed on return."""
+    dims, nt = data.shape[:3], data.shape[3]
+    step = block_width(math.prod(dims))
+    scratch = np.empty(dims + (min(step, nt),), order="F")
+    for start in range(0, nt, step):
+        src = data[..., start:start + step]
+        slab = out[..., start:start + step]
+        chunk_dims = src.shape
+        for i, (axis, operator) in enumerate(passes):
+            # an even number of passes left after this one: write the slab
+            dst = slab if (len(passes) - 1 - i) % 2 == 0 else scratch[..., :chunk_dims[3]]
+            # batches of (before, n) x-fastest matrices, one per index of the later axes
+            before, n = math.prod(chunk_dims[:axis]), chunk_dims[axis]
+            after = math.prod(chunk_dims[axis + 1:])
+            a = src.reshape((before, n, after), order="F").transpose(2, 0, 1)
+            b = dst.reshape((before, n, after), order="F").transpose(2, 0, 1)
+            if before == 1:  # x axis: one (after, n) product, not `after` one-row products
+                a, b = a[:, 0], b[:, 0]
+            np.matmul(a, operator.T, out=b)
+            src = dst
 
 
 def highpass_filter(vol: Volume4D, cutoff_hz: float) -> Volume4D:

@@ -58,6 +58,8 @@ _DRAIN_CHUNK = 1 << 20
 # LIBDEFLATE_SUCCESS result code.
 _LIBDEFLATE_NAMES = ("libdeflate.so.0", "libdeflate.0.dylib")
 _LIBDEFLATE_SUCCESS = 0
+# Byte budget of one block in the blocked passes over a volume.
+_BLOCK_BYTES = 1 << 20
 
 logger = logging.getLogger(__name__)
 
@@ -203,6 +205,13 @@ def voxel_series(vol: Volume4D) -> np.ndarray:
     """The (nt, V) time-by-voxel matrix of a volume, voxels in x-fastest
     scan order; a view of vol.data, not a copy."""
     return vol.data.reshape(-1, vol.n_vols, order="F").T
+
+
+def block_width(n_rows: int) -> int:
+    """Columns of an (n_rows, V) float64 matrix per block: a fixed ~1 MB
+    byte budget, so a block of voxel series or of whole volumes stays
+    cache-sized and a blocked pass's scratch stays small."""
+    return max(1, _BLOCK_BYTES // (8 * n_rows))
 
 
 def fold_voxels(values: np.ndarray, spatial_dims) -> np.ndarray:

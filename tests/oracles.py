@@ -3,13 +3,25 @@
 Everything here is deliberately written along a different algorithmic
 path than the code under test: normal equations instead of SVD,
 quadrature instead of incomplete-beta, flood fill instead of labeling,
-explicit loops instead of vectorized kernels.
+explicit loops instead of vectorized kernels. traced_peak measures the
+memory a call allocates, for the tests that bound it.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 from scipy.integrate import quad
+
+
+def traced_peak(fn, *args):
+    """Peak bytes numpy and Python allocate while fn(*args) runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def normal_equations_beta(X, Y):

@@ -53,6 +53,37 @@ def simulate_runs(tmp_path, n_runs=2):
     return [str(sim / f"run-{r + 1:02d}.nii.gz") for r in range(n_runs)]
 
 
+# Runs the duration study on warm-up runs, then on the measured runs, and
+# prints how far the second raised the process's resident high-water mark.
+MEMORY_PROBE = """
+import json, sys
+from boldkit import pipeline
+from boldkit.config import validate_config
+
+def high_water():
+    with open("/proc/self/status") as fh:
+        for line in fh:
+            if line.startswith("VmHWM:"):
+                return int(line.split()[1]) * 1024
+
+warm, measured = json.loads(sys.argv[1])
+pipeline.run_duration_study(validate_config(warm))  # lazy imports, BLAS buffers
+before = high_water()
+pipeline.run_duration_study(validate_config(measured))
+print(high_water() - before)
+"""
+
+
+def write_noise_runs(tmp_path, name, shape, seed):
+    rng = np.random.default_rng(seed)
+    paths = []
+    for r in range(2):
+        path = str(tmp_path / f"{name}-{r + 1}.nii.gz")
+        write_nifti(make_volume(1000.0 + 20.0 * rng.standard_normal(shape)), path)
+        paths.append(path)
+    return paths
+
+
 def read_all_bytes(directory):
     return {
         name: (directory / name).read_bytes()
@@ -183,6 +214,22 @@ class TestSimulate:
         first = read_all_bytes(out)
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
         assert read_all_bytes(out) == first
+
+    def test_fewer_runs_clear_stale_run_files(self, tmp_path):
+        out = tmp_path / "sim"
+        three = write_config(tmp_path, "three.json", phantom=dict(FAST_PHANTOM, n_runs=3))
+        assert main(["simulate", "--config", three, "--out", str(out)]) == 0
+        assert (out / "run-03.nii.gz").exists()
+        # look-alike names simulate never writes are left alone
+        for other in ("run-3.nii.gz", "run-003.nii.gz", "run-03.nii", "notes.txt"):
+            (out / other).write_text("keep")
+        two = write_config(tmp_path, "two.json", phantom=dict(FAST_PHANTOM, n_runs=2))
+        assert main(["simulate", "--config", two, "--out", str(out)]) == 0
+        runs = sorted(name for name in os.listdir(out) if name.endswith(".nii.gz"))
+        assert runs == ["run-003.nii.gz", "run-01.nii.gz", "run-02.nii.gz", "run-3.nii.gz"]
+        assert (out / "run-03.nii").exists() and (out / "notes.txt").exists()
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["outputs"] == ["run-01.nii.gz", "run-02.nii.gz", "truth.json"]
 
     def test_file_source_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -413,6 +460,30 @@ class TestDurationStudy:
             assert averaged[roi]["lsd"] == row["lsd"]
             assert averaged[roi]["tv"] == row["tv"]
             assert averaged[roi]["peak_r"] == row["peak_r"]
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                        reason="reads the peak resident set size from /proc")
+    def test_peak_memory_below_three_and_a_half_runs(self, tmp_path):
+        # Smoothing holds its input and output, concatenation frees each run
+        # as it is copied into the stack, and averaging reads views of the
+        # stack, so no stage holds four run-sized arrays. tracemalloc would
+        # count the empty stack in full at once, but its pages become
+        # resident only as they are filled, so the resident high-water mark
+        # is measured. glibc otherwise raises its mmap threshold after the
+        # first large free and keeps later buffers on the heap, where freed
+        # pages stay resident; a fixed threshold returns each at once.
+        shape = (32, 32, 16, 100)
+        run_bytes = 8 * int(np.prod(shape))
+        configs = [
+            {"seed": 9, "threads": 1, "output_dir": str(tmp_path / name),
+             "runs": write_noise_runs(tmp_path, name, dims + (100,), seed)}
+            for name, dims, seed in (("warm", (16, 16, 12), 1), ("measured", shape[:3], 2))
+        ]
+        out = subprocess.run([sys.executable, "-c", MEMORY_PROBE, json.dumps(configs)],
+                             capture_output=True, text=True, check=True, timeout=300,
+                             env=dict(os.environ, PYTHONPATH=SRC_PATH,
+                                      MALLOC_MMAP_THRESHOLD_=str(1 << 20)))
+        assert int(out.stdout) < 3.5 * run_bytes
 
     def test_wrong_run_count_exit_2(self, tmp_path):
         cfg = write_config(tmp_path, phantom=dict(FAST_PHANTOM, n_runs=3))

@@ -86,6 +86,21 @@ class TestConcatenateRuns:
         single = task_regressor(design, 3.0, 30)
         np.testing.assert_allclose(task[:30], single, atol=1e-12)
 
+    def test_runs_become_views_of_the_stack(self):
+        run0, run1, design, _ = make_runs()
+        arrays = [run0.data, run1.data]
+        originals = [run0.data.copy(), run1.data.copy()]
+        runset = RunSet(runs=[run0, run1], designs=[design, design])
+        vol, _ = concatenate_runs(runset)
+        np.testing.assert_array_equal(vol.data, np.concatenate(originals, axis=3))
+        for run, original in zip(runset.runs, originals):
+            np.testing.assert_array_equal(run.data, original)
+            assert np.shares_memory(run.data, vol.data)
+        # the caller's Volume4D objects keep their own, unchanged arrays
+        for kept, array, original in zip((run0, run1), arrays, originals):
+            assert kept.data is array and not np.shares_memory(array, vol.data)
+            np.testing.assert_array_equal(array, original)
+
     def test_full_rank_when_runs_are(self):
         run0, run1, design, _ = make_runs(n_vols=100)
         _, matrix = concatenate_runs(RunSet(runs=[run0, run1], designs=[design, design]))

@@ -1,7 +1,5 @@
 """OLS fitting, t/p/z maps, and correlation maps against oracles."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 from scipy.stats import kstest
@@ -11,12 +9,17 @@ from boldkit.errors import (
     DegreesOfFreedomError,
     InestimableContrastError,
 )
-from boldkit.glm import _block_width, correlation_map, fit_glm, p_to_z, t_contrast, t_to_p
+from boldkit.glm import correlation_map, fit_glm, p_to_z, t_contrast, t_to_p
 from boldkit.phantom import AcquisitionParams, PhantomSpec, generate_phantom
 from boldkit.task_design import DesignMatrix, alternating_block_design
-from boldkit.volume_io import make_volume
+from boldkit.volume_io import block_width, make_volume
 
-from oracles import normal_equations_beta, p_upper_tail_quadrature, t_stat_normal_equations
+from oracles import (
+    normal_equations_beta,
+    p_upper_tail_quadrature,
+    t_stat_normal_equations,
+    traced_peak,
+)
 
 
 def design_of(values, tr=2.0):
@@ -234,16 +237,6 @@ class TestCorrelationMap:
         assert float(r.mean()) == pytest.approx(expected_r, abs=0.02)
 
 
-def traced_peak(fn, *args):
-    """Peak bytes numpy and Python allocate while fn(*args) runs."""
-    tracemalloc.start()
-    try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 class TestBlockedPasses:
     """fit_glm and correlation_map stream over column blocks of the voxel matrix."""
 
@@ -257,7 +250,7 @@ class TestBlockedPasses:
         other = rng.standard_normal(n)
         columns = [task, other, task + other] if rank_deficient else [task, other]
         X = np.column_stack(columns + [np.ones(n)])
-        width = _block_width(n)
+        width = block_width(n)
         v = 3 * width + 123  # four blocks, the last one partial
         Y = 1000.0 + 20.0 * rng.standard_normal((n, v))
         constant = [width + 5, v - 3]  # second and last block
@@ -316,7 +309,7 @@ class TestBlockedPasses:
 
     def test_fit_memory_stays_below_a_quarter_of_the_data(self):
         n = 100
-        v = 10 * _block_width(n) + 7
+        v = 10 * block_width(n) + 7
         rng = np.random.default_rng(32)
         design, _ = random_problem(rng, n=n, p=3, v=1)
         Y = rng.standard_normal((n, v))
@@ -324,7 +317,7 @@ class TestBlockedPasses:
 
     def test_correlation_memory_stays_below_a_quarter_of_the_data(self):
         n = 100
-        v = 10 * _block_width(n) + 7
+        v = 10 * block_width(n) + 7
         rng = np.random.default_rng(33)
         vol = make_volume(rng.standard_normal((v, 1, 1, n)))
         assert traced_peak(correlation_map, vol, rng.standard_normal(n)) < vol.data.nbytes / 4

@@ -26,7 +26,7 @@ from boldkit.preprocess import (
 )
 from boldkit.volume_io import make_volume
 
-from oracles import gaussian_kernel_3d, smooth_zero_padded
+from oracles import gaussian_kernel_3d, smooth_zero_padded, traced_peak
 
 VOXEL = (3.3, 3.3, 4.8)
 
@@ -383,6 +383,7 @@ class TestGaussianSmooth:
         ((1, 8, 1, 2), VOXEL, "F"),              # length-1 axes
         ((9, 8, 6, 1), VOXEL, "F"),              # a single volume
         ((7, 6, 5, 4), VOXEL, "C"),              # C-ordered input
+        ((10, 9, 7, 450), VOXEL, "F"),           # several chunks, the last one partial
     ])
     def test_matches_direct_3d_oracle(self, dims, voxel, order):
         rng = np.random.default_rng(14)
@@ -391,6 +392,14 @@ class TestGaussianSmooth:
         out = gaussian_smooth(vol, 8.0)
         expected = smooth_zero_padded(data, fwhm_to_sigma_vox(8.0, voxel))
         np.testing.assert_allclose(out.data, expected, rtol=1e-12, atol=0)
+
+    def test_memory_is_the_output_plus_two_mib(self):
+        # volumes are smoothed a ~1 MiB chunk at a time, so beyond the
+        # output only chunk-sized scratch is allocated
+        rng = np.random.default_rng(16)
+        vol = make_volume(rng.standard_normal((24, 24, 21, 30)), voxel_size_mm=VOXEL,
+                          tr_seconds=3.0)
+        assert traced_peak(gaussian_smooth, vol, 8.0) < vol.data.nbytes + 2 * 2**20
 
     def test_kernel_wider_than_axis_is_clipped(self):
         # a 1e-30 mm voxel puts the 4-sigma radius far beyond any axis;
