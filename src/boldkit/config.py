@@ -14,9 +14,11 @@ import json
 import os
 from dataclasses import dataclass, field
 
+from .duration import CONDITIONS
 from .errors import ConfigError
+from .task_design import BlockDesign
 
-DURATION_MODES = ("single", "concatenate", "average")
+DURATION_MODES = tuple(mode for mode, _ in CONDITIONS)
 SLICE_ORDER_NAMES = ("interleaved", "sequential")
 
 
@@ -68,13 +70,6 @@ def _three(item, message: str):
 _BOOLEAN = _is(lambda v: isinstance(v, bool), "must be a boolean")
 
 
-def _contrast(key, value):
-    if isinstance(value, str):
-        _require(value == "task", key, "string form must be 'task'")
-    else:
-        _items(_number(), "must be 'task' or a list of weights", bool)(key, value)
-
-
 # Every config key, in validation order. A root key maps to its check
 # (its default is the PipelineConfig field); a section maps each of its
 # keys to (default, check).
@@ -116,7 +111,7 @@ SCHEMA = {
     },
     "glm": {
         "cutoff_hz": (0.005, _number(low=1e-9)),
-        "contrast": ("task", _contrast),
+        "contrast": ("task", _is(lambda v: v == "task", "must be 'task'")),
         "two_sided": (False, _BOOLEAN),
     },
     "inference": {
@@ -210,6 +205,10 @@ def validate_config(raw: dict) -> PipelineConfig:
         if name == "task":
             _require(len(section["onsets_s"]) == len(section["durations_s"]),
                      "task.durations_s", "must match onsets_s in length")
+            try:  # BlockDesign states the paradigm's rules
+                BlockDesign(section["onsets_s"], section["durations_s"], section["run_length_s"])
+            except ValueError as exc:
+                raise ConfigError(f"config key 'task': {exc}") from exc
 
     cfg.seed, cfg.threads = int(cfg.seed), int(cfg.threads)
     if cfg.runs is not None:

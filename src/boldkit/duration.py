@@ -22,9 +22,9 @@ from .task_design import (
 )
 from .volume_io import Volume4D
 
-CONDITION_SINGLE = "single"
-CONDITION_CONCATENATED = "concatenated"
-CONDITION_AVERAGED = "averaged"
+# The study's conditions in order: each duration_mode and the name the
+# duration study reports it under.
+CONDITIONS = (("single", "single"), ("concatenate", "concatenated"), ("average", "averaged"))
 
 
 @dataclass
@@ -48,10 +48,6 @@ class RunSet:
                 raise ShapeError("runs differ in voxel geometry")
             if abs(h.tr_seconds - first.tr_seconds) > 1e-9:
                 raise ShapeError("runs differ in TR")
-
-    def designs_identical(self) -> bool:
-        d0 = self.designs[0]
-        return all(d == d0 for d in self.designs[1:])
 
 
 def _design(designs, tr_s: float, n_per_run, cutoff_hz: float) -> DesignMatrix:
@@ -112,10 +108,7 @@ def concatenate_runs(runset: RunSet,
 
 def average_runs(runset: RunSet) -> Volume4D:
     """Voxelwise mean across runs at each time point (nt unchanged)."""
-    n_vols = {run.n_vols for run in runset.runs}
-    if len(n_vols) != 1:
-        raise DesignMismatchError("averaging requires identical run lengths")
-    if not runset.designs_identical():
+    if any(design != runset.designs[0] for design in runset.designs[1:]):
         raise DesignMismatchError("averaging requires identical task designs across runs")
     # a running sum adds in the same order as np.mean over stacked runs
     data = runset.runs[0].data + runset.runs[1].data
@@ -252,12 +245,3 @@ class RobustnessRow:
     lsd: float
     tv: float
     peak_r: float
-
-    def as_dict(self) -> dict:
-        return {
-            "condition": self.condition,
-            "roi": self.roi,
-            "lsd": self.lsd,
-            "tv": self.tv,
-            "peak_r": self.peak_r,
-        }

@@ -111,10 +111,9 @@ class PhantomSpec:
 
 @dataclass
 class AcquisitionParams:
-    """Sampling parameters of one run. te_ms is carried as metadata only."""
+    """Sampling parameters of one run."""
 
     tr_s: float = 3.0
-    te_ms: float = 85.0
     n_vols: int = 100
 
     def __post_init__(self):

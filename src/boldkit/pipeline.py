@@ -7,20 +7,19 @@ streams are written with a pinned mtime.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import re
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from . import __version__
 from .config import PipelineConfig
 from .duration import (
-    CONDITION_AVERAGED,
-    CONDITION_CONCATENATED,
-    CONDITION_SINGLE,
+    CONDITIONS,
     RobustnessRow,
     RunSet,
     average_runs,
@@ -31,7 +30,7 @@ from .duration import (
     single_run_design,
     total_variation,
 )
-from .errors import ConfigError, DataError, ShapeError
+from .errors import ConfigError, DataError
 from .glm import StatMaps, correlation_map, fit_glm, t_contrast
 from .inference import (
     cluster_table,
@@ -49,7 +48,7 @@ from .preprocess import (
     sequential_order,
     slice_timing_correct,
 )
-from .task_design import BlockDesign, DesignMatrix, LABEL_TASK
+from .task_design import BlockDesign, DesignMatrix, LABEL_TASK, dct_highpass_basis
 from .volume_io import (
     Volume4D,
     fold_voxels,
@@ -69,7 +68,11 @@ class OutputTracker:
     def __init__(self, out_dir):
         self.out_dir = str(out_dir)
         self.files = []
-        os.makedirs(self.out_dir, exist_ok=True)
+        try:
+            os.makedirs(self.out_dir, exist_ok=True)
+        except OSError as exc:  # a file, or under one
+            raise ConfigError(f"config key 'output_dir': cannot create directory "
+                              f"{self.out_dir}: {exc.strerror}") from exc
 
     def __enter__(self):
         return self
@@ -83,7 +86,13 @@ class OutputTracker:
                     pass
 
     def path(self, name: str) -> str:
+        """Where to write output name. Whatever the name held is removed
+        first, so the output is a new file: a symlink there is replaced,
+        not written through, and no file is truncated and rewritten in
+        place, which ext4 flushes to disk on close (tens of ms a file)."""
         full = os.path.join(self.out_dir, name)
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(full)
         self.files.append(full)
         return full
 
@@ -129,7 +138,7 @@ def phantom_pieces(cfg: PipelineConfig):
         field_tesla=p["field_tesla"],
         seed=cfg.seed,
     )
-    acq = AcquisitionParams(tr_s=p["tr_s"], te_ms=p["te_ms"], n_vols=int(p["n_vols"]))
+    acq = AcquisitionParams(tr_s=p["tr_s"], n_vols=int(p["n_vols"]))
     return spec, acq
 
 
@@ -155,9 +164,6 @@ def load_runs(cfg: PipelineConfig, n_used: int | None = None):
             vol, truth = generate_phantom(spec, acq, design, run_index=r)
             runs.append(vol)
         return runs, design, truth
-    for path in cfg.runs:
-        if not os.path.exists(path):
-            raise DataError(f"input run not found: {path}")
     with ThreadPoolExecutor(max_workers=min(cfg.threads, len(cfg.runs))) as pool:
         runs = list(pool.map(read_nifti, cfg.runs))
     return runs[:n_used], design, None
@@ -185,26 +191,10 @@ def preprocess_runs(runs: list, cfg: PipelineConfig) -> None:
             runs[i] = gaussian_smooth(runs[i], pre["fwhm_mm"])
 
 
-def contrast_vector(cfg: PipelineConfig, design: DesignMatrix) -> np.ndarray:
-    contrast = cfg.glm["contrast"]
-    if isinstance(contrast, str):
-        task_cols = design.columns_labeled(LABEL_TASK)
-        if task_cols.size == 0:
-            raise DataError("design has no task column to contrast")
-        c = np.zeros(design.n_cols)
-        c[task_cols[0]] = 1.0
-        return c
-    c = np.asarray(contrast, dtype=np.float64)
-    if c.size != design.n_cols:
-        raise ShapeError(f"contrast has {c.size} weights but the design has {design.n_cols} columns")
-    return c
-
-
 @dataclass
 class AnalysisResult:
     """Stat maps and inference products of one GLM analysis."""
 
-    design: DesignMatrix
     stats3d: StatMaps
     mask: np.ndarray
     rejected: np.ndarray
@@ -218,12 +208,14 @@ class AnalysisResult:
 def analyze_volume(vol: Volume4D, design: DesignMatrix, cfg: PipelineConfig) -> AnalysisResult:
     """GLM fit, FDR over the in-brain mask, and cluster extraction.
 
-    The in-brain mask is every voxel whose series is not constant and
-    whose fit is not degenerate.
+    The contrast is the design's task column. The in-brain mask is every
+    voxel whose series is not constant and whose fit is not degenerate.
     """
     shape = vol.spatial_dims
+    task = design.columns_labeled(LABEL_TASK)[0]
     fit = fit_glm(voxel_series(vol), design)
-    c = contrast_vector(cfg, design)
+    c = np.zeros(design.n_cols)
+    c[task] = 1.0
     stats = t_contrast(fit, c, two_sided=cfg.glm["two_sided"])
 
     t3 = fold_voxels(stats.t, shape)
@@ -245,17 +237,14 @@ def analyze_volume(vol: Volume4D, design: DesignMatrix, cfg: PipelineConfig) -> 
         threshold = result.p_threshold
 
     clusters = extract_clusters(rejected, stats3d, cfg.inference["connectivity"])
-    task_col = design.columns_labeled(LABEL_TASK)
-    regressor = design.values[:, task_col[0]] if task_col.size else np.zeros(design.n_rows)
     return AnalysisResult(
-        design=design,
         stats3d=stats3d,
         mask=mask,
         rejected=rejected,
         adjusted_p=adjusted,
         p_threshold=threshold,
         clusters=clusters,
-        regressor=regressor,
+        regressor=design.values[:, task],
         n_degenerate=int(degenerate3.sum()),
     )
 
@@ -310,10 +299,17 @@ def _prepare_condition(cfg: PipelineConfig, runs, design: BlockDesign, mode: str
     runset = RunSet(runs=runs, designs=[design] * len(runs))
     if mode == "concatenate":
         return concatenate_runs(runset, cutoff_hz=cutoff)
-    if mode == "average":
-        vol = average_runs(runset)
-        return vol, single_run_design(design, tr, vol.n_vols, cutoff_hz=cutoff)
-    raise ConfigError(f"config key 'duration_mode': unknown mode {mode!r}")
+    vol = average_runs(runset)
+    return vol, single_run_design(design, tr, vol.n_vols, cutoff_hz=cutoff)
+
+
+def _check_cutoff(cfg: PipelineConfig, runs) -> None:
+    """Fail before preprocessing when glm.cutoff_hz is at or above the
+    Nyquist frequency of the runs' TR; the drift basis states the rule."""
+    try:
+        dct_highpass_basis(runs[0].n_vols, runs[0].header.tr_seconds, cfg.glm["cutoff_hz"])
+    except ValueError as exc:
+        raise ConfigError(f"config key 'glm.cutoff_hz': {exc}") from exc
 
 
 def run_analyze(cfg: PipelineConfig) -> list:
@@ -323,6 +319,7 @@ def run_analyze(cfg: PipelineConfig) -> list:
     runs, design, _ = load_runs(cfg, n_used=1 if mode == "single" else None)
     if mode in ("concatenate", "average") and len(runs) < 2:
         raise DataError(f"duration mode '{mode}' needs at least two runs, got {len(runs)}")
+    _check_cutoff(cfg, runs)
 
     preprocess_runs(runs, cfg)
     vol, design_matrix = _prepare_condition(cfg, runs, design, mode)
@@ -352,14 +349,14 @@ def run_duration_study(cfg: PipelineConfig) -> list:
     runs, design, truth = load_runs(cfg)
     if len(runs) != 2:
         raise ConfigError(f"config key 'runs': duration study needs exactly 2 runs, got {len(runs)}")
+    _check_cutoff(cfg, runs)
 
     preprocess_runs(runs, cfg)
 
     # one condition at a time: its volume is dropped before the next is built;
     # after concatenation the runs are views of the stack, which averaging reads
     t_maps, r_maps, counts = {}, {}, {}
-    for name, mode in ((CONDITION_SINGLE, "single"), (CONDITION_CONCATENATED, "concatenate"),
-                       (CONDITION_AVERAGED, "average")):
+    for mode, name in CONDITIONS:
         vol, matrix = _prepare_condition(cfg, runs, design, mode)
         result = analyze_volume(vol, matrix, cfg)
         r_maps[name], _ = correlation_map(vol, result.regressor)
@@ -367,7 +364,7 @@ def run_duration_study(cfg: PipelineConfig) -> list:
         t_maps[name] = result.stats3d.t
         counts[name] = {"n_rejected": int(result.rejected.sum()),
                         "n_clusters": len(result.clusters)}
-        if name == CONDITION_CONCATENATED:
+        if mode == "concatenate":
             concatenated_rejected = result.rejected
 
     dims = runs[0].spatial_dims
@@ -382,7 +379,7 @@ def run_duration_study(cfg: PipelineConfig) -> list:
     nontargets = non_target_rois(dims, activation_mask, seed=cfg.seed)
 
     rows = []
-    for condition in (CONDITION_SINGLE, CONDITION_CONCATENATED, CONDITION_AVERAGED):
+    for _, condition in CONDITIONS:
         t_map = t_maps[condition]
         finite_t = np.where(np.isfinite(t_map), t_map, 0.0)
         for roi_name, roi in list(targets.items()) + list(nontargets.items()):
@@ -398,10 +395,10 @@ def run_duration_study(cfg: PipelineConfig) -> list:
 
     with OutputTracker(cfg.output_dir) as out:
         out.json("robustness.json", {
-            "conditions": [CONDITION_SINGLE, CONDITION_CONCATENATED, CONDITION_AVERAGED],
+            "conditions": [condition for _, condition in CONDITIONS],
             "target_rois": sorted(targets),
             "non_target_rois": sorted(nontargets),
-            "rows": [row.as_dict() for row in rows],
+            "rows": [asdict(row) for row in rows],
         })
         with open(out.path("comparison.csv"), "w") as fh:
             fh.write("condition,roi,lsd,tv,peak_r\n")

@@ -141,21 +141,20 @@ def _header_dtype(byteorder: str) -> np.dtype:
 
 @dataclass
 class VolumeHeader:
-    """Geometry and scaling metadata of a 4-D volume.
+    """Geometry metadata of a 4-D volume.
 
     dims are (nx, ny, nz, nt), voxel_size_mm covers the three spatial axes
     (slice gap folded into the z pitch), tr_seconds is the volume
-    repetition time. orientation holds raw qform/sform header fields for
-    verbatim pass-through.
+    repetition time. datatype_code is the voxel datatype of the file the
+    volume was read from (float32, as written, for one built in memory).
+    orientation holds raw qform/sform header fields for verbatim
+    pass-through.
     """
 
     dims: tuple[int, int, int, int]
     voxel_size_mm: tuple[float, float, float] = (3.3, 3.3, 4.8)
     tr_seconds: float = 3.0
     datatype_code: int = FLOAT32_CODE
-    scl_slope: float = 1.0
-    scl_inter: float = 0.0
-    magic: bytes = MAGIC_SINGLE
     orientation: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -403,16 +402,20 @@ def read_nifti(path) -> Volume4D:
     with identical data and errors either way. One DEBUG record per read
     names the inflater, the file and raw bytes and the seconds taken.
 
-    Raises FormatError for a malformed header or gzip stream or for
-    non-finite data after scaling, UnsupportedDatatypeError for datatypes
-    outside the supported set, and TruncatedFileError when the data
-    section is short, or longer than the file could hold (checked before
-    reading it).
+    Raises DataError when the path cannot be opened (missing, a
+    directory, unreadable), FormatError for a malformed header or gzip
+    stream or for non-finite data after scaling, UnsupportedDatatypeError
+    for datatypes outside the supported set, and TruncatedFileError when
+    the data section is short, or longer than the file could hold
+    (checked before reading it).
     """
     start = time.perf_counter()
-    with open(path, "rb") as fh:
-        gzipped = fh.read(2) == GZIP_MAGIC
-        file_bytes = os.fstat(fh.fileno()).st_size
+    try:
+        with open(path, "rb") as fh:
+            gzipped = fh.read(2) == GZIP_MAGIC
+            file_bytes = os.fstat(fh.fileno()).st_size
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc.strerror}") from exc
     found = None
     inflater = "zlib" if gzipped else "none"
     if gzipped and (inflate := _libdeflate()) is not None:
@@ -445,9 +448,6 @@ def read_nifti(path) -> Volume4D:
         voxel_size_mm=vox,
         tr_seconds=tr,
         datatype_code=layout.code,
-        scl_slope=float(header["scl_slope"]),
-        scl_inter=inter,
-        magic=MAGIC_SINGLE,
         orientation=orientation,
     )
     try:

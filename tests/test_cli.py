@@ -572,3 +572,68 @@ class TestMisc:
 
     def test_no_command_shows_help(self, capsys):
         assert main([]) == 2
+
+
+class TestOutputFiles:
+    def test_symlink_at_an_output_name_is_replaced_not_followed(self, tmp_path):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "an"
+        out.mkdir()
+        target = tmp_path / "elsewhere.nii.gz"
+        target.write_bytes(b"not an output")
+        (out / "t_map.nii.gz").symlink_to(target)
+        assert main(["analyze", "--config", cfg, "--out", str(out)]) == 0
+        assert target.read_bytes() == b"not an output"
+        assert not (out / "t_map.nii.gz").is_symlink()
+        assert (out / "t_map.nii.gz").is_file()
+
+
+def task_args(tmp_path, **task):
+    return ["--config", write_config(tmp_path, task=dict(FAST_TASK, **task))]
+
+
+def directory_runs_args(tmp_path):
+    run = tmp_path / "run-dir.nii.gz"
+    run.mkdir()
+    return ["--config", write_runs_config(tmp_path, [str(run), str(run)])]
+
+
+def file_output_args(tmp_path, under=""):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    return ["--config", write_config(tmp_path), "--out", os.path.join(str(blocker), under)]
+
+
+class TestInputErrors:
+    """A bad input exits 2 (naming the config key) or 3 (naming the path)
+    with a one-line message, never with a traceback."""
+
+    BAD_INPUTS = {
+        "onsets_not_increasing": (2, "config key 'task'",
+                                  lambda tmp: task_args(tmp, onsets_s=[30.0, 0.0, 60.0])),
+        "zero_duration": (2, "config key 'task'",
+                          lambda tmp: task_args(tmp, durations_s=[15.0, 0.0, 15.0])),
+        "block_past_run_end": (2, "config key 'task'",
+                               lambda tmp: task_args(tmp, durations_s=[15.0, 15.0, 45.0])),
+        "overlapping_blocks": (2, "config key 'task'",
+                               lambda tmp: task_args(tmp, durations_s=[45.0, 15.0, 15.0])),
+        "cutoff_above_nyquist": (2, "config key 'glm.cutoff_hz'", lambda tmp: [
+            "--config", write_config(tmp, glm={"cutoff_hz": 0.5})]),  # Nyquist at TR 3 s: 1/6 Hz
+        "run_is_a_directory": (3, "run-dir.nii.gz", directory_runs_args),
+        "output_dir_is_a_file": (2, "config key 'output_dir'", file_output_args),
+        "output_dir_under_a_file": (2, "config key 'output_dir'",
+                                    lambda tmp: file_output_args(tmp, under="out")),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+    def test_exit_code_and_one_line_message(self, tmp_path, capsys, case):
+        code, named, args = self.BAD_INPUTS[case]
+        assert main(["analyze", "--out", str(tmp_path / "an"), *args(tmp_path)]) == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert re.fullmatch(r"boldkit: (config|data) error: .+\n", err)
+        assert named in err
+
+    def test_contrast_weight_list_rejected(self):
+        with pytest.raises(ConfigError, match=re.escape("config key 'glm.contrast'")):
+            validate_config({"glm": {"contrast": [1, 0, 0, 0, 0]}})
