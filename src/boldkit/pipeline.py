@@ -7,7 +7,6 @@ streams are written with a pinned mtime.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import os
 import re
@@ -89,10 +88,15 @@ class OutputTracker:
         """Where to write output name. Whatever the name held is removed
         first, so the output is a new file: a symlink there is replaced,
         not written through, and no file is truncated and rewritten in
-        place, which ext4 flushes to disk on close (tens of ms a file)."""
+        place, which ext4 flushes to disk on close (tens of ms a file). A
+        name that cannot be removed, such as a directory, is a data error."""
         full = os.path.join(self.out_dir, name)
-        with contextlib.suppress(FileNotFoundError):
+        try:
             os.remove(full)
+        except FileNotFoundError:
+            pass
+        except OSError as exc:
+            raise DataError(f"cannot replace output {full}: {exc.strerror}") from exc
         self.files.append(full)
         return full
 
@@ -315,6 +319,7 @@ def _check_cutoff(cfg: PipelineConfig, runs) -> None:
 def run_analyze(cfg: PipelineConfig) -> list:
     """Preprocess, fit, threshold, and report one analysis."""
     mode = cfg.duration_mode
+    out = OutputTracker(cfg.output_dir)  # a bad output_dir fails before the work
     # single mode analyses run 1 only; the other runs are never preprocessed
     runs, design, _ = load_runs(cfg, n_used=1 if mode == "single" else None)
     if mode in ("concatenate", "average") and len(runs) < 2:
@@ -325,7 +330,7 @@ def run_analyze(cfg: PipelineConfig) -> list:
     vol, design_matrix = _prepare_condition(cfg, runs, design, mode)
     result = analyze_volume(vol, design_matrix, cfg)
 
-    with OutputTracker(cfg.output_dir) as out:
+    with out:
         out.map("t_map.nii.gz", result.stats3d.t, vol)
         out.map("z_map.nii.gz", result.stats3d.z, vol)
         out.map("p_fdr_adjusted.nii.gz", np.minimum(result.adjusted_p, ADJUSTED_P_CEILING), vol)
@@ -346,6 +351,7 @@ def run_analyze(cfg: PipelineConfig) -> list:
 
 def run_duration_study(cfg: PipelineConfig) -> list:
     """Single vs concatenated vs averaged comparison on a two-run set."""
+    out = OutputTracker(cfg.output_dir)  # a bad output_dir fails before the work
     runs, design, truth = load_runs(cfg)
     if len(runs) != 2:
         raise ConfigError(f"config key 'runs': duration study needs exactly 2 runs, got {len(runs)}")
@@ -393,7 +399,7 @@ def run_duration_study(cfg: PipelineConfig) -> list:
                 )
             )
 
-    with OutputTracker(cfg.output_dir) as out:
+    with out:
         out.json("robustness.json", {
             "conditions": [condition for _, condition in CONDITIONS],
             "target_rois": sorted(targets),

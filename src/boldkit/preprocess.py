@@ -24,7 +24,8 @@ from .volume_io import Volume4D, block_width, fold_voxels, voxel_series
 FWHM_TO_SIGMA = 1.0 / (2.0 * np.sqrt(2.0 * np.log(2.0)))
 KERNEL_TRUNCATE_SIGMAS = 4.0
 # Slice timing switches from an nt x nt matrix product to an FFT above this
-# many volumes: on a 2-vCPU x86 VM the matrix was faster up to about 1500.
+# many volumes. On a 2-vCPU x86 VM (32x32x4 slices) the two paths tie near
+# 2000 volumes; the switch stays at 1024 until a benchmark covers longer runs.
 _MAX_MATRIX_VOLS = 1024
 
 logger = logging.getLogger(__name__)
@@ -176,28 +177,23 @@ _ROTATION_GENERATORS = np.array([
 ])
 
 
-def _rotation_derivatives(rotation_rad):
-    """dR/drx, dR/dry, dR/drz of ``rotation_matrix`` (R = Rz Ry Rx)."""
-    rx, ry, rz = rotation_rad
-    mx = rotation_matrix([rx, 0.0, 0.0])
-    my = rotation_matrix([0.0, ry, 0.0])
-    mz = rotation_matrix([0.0, 0.0, rz])
-    kx, ky, kz = _ROTATION_GENERATORS
-    return mz @ my @ mx @ kx, mz @ my @ ky @ mx, kz @ mz @ my @ mx
+def _euler_angles(rot) -> np.ndarray:
+    """The angles (rx, ry, rz) whose ``rotation_matrix`` is rot (R = Rz Ry Rx)."""
+    return np.array([np.arctan2(rot[2, 1], rot[2, 2]),
+                     np.arcsin(np.clip(-rot[2, 0], -1.0, 1.0)),
+                     np.arctan2(rot[1, 0], rot[0, 0])])
+
+
+def _compose_inverse(params, step) -> np.ndarray:
+    """Parameters of W_params o W_step^-1 for the maps W: p -> R(p - c) + c + t,
+    which rotate by R_params R_step^T and translate by t_params - R t_step."""
+    rot = rotation_matrix(params[3:]) @ rotation_matrix(step[3:]).T
+    return np.concatenate([params[:3] - rot @ step[:3], _euler_angles(rot)])
 
 
 def invert_rigid(motion: RigidMotion) -> RigidMotion:
     """Parameters of the inverse transform (same axis-order convention)."""
-    rot = rotation_matrix(motion.rotation_rad)
-    inv_rot = rot.T
-    # Euler angles of the transposed matrix under the z@y@x composition
-    ry = np.arcsin(-inv_rot[2, 0])
-    rx = np.arctan2(inv_rot[2, 1], inv_rot[2, 2])
-    rz = np.arctan2(inv_rot[1, 0], inv_rot[0, 0])
-    return RigidMotion(
-        translation_mm=-(inv_rot @ motion.translation_mm),
-        rotation_rad=np.array([rx, ry, rz]),
-    )
+    return RigidMotion.from_params(_compose_inverse(np.zeros(6), motion.params))
 
 
 def _rigid_matrix_offset(shape, motion: RigidMotion, voxel):
@@ -223,9 +219,17 @@ def resample_rigid(data3d: np.ndarray, motion: RigidMotion, voxel_size_mm) -> np
     )
 
 
+_SPLINE_ORDER = 3
+# cubic B-spline taps at offsets -1, 0, 1: its slope, and its value at the nodes
+_SPLINE_SLOPE_TAPS = np.array([-0.5, 0.0, 0.5])
+_SPLINE_NODE_TAPS = np.array([1.0, 4.0, 1.0]) / 6.0
+# differences below 1000 units in the last place of the data are rounding
+_ROUNDING = 1000.0 * np.finfo(np.float64).eps
+
+
 class _ScoringDomain:
     """The fixed central voxel set every volume of a series is scored on,
-    with the reference's values there.
+    with the reference's values and Jacobian there.
 
     Scoring a domain that depends on the parameters (an overlap mask)
     lets the optimizer trade alignment for mask placement and biases the
@@ -233,6 +237,10 @@ class _ScoringDomain:
     samples inside the field of view for the motion magnitudes being
     estimated. One domain serves all registrations of a series, which
     only read it.
+
+    The Jacobian holds the derivatives of the reference's cubic spline at
+    each voxel under a small rigid motion; gradient values within rounding
+    are zero, so a direction it does not respond to has a zero column.
     """
 
     ERODE_VOX = 3
@@ -242,15 +250,23 @@ class _ScoringDomain:
         self.shape = np.array(reference.shape)
         margins = [min(self.ERODE_VOX, max(0, (n - 1) // 3)) for n in reference.shape]
         domain = tuple(slice(m, n - m) for m, n in zip(margins, reference.shape))
-        grids = np.meshgrid(
-            *[np.arange(n, dtype=np.float64)[d] for n, d in zip(reference.shape, domain)],
-            indexing="ij",
-        )
-        self.grid = np.stack([g.ravel() for g in grids], axis=0)
-        center_mm = (self.shape - 1.0) / 2.0 * self.voxel
-        self.offsets_mm = self.grid * self.voxel[:, np.newaxis] - center_mm[:, np.newaxis]
+        self.grid = np.indices(self.shape, dtype=np.float64)[(slice(None), *domain)].reshape(3, -1)
         self.reference_values = reference[domain].ravel()
-        self.reference_magnitude = np.abs(self.reference_values).max(initial=0.0)
+        coefficients = ndimage.spline_filter(reference, order=_SPLINE_ORDER)
+        self.reference_magnitude = np.abs(coefficients).max(initial=0.0)
+        gradient = np.empty(self.grid.shape)
+        for axis in range(3):
+            taps = [_SPLINE_SLOPE_TAPS if k == axis else _SPLINE_NODE_TAPS for k in range(3)]
+            kernel = np.einsum("i,j,k->ijk", *taps)
+            gradient[axis] = ndimage.correlate(coefficients, kernel, mode="mirror")[domain].ravel()
+        gradient[np.abs(gradient) <= _ROUNDING * self.reference_magnitude] = 0.0
+        column_voxel = self.voxel[:, np.newaxis]
+        gradient /= column_voxel
+        # rotation k moves the sample at offset o from the center by generator_k @ o
+        offsets_mm = (self.grid - (self.shape[:, np.newaxis] - 1.0) / 2.0) * column_voxel
+        rotated = _ROTATION_GENERATORS @ offsets_mm
+        self.jacobian = np.concatenate([gradient, np.einsum("jn,kjn->kn", gradient, rotated)]).T
+        self.normal = self.jacobian.T @ self.jacobian
 
 
 class _AlignmentCost:
@@ -263,16 +279,12 @@ class _AlignmentCost:
     reference there, with their mean square as the cost.
     """
 
-    ORDER = 3
-    # differences below this many units in the last place of the data
-    # are rounding, not signal
-    ROUNDING_ULPS = 1000.0
-
     def __init__(self, moving, domain: _ScoringDomain):
-        self.filtered = ndimage.spline_filter(moving, order=self.ORDER)
+        self.filtered = ndimage.spline_filter(moving, order=_SPLINE_ORDER)
         self.domain = domain
         magnitude = max(np.abs(self.filtered).max(initial=0.0), domain.reference_magnitude)
-        self.rounding = self.ROUNDING_ULPS * np.finfo(np.float64).eps * magnitude
+        self.rounding = _ROUNDING * magnitude
+        self.flat = np.ptp(moving) <= self.rounding  # does not respond to motion
         self.evaluations = 0
 
     def __call__(self, params):
@@ -284,7 +296,7 @@ class _AlignmentCost:
         coords = matrix @ domain.grid
         coords += offset[:, np.newaxis]
         sampled = ndimage.map_coordinates(
-            self.filtered, coords, order=self.ORDER, mode="constant", cval=0.0,
+            self.filtered, coords, order=_SPLINE_ORDER, mode="constant", cval=0.0,
             prefilter=False,
         )
         residual = sampled - domain.reference_values
@@ -293,28 +305,7 @@ class _AlignmentCost:
             raise NumericError("non-finite registration cost")
         return residual, cost
 
-    def jacobian(self, params, residual):
-        """Derivatives of the residuals, one column per parameter.
 
-        A translation shifts every sample along one voxel axis, so forward
-        differences in the three translations give the image gradient at
-        the sampled positions; the rotation columns follow from it by the
-        chain rule through dR/dangle. A probe that moves no sample beyond
-        rounding carries no information and leaves its column zero.
-        """
-        jac = np.zeros((residual.size, 6))
-        for axis in range(3):
-            probe = params.copy()
-            probe[axis] += _FD_STEP_MM
-            delta = self(probe)[0] - residual
-            if np.abs(delta).max() > self.rounding:
-                jac[:, axis] = delta / _FD_STEP_MM
-        for k, d_rot in enumerate(_rotation_derivatives(params[3:])):
-            jac[:, 3 + k] = np.einsum("nj,jn->n", jac[:, :3], d_rot @ self.domain.offsets_mm)
-        return jac
-
-
-_FD_STEP_MM = 1e-4
 # 1 mm of translation and 0.02 rad of rotation move the domain's samples
 # by comparable distances, so the step tolerance scales the same way
 _STEP_TOL = 1e-7 * np.array([1.0, 1.0, 1.0, 0.02, 0.02, 0.02])
@@ -325,10 +316,13 @@ _DAMPING_MAX = 1e10
 
 
 def _levenberg_marquardt(cost):
-    """Damped Gauss-Newton descent on ``cost`` from zero motion.
+    """Inverse-compositional damped Gauss-Newton descent on ``cost`` from
+    zero motion; a flat moving volume keeps it.
 
-    Each iteration solves the Marquardt-scaled 6x6 normal equations for
-    a step and accepts it only if the exact cost falls, raising the
+    Each iteration solves (H + damping diag H) step = J^T r, with the
+    domain's fixed Jacobian J and normal matrix H, for the motion of the
+    reference that explains the residual r, and composes the estimate
+    with its inverse only if the exact cost then falls, raising the
     damping and re-solving otherwise. Stops when the step falls below
     the parameter tolerance, when an accepted step improves the cost by
     less than the relative tolerance, or when the damping saturates.
@@ -336,26 +330,27 @@ def _levenberg_marquardt(cost):
     """
     x = np.zeros(6)
     residual, current = cost(x)
+    if cost.flat:
+        return x, current, 0
+    jacobian, normal = cost.domain.jacobian, cost.domain.normal
     damping = _DAMPING_START
     for iteration in range(1, _MAX_ITERATIONS + 1):
-        jac = cost.jacobian(x, residual)
-        gradient = jac.T @ residual
-        normal = jac.T @ jac
-        del jac  # so the next Jacobian does not coexist with this one
+        gradient = jacobian.T @ residual
         while True:
             lhs = normal + damping * np.diag(np.diag(normal))
             # lstsq: a zero column (no information) makes lhs singular
-            step = np.linalg.lstsq(lhs, -gradient, rcond=None)[0]
+            step = np.linalg.lstsq(lhs, gradient, rcond=None)[0]
             if np.all(np.abs(step) <= _STEP_TOL):
                 return x, current, iteration
-            trial_residual, trial = cost(x + step)
+            trial_x = _compose_inverse(x, step)
+            trial_residual, trial = cost(trial_x)
             if trial < current:
                 break
             damping *= 10.0
             if damping > _DAMPING_MAX:
                 return x, current, iteration
         converged = current - trial <= _COST_RTOL * current
-        x, residual, current = x + step, trial_residual, trial
+        x, residual, current = trial_x, trial_residual, trial
         damping = max(damping / 10.0, _DAMPING_START)
         if converged:
             break
@@ -367,11 +362,13 @@ def estimate_motion(vol: Volume4D, reference_index: int = 0, threads: int | None
 
     Minimizes the mean squared intensity difference between the cubic
     spline-resampled volume and the reference, scored over a fixed
-    border-eroded domain, by damped Gauss-Newton (Levenberg-Marquardt)
-    least squares from zero motion; the Jacobian combines forward-difference
-    image gradients with the analytic derivative of the rigid map.
-    The reference volume gets exact identity parameters; a volume whose
-    samples do not respond to motion (flat or empty) keeps identity.
+    border-eroded domain, by inverse-compositional Levenberg-Marquardt
+    from zero motion (Baker & Matthews 2004): the Jacobian comes from the
+    reference's spline gradient, once per series, so each iteration
+    resamples the moving volume once. The reference volume gets exact
+    identity parameters; a volume whose range is within rounding (flat or
+    empty) keeps identity. One WARNING gives the rank of a reference's
+    normal matrix below 6 (flat, or constant along an axis).
 
     Volumes are registered independently, up to ``threads`` at once
     (default: the usable CPUs); the resampling releases the GIL. Each
@@ -388,6 +385,9 @@ def estimate_motion(vol: Volume4D, reference_index: int = 0, threads: int | None
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
     domain = _ScoringDomain(vol.data[..., reference_index], vol.header.voxel_size_mm)
+    if (rank := np.linalg.matrix_rank(domain.normal)) < 6:
+        logger.warning("reference volume %d: normal matrix rank %d of 6, so not every "
+                       "motion parameter is constrained", reference_index, rank)
     moving = [i for i in range(nt) if i != reference_index]
 
     def register(i):

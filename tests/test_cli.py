@@ -587,6 +587,25 @@ class TestOutputFiles:
         assert not (out / "t_map.nii.gz").is_symlink()
         assert (out / "t_map.nii.gz").is_file()
 
+    def test_directory_at_an_output_name_is_a_data_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "an"
+        (out / "clusters.json").mkdir(parents=True)
+        assert main(["analyze", "--config", cfg, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert re.fullmatch(r"boldkit: data error: .+\n", err)
+        assert str(out / "clusters.json") in err
+        # the maps and clusters.csv written before it are removed
+        assert os.listdir(out) == ["clusters.json"]
+
+    @pytest.mark.parametrize("command", ["analyze", "duration-study"])
+    def test_file_as_output_dir_fails_before_the_work(self, tmp_path, monkeypatch, command):
+        calls = []
+        monkeypatch.setattr(pipeline, "preprocess_runs", lambda *args: calls.append(args))
+        assert main([command, *file_output_args(tmp_path)]) == 2
+        assert calls == []
+
 
 def task_args(tmp_path, **task):
     return ["--config", write_config(tmp_path, task=dict(FAST_TASK, **task))]

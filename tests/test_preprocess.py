@@ -4,6 +4,7 @@ import logging
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from boldkit import preprocess
 from boldkit.errors import InsufficientDataError, NumericError, ShapeError
@@ -195,6 +196,20 @@ class TestRigidTransforms:
         with pytest.raises(ShapeError):
             apply_motion(vol, [RigidMotion()])
 
+    def test_composed_inverse_then_step_gives_params_back(self):
+        def rigid_map(params, points, center):  # p -> R(p - c) + c + t
+            return (points - center) @ rotation_matrix(params[3:]).T + center + params[:3]
+
+        rng = np.random.default_rng(12)
+        center = np.array([20.0, -7.0, 11.0])
+        points = rng.uniform(-40.0, 40.0, (50, 3))
+        for _ in range(5):
+            params, step = (np.concatenate([rng.uniform(-5.0, 5.0, 3), rng.uniform(-0.3, 0.3, 3)])
+                            for _ in range(2))
+            composed = preprocess._compose_inverse(params, step)
+            np.testing.assert_allclose(rigid_map(composed, rigid_map(step, points, center), center),
+                                       rigid_map(params, points, center), rtol=0, atol=1e-12)
+
 
 class TestEstimateMotion:
     def test_still_series_gives_exact_identity(self):
@@ -247,6 +262,42 @@ class TestEstimateMotion:
             params = estimate_motion(vol)[1].params
             assert np.all(np.isfinite(params))
             assert np.abs(params).max() < 1e-6
+
+    def test_reference_jacobian_matches_forward_differences(self):
+        # column k: derivative of the reference's spline at the domain nodes
+        # under a small rigid motion of the reference along parameter k
+        field, grid = smooth_blob_field((12, 12, 10), seed=3)
+        ref = field(grid)
+        domain = preprocess._ScoringDomain(ref, VOXEL)
+        coefficients = ndimage.spline_filter(ref, order=3)
+        voxel = np.asarray(VOXEL)
+        for k, h in enumerate([1e-4] * 3 + [1e-6] * 3):
+            matrix, offset = preprocess._rigid_matrix_offset(
+                ref.shape, RigidMotion.from_params(h * np.eye(6)[k]), voxel)
+            moved = ndimage.map_coordinates(coefficients, matrix @ domain.grid + offset[:, None],
+                                            order=3, prefilter=False)
+            difference = (moved - domain.reference_values) / h
+            scale = np.abs(difference).max()
+            assert scale > 0
+            assert np.abs(domain.jacobian[:, k] - difference).max() <= 1e-3 * scale
+
+    def test_warns_once_with_the_rank_of_an_unconstraining_reference(self, caplog):
+        dims = (12, 12, 10)
+        field, grid = smooth_blob_field(dims)
+        structured = field(grid)
+        # constant along z: no z translation, so rank 5
+        uniform_in_z = np.repeat(structured[:, :, 5:6], dims[2], axis=2)
+        cases = ((structured, None), (uniform_in_z, 5), (np.full(dims, 1234.567), 0))
+        for reference, rank in cases:
+            vol = make_volume(np.stack([reference, structured], axis=-1), voxel_size_mm=VOXEL,
+                              tr_seconds=3.0)
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="boldkit.preprocess"):
+                params = estimate_motion(vol)[1].params
+            assert np.all(np.isfinite(params))
+            warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
+            assert [r.args[1] for r in warnings] == ([] if rank is None else [rank])
+            assert all("rank" in r.getMessage() for r in warnings)
 
     def test_logs_one_debug_record_per_registered_volume(self, caplog):
         field, grid = smooth_blob_field((12, 12, 10))
