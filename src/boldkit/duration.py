@@ -8,18 +8,10 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DesignMismatchError, EmptyMaskError, ShapeError
-from .task_design import (
-    DEFAULT_CUTOFF_HZ,
-    LABEL_DRIFT,
-    LABEL_INTERCEPT,
-    LABEL_TASK,
-    BlockDesign,
-    DesignMatrix,
-    dct_highpass_basis,
-    task_regressor,
-)
+from .errors import EmptyMaskError, ShapeError
+from .task_design import DEFAULT_CUTOFF_HZ, BlockDesign, DesignMatrix, build_design_matrix
 from .volume_io import Volume4D
 
 # The study's conditions in order: each duration_mode and the name the
@@ -29,16 +21,15 @@ CONDITIONS = (("single", "single"), ("concatenate", "concatenated"), ("average",
 
 @dataclass
 class RunSet:
-    """Two or more runs with identical geometry, TR, and length."""
+    """Two or more runs with identical geometry, TR, and length, all
+    acquired under the one task design."""
 
     runs: list
-    designs: list
+    design: BlockDesign
 
     def __post_init__(self):
         if len(self.runs) < 2:
             raise ShapeError("duration studies need at least two runs")
-        if len(self.designs) != len(self.runs):
-            raise ShapeError("one task design per run required")
         first = self.runs[0].header
         for run in self.runs[1:]:
             h = run.header
@@ -50,31 +41,10 @@ class RunSet:
                 raise ShapeError("runs differ in TR")
 
 
-def _design(designs, tr_s: float, n_per_run, cutoff_hz: float) -> DesignMatrix:
-    """Design for runs stacked along time, built in one preallocated matrix.
-
-    Columns are one task column spanning all runs, then each run's DCT
-    drift block, then one intercept per run; a run's drift and intercept
-    columns are zero outside its own rows.
-    """
-    tasks = [task_regressor(design, tr_s, n) for design, n in zip(designs, n_per_run)]
-    drifts = [dct_highpass_basis(n, tr_s, cutoff_hz) for n in n_per_run]
-    n_drift = sum(drift.shape[1] for drift in drifts)
-    values = np.zeros((sum(n_per_run), 1 + n_drift + len(n_per_run)))
-    row, col = 0, 1
-    for r, (task, drift, n) in enumerate(zip(tasks, drifts, n_per_run)):
-        values[row:row + n, 0] = task
-        values[row:row + n, col:col + drift.shape[1]] = drift
-        values[row:row + n, 1 + n_drift + r] = 1.0
-        row, col = row + n, col + drift.shape[1]
-    labels = [LABEL_TASK] + [LABEL_DRIFT] * n_drift + [LABEL_INTERCEPT] * len(n_per_run)
-    return DesignMatrix(values=values, column_labels=labels, tr_seconds=float(tr_s))
-
-
 def single_run_design(design: BlockDesign, tr_s: float, n_vols: int,
                       cutoff_hz: float = DEFAULT_CUTOFF_HZ) -> DesignMatrix:
     """Task + DCT drift + intercept design for one run."""
-    return _design([design], tr_s, [n_vols], cutoff_hz)
+    return build_design_matrix(design, tr_s, [n_vols], cutoff_hz)
 
 
 def concatenate_runs(runset: RunSet,
@@ -102,14 +72,12 @@ def concatenate_runs(runset: RunSet,
         slab[...] = runset.runs[i].data
         runset.runs[i] = Volume4D(header=runset.runs[i].header, data=slab)
         start += n
-    design = _design(runset.designs, header.tr_seconds, n_per_run, cutoff_hz)
+    design = build_design_matrix(runset.design, header.tr_seconds, n_per_run, cutoff_hz)
     return Volume4D(header=replace(header, dims=data.shape), data=data), design
 
 
 def average_runs(runset: RunSet) -> Volume4D:
     """Voxelwise mean across runs at each time point (nt unchanged)."""
-    if any(design != runset.designs[0] for design in runset.designs[1:]):
-        raise DesignMismatchError("averaging requires identical task designs across runs")
     # a running sum adds in the same order as np.mean over stacked runs
     data = runset.runs[0].data + runset.runs[1].data
     for run in runset.runs[2:]:
@@ -130,17 +98,14 @@ def local_standard_deviation(map3d: np.ndarray, roi: np.ndarray, radius_vox: int
     if radius_vox < 1:
         raise ValueError("radius_vox must be a positive integer")
 
+    # each ROI voxel's window over the zero-padded map; the padding is
+    # left out of the std, so windows are clipped to the volume
     r = int(radius_vox)
-    nx, ny, nz = map3d.shape
-    deviations = []
-    for x, y, z in np.argwhere(roi):
-        block = map3d[
-            max(0, x - r): min(nx, x + r + 1),
-            max(0, y - r): min(ny, y + r + 1),
-            max(0, z - r): min(nz, z + r + 1),
-        ]
-        deviations.append(block.std())
-    return float(np.mean(deviations))
+    window = (2 * r + 1,) * 3
+    centers = np.nonzero(roi)
+    values = sliding_window_view(np.pad(map3d, r), window)[centers]
+    inside = sliding_window_view(np.pad(np.ones(roi.shape, dtype=bool), r), window)[centers]
+    return float(values.std(axis=(1, 2, 3), where=inside).mean())
 
 
 def total_variation(map3d: np.ndarray, roi: np.ndarray) -> float:

@@ -61,9 +61,5 @@ class DegenerateRegressorError(DataError):
     """Regressor is constant and carries no information."""
 
 
-class DesignMismatchError(DataError):
-    """Runs that must share a task design do not."""
-
-
 class NumericError(BoldkitError):
     """Non-finite values or failed numerical evaluation."""

@@ -300,7 +300,7 @@ def _prepare_condition(cfg: PipelineConfig, runs, design: BlockDesign, mode: str
         return vol, single_run_design(design, tr, vol.n_vols, cutoff_hz=cutoff)
     # the RunSet shares the caller's list, so concatenation rebinds the
     # caller's runs to views of the stack and the original arrays are freed
-    runset = RunSet(runs=runs, designs=[design] * len(runs))
+    runset = RunSet(runs=runs, design=design)
     if mode == "concatenate":
         return concatenate_runs(runset, cutoff_hz=cutoff)
     vol = average_runs(runset)

@@ -2,8 +2,9 @@
 
 A block paradigm becomes a microtime boxcar, is convolved with the
 canonical double-gamma hemodynamic response, decimated to the volume
-grid, and assembled with discrete-cosine drift columns, optional
-confounds, and an intercept.
+grid, and assembled with discrete-cosine drift columns and an intercept,
+one drift block and one intercept per run when runs are stacked along
+time.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ DEFAULT_CUTOFF_HZ = 0.005
 
 LABEL_TASK = "task"
 LABEL_DRIFT = "drift"
-LABEL_CONFOUND = "confound"
 LABEL_INTERCEPT = "intercept"
 
 
@@ -111,14 +111,14 @@ DEFAULT_HRF = HrfParams()
 class DesignMatrix:
     """N x P regression design with one label per column.
 
-    Labels are drawn from {task, drift, confound, intercept}.
-    rank_deficient flags a design whose columns are linearly dependent;
-    fitting still proceeds via the minimum-norm solution.
+    Labels are drawn from {task, drift, intercept}; a design for runs
+    stacked along time has one intercept column per run. rank_deficient
+    flags a design whose columns are linearly dependent; fitting still
+    proceeds via the minimum-norm solution.
     """
 
     values: np.ndarray
     column_labels: list
-    tr_seconds: float
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -255,35 +255,25 @@ def dct_highpass_basis(n_vols: int, tr_s: float, cutoff_hz: float) -> np.ndarray
     return basis
 
 
-def build_design_matrix(task_regs, drift, confounds, n_vols: int, tr_s: float) -> DesignMatrix:
-    """Assemble columns in the order task, drift, confound, intercept.
+def build_design_matrix(design: BlockDesign, tr_s: float, run_lengths,
+                        cutoff_hz: float = DEFAULT_CUTOFF_HZ) -> DesignMatrix:
+    """Design for runs stacked along time, built in one preallocated matrix.
 
-    All inputs must have n_vols rows; a rank-deficient result is flagged
-    rather than rejected (fits fall back to the minimum-norm solution).
+    Columns are one task column spanning all runs, then each run's DCT
+    drift block, then one intercept per run; a run's drift and intercept
+    columns are zero outside its own rows. A rank-deficient result is
+    flagged rather than rejected (fits fall back to the minimum-norm
+    solution).
     """
-    columns = []
-    labels = []
-    for reg in task_regs:
-        reg = np.asarray(reg, dtype=np.float64).ravel()
-        if reg.size != n_vols:
-            raise ShapeError(f"task regressor length {reg.size} != n_vols {n_vols}")
-        columns.append(reg)
-        labels.append(LABEL_TASK)
-    for block, label in ((drift, LABEL_DRIFT), (confounds, LABEL_CONFOUND)):
-        if block is None:
-            continue
-        block = np.asarray(block, dtype=np.float64)
-        if block.size == 0:
-            continue
-        if block.ndim == 1:
-            block = block[:, np.newaxis]
-        if block.shape[0] != n_vols:
-            raise ShapeError(f"{label} block has {block.shape[0]} rows, expected {n_vols}")
-        for j in range(block.shape[1]):
-            columns.append(block[:, j])
-            labels.append(label)
-    columns.append(np.ones(n_vols, dtype=np.float64))
-    labels.append(LABEL_INTERCEPT)
-
-    return DesignMatrix(values=np.column_stack(columns), column_labels=labels,
-                        tr_seconds=float(tr_s))
+    tasks = [task_regressor(design, tr_s, n) for n in run_lengths]
+    drifts = [dct_highpass_basis(n, tr_s, cutoff_hz) for n in run_lengths]
+    n_drift = sum(drift.shape[1] for drift in drifts)
+    values = np.zeros((sum(run_lengths), 1 + n_drift + len(run_lengths)))
+    row, col = 0, 1
+    for r, (task, drift, n) in enumerate(zip(tasks, drifts, run_lengths)):
+        values[row:row + n, 0] = task
+        values[row:row + n, col:col + drift.shape[1]] = drift
+        values[row:row + n, 1 + n_drift + r] = 1.0
+        row, col = row + n, col + drift.shape[1]
+    labels = [LABEL_TASK] + [LABEL_DRIFT] * n_drift + [LABEL_INTERCEPT] * len(run_lengths)
+    return DesignMatrix(values=values, column_labels=labels)

@@ -179,3 +179,19 @@ def smooth_zero_padded(data4d, sigmas):
         out += weight * padded[a:a + nx, b:b + ny, c:c + nz]
         support += weight * indicator[a:a + nx, b:b + ny, c:c + nz]
     return out / support[..., None]
+
+
+def lsd_voxel_loop(map3d, roi, radius_vox):
+    """Local standard deviation by slicing each ROI voxel's clipped
+    (2r+1)^3 block out of the map, one voxel at a time."""
+    r = int(radius_vox)
+    nx, ny, nz = map3d.shape
+    deviations = []
+    for x, y, z in np.argwhere(roi):
+        block = map3d[
+            max(0, x - r): min(nx, x + r + 1),
+            max(0, y - r): min(ny, y + r + 1),
+            max(0, z - r): min(nz, z + r + 1),
+        ]
+        deviations.append(block.std())
+    return float(np.mean(deviations))

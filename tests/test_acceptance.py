@@ -80,8 +80,7 @@ def test_criterion_1_glm_oracle_equivalence():
         v = int(rng.integers(1, 51))
         X = np.column_stack([rng.standard_normal((n, p - 1)), np.ones(n)])
         Y = rng.standard_normal((n, v)) + X @ rng.standard_normal((p, v))
-        design = DesignMatrix(values=X, column_labels=["task"] * (p - 1) + ["intercept"],
-                              tr_seconds=2.0)
+        design = DesignMatrix(values=X, column_labels=["task"] * (p - 1) + ["intercept"])
         c = rng.standard_normal(p)
 
         fit = fit_glm(Y, design)
@@ -152,7 +151,7 @@ def test_criterion_3_concatenation_sqrt2_law():
         roi = truth["motor"] | truth["visual"]
         singles.append(roi_mean_t(run0, matrix, roi))
         cat_vol, cat_matrix = concatenate_runs(
-            RunSet(runs=[run0, run1], designs=[design, design]))
+            RunSet(runs=[run0, run1], design=design))
         concats.append(roi_mean_t(cat_vol, cat_matrix, roi))
 
     single_mean = float(np.mean(singles))
@@ -182,7 +181,7 @@ def test_criterion_4_averaging_correlation():
         run1, _ = generate_phantom(spec, acq, design, run_index=1)
         roi = truth["motor"] | truth["visual"]
         r_single, _ = correlation_map(run0, regressor)
-        averaged = average_runs(RunSet(runs=[run0, run1], designs=[design, design]))
+        averaged = average_runs(RunSet(runs=[run0, run1], design=design))
         r_avg, _ = correlation_map(averaged, regressor)
         singles.append(float(r_single[roi].max()))
         averageds.append(float(r_avg[roi].max()))
@@ -227,7 +226,7 @@ def test_criterion_5_robustness_direction():
             fit_glm(run0.data.reshape(-1, n_vols).T, matrix), c_single
         ).t.reshape(spec.dims)
         cat_vol, cat_matrix = concatenate_runs(
-            RunSet(runs=[run0, run1], designs=[design, design]))
+            RunSet(runs=[run0, run1], design=design))
         c_concat = np.zeros(cat_matrix.n_cols)
         c_concat[0] = 1.0
         t_concat = t_contrast(

@@ -15,11 +15,13 @@ from boldkit.duration import (
     single_run_design,
     total_variation,
 )
-from boldkit.errors import DesignMismatchError, EmptyMaskError, ShapeError
+from boldkit.errors import EmptyMaskError, ShapeError
 from boldkit.phantom import AcquisitionParams, PhantomSpec, generate_phantom, sphere_mask
 from boldkit.preprocess import gaussian_smooth
 from boldkit.task_design import alternating_block_design, task_regressor
 from boldkit.volume_io import make_volume
+
+from oracles import lsd_voxel_loop
 
 
 def make_runs(seed=0, n_vols=30, cnr=5.0, dims=(10, 10, 8)):
@@ -35,19 +37,19 @@ class TestRunSet:
     def test_needs_two_runs(self):
         run0, _, design, _ = make_runs()
         with pytest.raises(ShapeError):
-            RunSet(runs=[run0], designs=[design])
+            RunSet(runs=[run0], design=design)
 
     def test_geometry_mismatch(self):
         run0, _, design, _ = make_runs()
         other = make_volume(np.zeros((4, 4, 4, 30)), tr_seconds=3.0)
         with pytest.raises(ShapeError):
-            RunSet(runs=[run0, other], designs=[design, design])
+            RunSet(runs=[run0, other], design=design)
 
     def test_tr_mismatch(self):
         run0, run1, design, _ = make_runs()
         run1.header.tr_seconds = 2.0
         with pytest.raises(ShapeError):
-            RunSet(runs=[run0, run1], designs=[design, design])
+            RunSet(runs=[run0, run1], design=design)
 
 
 class TestConcatenateRuns:
@@ -59,7 +61,7 @@ class TestConcatenateRuns:
         spec = PhantomSpec(dims=(6, 6, 4), cnr=0.0, seed=3)
         acq = AcquisitionParams(n_vols=100)
         runs = [generate_phantom(spec, acq, design, run_index=r)[0] for r in range(2)]
-        vol, matrix = concatenate_runs(RunSet(runs=runs, designs=[design, design]))
+        vol, matrix = concatenate_runs(RunSet(runs=runs, design=design))
         assert vol.n_vols == 200
         assert matrix.values.shape == (200, 9)
         assert matrix.column_labels == ["task"] + ["drift"] * 6 + ["intercept"] * 2
@@ -67,7 +69,7 @@ class TestConcatenateRuns:
 
     def test_drift_and_intercept_blocks_are_per_run(self):
         run0, run1, design, _ = make_runs(n_vols=100)
-        _, matrix = concatenate_runs(RunSet(runs=[run0, run1], designs=[design, design]))
+        _, matrix = concatenate_runs(RunSet(runs=[run0, run1], design=design))
         labels = np.array(matrix.column_labels)
         drift_cols = matrix.values[:, labels == "drift"]
         assert not drift_cols[:100, 3:].any() and not drift_cols[100:, :3].any()
@@ -78,7 +80,7 @@ class TestConcatenateRuns:
 
     def test_self_concatenation_duplicates_task_pattern(self):
         run0, _, design, _ = make_runs()
-        vol, matrix = concatenate_runs(RunSet(runs=[run0, run0], designs=[design, design]))
+        vol, matrix = concatenate_runs(RunSet(runs=[run0, run0], design=design))
         assert vol.n_vols == 60
         np.testing.assert_array_equal(vol.data[..., :30], vol.data[..., 30:])
         task = matrix.values[:, 0]
@@ -90,7 +92,7 @@ class TestConcatenateRuns:
         run0, run1, design, _ = make_runs()
         arrays = [run0.data, run1.data]
         originals = [run0.data.copy(), run1.data.copy()]
-        runset = RunSet(runs=[run0, run1], designs=[design, design])
+        runset = RunSet(runs=[run0, run1], design=design)
         vol, _ = concatenate_runs(runset)
         np.testing.assert_array_equal(vol.data, np.concatenate(originals, axis=3))
         for run, original in zip(runset.runs, originals):
@@ -103,35 +105,29 @@ class TestConcatenateRuns:
 
     def test_full_rank_when_runs_are(self):
         run0, run1, design, _ = make_runs(n_vols=100)
-        _, matrix = concatenate_runs(RunSet(runs=[run0, run1], designs=[design, design]))
+        _, matrix = concatenate_runs(RunSet(runs=[run0, run1], design=design))
         assert np.linalg.matrix_rank(matrix.values) == matrix.n_cols
 
 
 class TestAverageRuns:
     def test_average_with_itself_is_identity(self):
         run0, _, design, _ = make_runs()
-        out = average_runs(RunSet(runs=[run0, run0], designs=[design, design]))
+        out = average_runs(RunSet(runs=[run0, run0], design=design))
         np.testing.assert_array_equal(out.data, run0.data)
 
     def test_average_with_negation_is_zero(self):
         run0, _, design, _ = make_runs()
         negated = make_volume(-run0.data, voxel_size_mm=run0.header.voxel_size_mm,
                               tr_seconds=3.0)
-        out = average_runs(RunSet(runs=[run0, negated], designs=[design, design]))
+        out = average_runs(RunSet(runs=[run0, negated], design=design))
         np.testing.assert_allclose(out.data, 0.0, atol=1e-12)
-
-    def test_design_mismatch_rejected(self):
-        run0, run1, design, _ = make_runs()
-        other = alternating_block_design(block_s=9.0, run_length_s=90.0)
-        with pytest.raises(DesignMismatchError):
-            average_runs(RunSet(runs=[run0, run1], designs=[design, other]))
 
     def test_commutes_with_smoothing(self):
         run0, run1, design, _ = make_runs()
-        runset = RunSet(runs=[run0, run1], designs=[design, design])
+        runset = RunSet(runs=[run0, run1], design=design)
         smoothed_then_avg = average_runs(
             RunSet(runs=[gaussian_smooth(run0, 8.0), gaussian_smooth(run1, 8.0)],
-                   designs=[design, design])
+                   design=design)
         )
         avg_then_smoothed = gaussian_smooth(average_runs(runset), 8.0)
         np.testing.assert_allclose(smoothed_then_avg.data, avg_then_smoothed.data, atol=1e-9)
@@ -178,6 +174,26 @@ class TestLocalStandardDeviation:
     def test_empty_roi(self):
         with pytest.raises(EmptyMaskError):
             local_standard_deviation(np.zeros((3, 3, 3)), np.zeros((3, 3, 3), bool))
+
+    @pytest.mark.parametrize("radius_vox", [1, 2])
+    def test_matches_voxel_loop(self, radius_vox):
+        rng = np.random.default_rng(radius_vox)
+        for _ in range(10):
+            shape = tuple(int(n) for n in rng.integers(3, 9, size=3))
+            volume = rng.standard_normal(shape) * 10.0 + 100.0
+            roi = rng.random(shape) < 0.3
+            # ROI voxels on every face and at two opposite corners
+            roi[0, 0, 0] = roi[-1, -1, -1] = True
+            roi[0, 1, 1] = roi[1, -1, 1] = roi[1, 1, -1] = True
+            assert local_standard_deviation(volume, roi, radius_vox) == pytest.approx(
+                lsd_voxel_loop(volume, roi, radius_vox), rel=1e-12)
+
+    def test_nan_in_neighbourhood_propagates(self):
+        volume = np.random.default_rng(3).standard_normal((6, 6, 6))
+        volume[1, 0, 0] = np.nan
+        roi = np.zeros((6, 6, 6), dtype=bool)
+        roi[0, 0, 0] = roi[4, 4, 4] = True
+        assert np.isnan(local_standard_deviation(volume, roi))
 
 
 def tv_pair_enumeration(volume, roi):
@@ -306,6 +322,6 @@ class TestDurationStudyDirections:
         matrix = single_run_design(design, 3.0, 100)
         regressor = matrix.values[:, 0]
         r_single, _ = correlation_map(run0, regressor)
-        averaged = average_runs(RunSet(runs=[run0, run1], designs=[design, design]))
+        averaged = average_runs(RunSet(runs=[run0, run1], design=design))
         r_avg, _ = correlation_map(averaged, regressor)
         assert peak_correlation(r_avg, roi) > peak_correlation(r_single, roi)

@@ -22,9 +22,9 @@ from oracles import (
 )
 
 
-def design_of(values, tr=2.0):
+def design_of(values):
     labels = ["task"] * (values.shape[1] - 1) + ["intercept"]
-    return DesignMatrix(values=values, column_labels=labels, tr_seconds=tr)
+    return DesignMatrix(values=values, column_labels=labels)
 
 
 def random_problem(rng, n=None, p=None, v=None):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from boldkit.errors import OutOfRangeError, ShapeError
 from boldkit.task_design import (
     BlockDesign,
+    DesignMatrix,
     HrfParams,
     alternating_block_design,
     boxcar,
@@ -217,35 +218,19 @@ class TestDctBasis:
 
 class TestBuildDesignMatrix:
     def test_column_layout(self):
-        reg = np.zeros(100)
-        reg[::2] = 1.0
-        drift = dct_highpass_basis(100, 3.0, 0.005)
-        design = build_design_matrix([reg], drift, None, 100, 3.0)
+        design = build_design_matrix(default_protocol(), 3.0, [100], 0.005)
         assert design.values.shape == (100, 5)
         assert design.column_labels == ["task", "drift", "drift", "drift", "intercept"]
         assert not design.rank_deficient
 
-    def test_null_model(self):
-        drift = dct_highpass_basis(60, 3.0, 0.005)
-        design = build_design_matrix([], drift, None, 60, 3.0)
-        assert design.column_labels == ["drift", "intercept"]
-
     def test_task_column_matches_convolution(self):
         design = default_protocol()
         reg = task_regressor(design, 3.0, 100)
-        matrix = build_design_matrix([reg], None, None, 100, 3.0)
+        matrix = build_design_matrix(design, 3.0, [100])
         np.testing.assert_array_equal(matrix.values[:, 0], reg)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ShapeError):
-            build_design_matrix([np.zeros(99)], None, None, 100, 3.0)
 
     def test_rank_deficiency_flagged(self):
         reg = np.arange(50, dtype=float)
-        design = build_design_matrix([reg, reg], None, None, 50, 3.0)
+        design = DesignMatrix(values=np.column_stack([reg, reg, np.ones(50)]),
+                              column_labels=["task", "task", "intercept"])
         assert design.rank_deficient
-
-    def test_confound_block(self):
-        confounds = np.random.default_rng(0).standard_normal((40, 2))
-        design = build_design_matrix([], None, confounds, 40, 2.0)
-        assert design.column_labels == ["confound", "confound", "intercept"]

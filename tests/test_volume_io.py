@@ -508,7 +508,7 @@ class TestLayout:
         timed = slice_timing_correct(vol, interleaved_order(4))
         smoothed = gaussian_smooth(timed, 8.0)
         design = BlockDesign(onsets_s=(0.0,), durations_s=(6.0,), run_length_s=24.0)
-        runset = RunSet(runs=[smoothed, timed], designs=[design, design])
+        runset = RunSet(runs=[smoothed, timed], design=design)
         concatenated, _ = concatenate_runs(runset)
         for stage in (vol, timed, smoothed, concatenated, average_runs(runset)):
             assert stage.data.flags.f_contiguous
