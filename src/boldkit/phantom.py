@@ -161,12 +161,9 @@ def generate_phantom(
     rho = spec.ar1_rho
     noise = np.empty_like(innovations)
     noise[0] = innovations[0] * spec.noise_sigma
-    if rho > 0.0:
-        step = spec.noise_sigma * np.sqrt(1.0 - rho**2)
-        for t in range(1, nt):
-            noise[t] = rho * noise[t - 1] + step * innovations[t]
-    else:
-        noise[1:] = innovations[1:] * spec.noise_sigma
+    step = spec.noise_sigma * np.sqrt(1.0 - rho**2)
+    for t in range(1, nt):
+        noise[t] = rho * noise[t - 1] + step * innovations[t]
 
     ramp = np.arange(nt, dtype=np.float64)[:, np.newaxis] / 100.0
     series = BASELINE + noise + (drift_sign * spec.drift_amplitude) * ramp

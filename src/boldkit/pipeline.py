@@ -61,8 +61,8 @@ ADJUSTED_P_CEILING = 0.05
 
 class OutputTracker:
     """Writes a flow's outputs and records each file's path; used as a
-    context manager, it removes every file it recorded if the block
-    raises, so a failed run leaves nothing behind."""
+    context manager, it removes an old manifest.json on entry, and every
+    file it recorded if the block raises: a failed run leaves no manifest."""
 
     def __init__(self, out_dir):
         self.out_dir = str(out_dir)
@@ -74,6 +74,7 @@ class OutputTracker:
                               f"{self.out_dir}: {exc.strerror}") from exc
 
     def __enter__(self):
+        self._remove(os.path.join(self.out_dir, "manifest.json"))
         return self
 
     def __exit__(self, exc_type, exc, traceback):
@@ -91,14 +92,18 @@ class OutputTracker:
         place, which ext4 flushes to disk on close (tens of ms a file). A
         name that cannot be removed, such as a directory, is a data error."""
         full = os.path.join(self.out_dir, name)
+        self._remove(full)
+        self.files.append(full)
+        return full
+
+    @staticmethod
+    def _remove(full: str) -> None:
         try:
             os.remove(full)
         except FileNotFoundError:
             pass
         except OSError as exc:
             raise DataError(f"cannot replace output {full}: {exc.strerror}") from exc
-        self.files.append(full)
-        return full
 
     def json(self, name: str, obj) -> None:
         with open(self.path(name), "w") as fh:
@@ -183,11 +188,8 @@ def preprocess_runs(runs: list, cfg: PipelineConfig) -> None:
     pre = cfg.preprocess
     for i in range(len(runs)):
         if pre["slice_timing"]:
-            nz = runs[i].header.dims[2]
-            if pre["slice_order"] == "interleaved":
-                order = interleaved_order(nz, pre["reference_fraction"])
-            else:
-                order = sequential_order(nz, pre["reference_fraction"])
+            make_order = interleaved_order if pre["slice_order"] == "interleaved" else sequential_order
+            order = make_order(runs[i].header.dims[2], pre["reference_fraction"])
             runs[i] = slice_timing_correct(runs[i], order)
         if pre["motion_correction"]:
             runs[i] = apply_motion(runs[i], estimate_motion(runs[i], threads=cfg.threads))

@@ -14,6 +14,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import ndimage
 
 from .config import usable_cpus
@@ -23,10 +24,6 @@ from .volume_io import Volume4D, block_width, fold_voxels, voxel_series
 
 FWHM_TO_SIGMA = 1.0 / (2.0 * np.sqrt(2.0 * np.log(2.0)))
 KERNEL_TRUNCATE_SIGMAS = 4.0
-# Slice timing switches from an nt x nt matrix product to an FFT above this
-# many volumes. On a 2-vCPU x86 VM (32x32x4 slices) the two paths tie near
-# 2000 volumes; the switch stays at 1024 until a benchmark covers longer runs.
-_MAX_MATRIX_VOLS = 1024
 
 logger = logging.getLogger(__name__)
 
@@ -80,11 +77,13 @@ def _mirrored_shift_matrix(kernel: np.ndarray) -> np.ndarray:
     circularly convolves it with kernel (length 2*nt) and keeps the first nt.
 
     Sample m of the series sits at m and 2*nt - 1 - m of the mirrored one,
-    so R[m, t] = kernel[(t - m) mod 2*nt] + kernel[t + m + 1].
+    so R[m, t] = kernel[(t - m) mod 2*nt] + kernel[t + m + 1]: the sum of a
+    Toeplitz and a Hankel window view of the kernel, the one nt x nt array made.
     """
     nt = kernel.size // 2
-    k = np.arange(nt)
-    return kernel[(k - k[:, np.newaxis]) % (2 * nt)] + kernel[k + k[:, np.newaxis] + 1]
+    # window i starts at lag i - (nt - 1), so reversed, row m starts at lag -m
+    toeplitz = sliding_window_view(np.concatenate([kernel[nt + 1:], kernel[:nt]]), nt)[::-1]
+    return toeplitz + sliding_window_view(kernel[1:], nt)
 
 
 def slice_timing_correct(vol: Volume4D, order: SliceOrder) -> Volume4D:
@@ -98,9 +97,9 @@ def slice_timing_correct(vol: Volume4D, order: SliceOrder) -> Volume4D:
     autocorrelation up to 0.5, which inflates OLS t-values. The
     operation is linear in the data.
 
-    Up to _MAX_MATRIX_VOLS volumes the shift is applied as an nt x nt
-    matrix product per slice; longer series use a batched FFT per slice,
-    which is O(nt log nt) per voxel instead of O(nt^2).
+    The shift is one nt x nt matrix product per slice, so each slice holds
+    a transient float64 matrix of 8 * nt**2 bytes (80 kB at 100 volumes,
+    128 MB at 4000).
     """
     nx, ny, nz, nt = vol.header.dims
     if nz != len(order.acquisition_sequence):
@@ -123,11 +122,7 @@ def slice_timing_correct(vol: Volume4D, order: SliceOrder) -> Volume4D:
         # (nx*ny, nt) views of slice z, x-fastest
         series = vol.data[:, :, z, :].reshape(nx * ny, nt, order="F")
         shifted = out[:, :, z, :].reshape(nx * ny, nt, order="F")
-        if nt <= _MAX_MATRIX_VOLS:
-            np.matmul(series, _mirrored_shift_matrix(np.fft.irfft(phase, n=2 * nt)), out=shifted)
-        else:
-            spectrum = np.fft.rfft(np.concatenate([series, series[:, ::-1]], axis=1), axis=1)
-            shifted[...] = np.fft.irfft(spectrum * phase, n=2 * nt, axis=1)[:, :nt]
+        np.matmul(series, _mirrored_shift_matrix(np.fft.irfft(phase, n=2 * nt)), out=shifted)
     return Volume4D(header=vol.header, data=out)
 
 

@@ -276,6 +276,10 @@ def _parse_header(path, raw_header: bytes, max_bytes: int) -> _Layout:
         raise UnsupportedDatatypeError(code)
     dtype = np.dtype(DTYPE_CODES[code]).newbyteorder(byteorder)
 
+    for name in ("scl_slope", "scl_inter"):
+        if not math.isfinite(header[name]):
+            raise FormatError(f"{path}: {name} {float(header[name])} is not finite")
+
     n_bytes = math.prod(shape) * dtype.itemsize
     offset = float(header["vox_offset"])
     if not HEADER_SIZE <= offset < MAX_VOX_OFFSET:  # also rejects NaN
@@ -403,8 +407,8 @@ def read_nifti(path) -> Volume4D:
     names the inflater, the file and raw bytes and the seconds taken.
 
     Raises DataError when the path cannot be opened (missing, a
-    directory, unreadable), FormatError for a malformed header or gzip
-    stream or for non-finite data after scaling, UnsupportedDatatypeError
+    directory, unreadable), FormatError for a malformed header (such as
+    a non-finite scl_slope) or gzip stream or non-finite data, UnsupportedDatatypeError
     for datatypes outside the supported set, and TruncatedFileError when
     the data section is short, or longer than the file could hold
     (checked before reading it).

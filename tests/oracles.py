@@ -3,8 +3,9 @@
 Everything here is deliberately written along a different algorithmic
 path than the code under test: normal equations instead of SVD,
 quadrature instead of incomplete-beta, flood fill instead of labeling,
-explicit loops instead of vectorized kernels. traced_peak measures the
-memory a call allocates, for the tests that bound it.
+explicit loops instead of vectorized kernels, FFTs instead of matrix
+products. traced_peak measures the memory a call allocates, for the
+tests that bound it.
 """
 
 import math
@@ -195,3 +196,20 @@ def lsd_voxel_loop(map3d, roi, radius_vox):
         ]
         deviations.append(block.std())
     return float(np.mean(deviations))
+
+
+def slice_timing_fft(data4d, offsets_s, reference_s, tr_s):
+    """Slice timing by the mirrored FFT: each slice's series is mirrored to
+    2*nt samples, its spectrum is multiplied by the phase that advances it
+    by (reference_s - offset) / tr_s volumes, and the first nt samples of
+    the inverse transform are kept."""
+    data4d = np.asarray(data4d, dtype=float)
+    nt = data4d.shape[3]
+    freqs = np.fft.rfftfreq(2 * nt)
+    out = np.empty(data4d.shape)
+    for z, offset in enumerate(offsets_s):
+        phase = np.exp(2j * np.pi * freqs * (reference_s - offset) / tr_s)
+        series = data4d[:, :, z, :]
+        spectrum = np.fft.rfft(np.concatenate([series, series[..., ::-1]], axis=-1), axis=-1)
+        out[:, :, z, :] = np.fft.irfft(spectrum * phase, n=2 * nt, axis=-1)[..., :nt]
+    return out

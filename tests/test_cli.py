@@ -398,6 +398,21 @@ class TestAnalyze:
         assert {"t_map.nii.gz", "rejection_mask.nii.gz", "clusters.csv"} <= set(written)
         assert os.listdir(out) == []
 
+    def test_failed_rerun_leaves_no_manifest_of_missing_files(self, tmp_path, monkeypatch):
+        out = tmp_path / "an"
+        cfg = validate_config({"seed": 9, "phantom": dict(FAST_PHANTOM), "task": dict(FAST_TASK),
+                               "output_dir": str(out)})
+        pipeline.run_analyze(cfg)
+        assert "manifest.json" in os.listdir(out)
+
+        def fail(rows, path):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(pipeline, "write_cluster_json", fail)
+        with pytest.raises(OSError, match="disk full"):
+            pipeline.run_analyze(cfg)
+        assert os.listdir(out) == []
+
     def test_invalid_config_exit_code(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"inference": {"q": 2.0}}))
@@ -598,6 +613,14 @@ class TestOutputFiles:
         assert str(out / "clusters.json") in err
         # the maps and clusters.csv written before it are removed
         assert os.listdir(out) == ["clusters.json"]
+
+    def test_directory_at_the_manifest_name_is_a_data_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "an"
+        (out / "manifest.json").mkdir(parents=True)
+        assert main(["analyze", "--config", cfg, "--out", str(out)]) == 3
+        assert str(out / "manifest.json") in capsys.readouterr().err
+        assert os.listdir(out) == ["manifest.json"]
 
     @pytest.mark.parametrize("command", ["analyze", "duration-study"])
     def test_file_as_output_dir_fails_before_the_work(self, tmp_path, monkeypatch, command):

@@ -27,7 +27,7 @@ from boldkit.preprocess import (
 )
 from boldkit.volume_io import make_volume
 
-from oracles import gaussian_kernel_3d, smooth_zero_padded, traced_peak
+from oracles import gaussian_kernel_3d, slice_timing_fft, smooth_zero_padded, traced_peak
 
 VOXEL = (3.3, 3.3, 4.8)
 
@@ -124,15 +124,23 @@ class TestSliceTiming:
             assert series.var() == pytest.approx(1.0, abs=0.05)
             assert abs(lag1) < 0.05
 
-    def test_fft_form_matches_matrix_form(self, monkeypatch):
+    @pytest.mark.parametrize("nt", [2, 3, 37, 1025])
+    def test_shift_matrix_views_match_index_formula(self, nt):
+        kernel = np.random.default_rng(nt).standard_normal(2 * nt)
+        k = np.arange(nt)
+        by_index = kernel[(k - k[:, np.newaxis]) % (2 * nt)] + kernel[k + k[:, np.newaxis] + 1]
+        np.testing.assert_array_equal(preprocess._mirrored_shift_matrix(kernel), by_index)
+
+    @pytest.mark.parametrize("nt", [37, 1100])
+    def test_matches_mirrored_fft_oracle(self, nt):
         rng = np.random.default_rng(5)
-        vol = make_volume(rng.standard_normal((3, 4, 5, 37)), voxel_size_mm=VOXEL,
+        vol = make_volume(rng.standard_normal((3, 4, 5, nt)), voxel_size_mm=VOXEL,
                           tr_seconds=2.0)
         order = interleaved_order(5)
-        by_matrix = slice_timing_correct(vol, order).data
-        monkeypatch.setattr(preprocess, "_MAX_MATRIX_VOLS", 0)
-        by_fft = slice_timing_correct(vol, order).data
-        np.testing.assert_allclose(by_fft, by_matrix, rtol=0, atol=1e-12)
+        expected = slice_timing_fft(vol.data, slice_offsets_s(order, 2.0),
+                                    order.reference_fraction * 2.0, 2.0)
+        np.testing.assert_allclose(slice_timing_correct(vol, order).data, expected,
+                                   rtol=0, atol=1e-12)
 
     def test_linearity(self):
         rng = np.random.default_rng(1)

@@ -8,6 +8,7 @@ import struct
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -128,6 +129,17 @@ class TestRead:
         path = tmp_path / "zslope.nii"
         path.write_bytes(blob)
         assert read_nifti(path).data.ravel()[0] == 7.0
+
+    @pytest.mark.parametrize("field, value", [("scl_slope", float("inf")),
+                                              ("scl_inter", float("nan"))])
+    def test_non_finite_scaling_rejected_before_scaling(self, tmp_path, field, value):
+        blob = build_raw_nifti((2, 2, 1, 1), b"\x00" * 16, datatype=16, bitpix=32, **{field: value})
+        path = tmp_path / "scaling.nii"
+        path.write_bytes(blob)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FormatError, match=field):
+                read_nifti(path)
 
     def test_big_endian_file(self, tmp_path):
         values = np.arange(8, dtype=">f4")
