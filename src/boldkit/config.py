@@ -12,6 +12,7 @@ from __future__ import annotations
 import copy
 import json
 import os
+import sys
 from dataclasses import dataclass, field
 
 from .duration import CONDITIONS
@@ -41,10 +42,12 @@ def _all(*checks):
 
 
 def _number(low=None, high=None, integer=False):
-    """Check for an int or float (not a bool) within [low, high]."""
+    """Check for a finite int or float (not a bool) within [low, high]."""
     def check(key, value):
         ok = isinstance(value, (int, float)) and not isinstance(value, bool)
         _require(ok, key, f"must be a number, got {value!r}")
+        # json reads Infinity and NaN (not RFC 8259); an int past float range fails too
+        _require(abs(value) <= sys.float_info.max, key, f"must be finite, got {value!r}")
         if integer:
             _require(float(value).is_integer(), key, f"must be an integer, got {value!r}")
         if low is not None:

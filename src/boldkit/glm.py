@@ -22,6 +22,7 @@ from .errors import (
     DegenerateRegressorError,
     DegreesOfFreedomError,
     InestimableContrastError,
+    NumericError,
     ShapeError,
 )
 from .task_design import DesignMatrix
@@ -35,10 +36,10 @@ _RANK_RTOL = 1e-10
 class GlmFit:
     """Per-voxel OLS estimates for one shared design.
 
-    beta is (P, V), residual_variance is (V,), dof = N - rank(X), and
-    varying flags the voxels whose series is not constant. The SVD
-    factors of the design are kept so contrast variances reuse them;
-    _y_scale (mean square of Y per voxel) anchors the zero-residual test.
+    beta is (P, V), residual_variance is (V,) and dof = N - rank(X). The
+    SVD factors of the design are kept so contrast variances reuse them;
+    _y_scale (mean square of Y per voxel) anchors the zero-residual test
+    that flags a voxel without noise (``StatMaps.degenerate``).
     """
 
     beta: np.ndarray
@@ -46,7 +47,6 @@ class GlmFit:
     dof: int
     design: DesignMatrix
     rank: int
-    varying: np.ndarray
     _vt: np.ndarray = field(repr=False, default=None)
     _singular_values: np.ndarray = field(repr=False, default=None)
     _y_scale: np.ndarray = field(repr=False, default=None)
@@ -56,8 +56,11 @@ class GlmFit:
 class StatMaps:
     """t, one-sided p, and z per voxel for one contrast.
 
-    Voxels with zero residual variance carry a t = +inf sentinel and are
-    flagged in ``degenerate``; they are excluded from FDR input upstream.
+    ``degenerate`` flags the voxels with zero residual variance: the one
+    rule for a voxel without noise. A constant series is one, since every
+    design ``build_design_matrix`` makes has an intercept per run. Those
+    voxels carry a t = +inf sentinel here; ``analyze_volume`` leaves them
+    out of FDR and sets their t and z to 0.
     """
 
     t: np.ndarray
@@ -65,7 +68,6 @@ class StatMaps:
     z: np.ndarray
     degenerate: np.ndarray
     dof: int
-    two_sided: bool = False
 
 
 def fit_glm(Y: np.ndarray, X: DesignMatrix) -> GlmFit:
@@ -74,6 +76,7 @@ def fit_glm(Y: np.ndarray, X: DesignMatrix) -> GlmFit:
     Y is (N, V). Solved through the SVD of X (never the normal
     equations); residual variance divides by N - rank(X). Y is read in
     column blocks, so memory beyond the (P, V) outputs stays bounded.
+    A series whose sum of squares overflows raises NumericError.
     """
     Y = np.asarray(Y, dtype=np.float64)
     if Y.ndim == 1:
@@ -94,7 +97,6 @@ def fit_glm(Y: np.ndarray, X: DesignMatrix) -> GlmFit:
     beta = np.empty((X.n_cols, v))
     residual_variance = np.empty(v)
     y_scale = np.empty(v)
-    varying = np.empty(v, dtype=bool)
     width = block_width(n)
     scratch = np.empty((n, min(width, v)))
     for start in range(0, v, width):
@@ -107,7 +109,8 @@ def fit_glm(Y: np.ndarray, X: DesignMatrix) -> GlmFit:
         residuals -= block
         residual_variance[cols] = np.einsum("nv,nv->v", residuals, residuals)
         y_scale[cols] = np.einsum("nv,nv->v", block, block)
-        varying[cols] = block.max(axis=0) > block.min(axis=0)
+    if not np.isfinite(y_scale.max()):  # every residual sum is at most its series' sum
+        raise NumericError("voxel values too large: a series' sum of squares overflows float64")
     residual_variance /= dof
     y_scale /= n
 
@@ -117,7 +120,6 @@ def fit_glm(Y: np.ndarray, X: DesignMatrix) -> GlmFit:
         dof=dof,
         design=X,
         rank=rank,
-        varying=varying,
         _vt=vt_r,
         _singular_values=s_r,
         _y_scale=y_scale,
@@ -181,12 +183,9 @@ def t_contrast(fit: GlmFit, c, two_sided: bool = False) -> StatMaps:
 
     safe_t = np.where(degenerate, 0.0, t)
     p = np.where(degenerate, 0.0, t_to_p(safe_t, fit.dof, two_sided))
-    if two_sided:
-        z = np.sign(safe_t) * p_to_z(p / 2.0)
-        z = np.where(degenerate, Z_CLAMP, z)
-    else:
-        z = np.where(degenerate, Z_CLAMP, p_to_z(p))
-    return StatMaps(t=t, p=p, z=z, degenerate=degenerate, dof=fit.dof, two_sided=two_sided)
+    z = np.sign(safe_t) * p_to_z(p / 2.0) if two_sided else p_to_z(p)
+    z = np.where(degenerate, Z_CLAMP, z)
+    return StatMaps(t=t, p=p, z=z, degenerate=degenerate, dof=fit.dof)
 
 
 def correlation_map(vol: Volume4D, regressor) -> tuple[np.ndarray, np.ndarray]:

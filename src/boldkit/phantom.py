@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import NumericError, ShapeError
 from .task_design import BlockDesign, task_regressor
 from .volume_io import Volume4D, VolumeHeader
 
@@ -123,6 +123,7 @@ class AcquisitionParams:
             raise ValueError("n_vols must be at least 4")
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is one NumericError, below
 def generate_phantom(
     spec: PhantomSpec,
     acq: AcquisitionParams,
@@ -139,7 +140,7 @@ def generate_phantom(
     The stream is Philox keyed by (seed << 64) | run_index and drawn once
     as standard normals of shape (nt + 1, n_voxels), voxels in canonical
     scan order (x fastest): row 0 sets the drift signs, rows 1..nt are
-    the AR(1) innovations.
+    the AR(1) innovations; overflowing intensities raise NumericError.
     """
     if not 0 <= run_index < 2**64:
         raise ValueError("run_index must fit in an unsigned 64-bit integer")
@@ -179,4 +180,8 @@ def generate_phantom(
         tr_seconds=acq.tr_s,
     )
     truth = {name: mask.copy() for name, mask in spec.target_rois.items()}
-    return Volume4D(header=header, data=data), truth
+    try:
+        vol = Volume4D(header=header, data=data)
+    except ValueError as exc:
+        raise NumericError("phantom intensities overflow float64") from exc
+    return vol, truth

@@ -202,20 +202,19 @@ class AnalysisResult:
     """Stat maps and inference products of one GLM analysis."""
 
     stats3d: StatMaps
-    mask: np.ndarray
     rejected: np.ndarray
     adjusted_p: np.ndarray
     p_threshold: float
     clusters: list
     regressor: np.ndarray
-    n_degenerate: int
 
 
 def analyze_volume(vol: Volume4D, design: DesignMatrix, cfg: PipelineConfig) -> AnalysisResult:
-    """GLM fit, FDR over the in-brain mask, and cluster extraction.
+    """GLM fit, FDR over the analysis mask, and cluster extraction.
 
-    The contrast is the design's task column. The in-brain mask is every
-    voxel whose series is not constant and whose fit is not degenerate.
+    The contrast is the design's task column. The analysis mask is every
+    voxel that is not degenerate (no residual noise, a constant series
+    included); degenerate voxels read 0 in the returned t and z maps.
     """
     shape = vol.spatial_dims
     task = design.columns_labeled(LABEL_TASK)[0]
@@ -223,21 +222,20 @@ def analyze_volume(vol: Volume4D, design: DesignMatrix, cfg: PipelineConfig) -> 
     c = np.zeros(design.n_cols)
     c[task] = 1.0
     stats = t_contrast(fit, c, two_sided=cfg.glm["two_sided"])
+    stats.t[stats.degenerate] = 0.0
+    stats.z[stats.degenerate] = 0.0
 
-    t3 = fold_voxels(stats.t, shape)
-    p3 = fold_voxels(stats.p, shape)
-    degenerate3 = fold_voxels(stats.degenerate, shape)
-    stats3d = StatMaps(t=t3, p=p3, z=fold_voxels(stats.z, shape), degenerate=degenerate3,
-                       dof=stats.dof, two_sided=stats.two_sided)
-
-    mask = fold_voxels(fit.varying, shape) & ~degenerate3
+    stats3d = replace(stats, t=fold_voxels(stats.t, shape), p=fold_voxels(stats.p, shape),
+                      z=fold_voxels(stats.z, shape),
+                      degenerate=fold_voxels(stats.degenerate, shape))
+    mask = ~stats3d.degenerate
 
     q = cfg.inference["q"]
     adjusted = np.ones(shape)
     rejected = np.zeros(shape, dtype=bool)
     threshold = 0.0
     if mask.any():
-        result = fdr_bh(p3[mask], q)
+        result = fdr_bh(stats3d.p[mask], q)
         adjusted[mask] = result.adjusted_p
         rejected[mask] = result.rejected
         threshold = result.p_threshold
@@ -245,13 +243,11 @@ def analyze_volume(vol: Volume4D, design: DesignMatrix, cfg: PipelineConfig) -> 
     clusters = extract_clusters(rejected, stats3d, cfg.inference["connectivity"])
     return AnalysisResult(
         stats3d=stats3d,
-        mask=mask,
         rejected=rejected,
         adjusted_p=adjusted,
         p_threshold=threshold,
         clusters=clusters,
         regressor=design.values[:, task],
-        n_degenerate=int(degenerate3.sum()),
     )
 
 
@@ -342,10 +338,10 @@ def run_analyze(cfg: PipelineConfig) -> list:
         write_cluster_json(rows, out.path("clusters.json"))
         out.manifest("analyze", cfg, {
             "dof": result.stats3d.dof,
-            "n_mask_voxels": int(result.mask.sum()),
+            "n_mask_voxels": int((~result.stats3d.degenerate).sum()),
             "n_rejected": int(result.rejected.sum()),
             "n_clusters": len(result.clusters),
-            "n_degenerate": result.n_degenerate,
+            "n_degenerate": int(result.stats3d.degenerate.sum()),
             "p_threshold": result.p_threshold,
         })
     return out.files
@@ -384,22 +380,17 @@ def run_duration_study(cfg: PipelineConfig) -> list:
     else:
         activation_mask = concatenated_rejected
         targets = {"activation": activation_mask} if activation_mask.any() else {}
-    nontargets = non_target_rois(dims, activation_mask, seed=cfg.seed)
+    try:
+        nontargets = non_target_rois(dims, activation_mask, seed=cfg.seed)
+    except ValueError as exc:  # the volume is too small for them
+        raise DataError(f"non-target ROIs do not fit in dims {dims}: {exc}") from exc
 
-    rows = []
-    for _, condition in CONDITIONS:
-        t_map = t_maps[condition]
-        finite_t = np.where(np.isfinite(t_map), t_map, 0.0)
-        for roi_name, roi in list(targets.items()) + list(nontargets.items()):
-            rows.append(
-                RobustnessRow(
-                    condition=condition,
-                    roi=roi_name,
-                    lsd=local_standard_deviation(finite_t, roi),
-                    tv=total_variation(finite_t, roi),
-                    peak_r=peak_correlation(r_maps[condition], roi),
-                )
-            )
+    rows = [RobustnessRow(condition=condition, roi=roi_name,
+                          lsd=local_standard_deviation(t_maps[condition], roi),
+                          tv=total_variation(t_maps[condition], roi),
+                          peak_r=peak_correlation(r_maps[condition], roi))
+            for _, condition in CONDITIONS
+            for roi_name, roi in list(targets.items()) + list(nontargets.items())]
 
     with out:
         out.json("robustness.json", {

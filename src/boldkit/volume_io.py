@@ -188,7 +188,8 @@ class Volume4D:
             raise ShapeError(
                 f"data shape {self.data.shape} does not match header dims {self.header.dims}"
             )
-        if not np.all(np.isfinite(self.data)):
+        # NaN and +-inf each show in the min or the max; no run-sized temporary
+        if not (np.isfinite(self.data.min()) and np.isfinite(self.data.max())):
             raise ValueError("volume data contains non-finite values")
 
     @property

@@ -84,6 +84,23 @@ def write_noise_runs(tmp_path, name, shape, seed):
     return paths
 
 
+def write_slab_runs(tmp_path, shape=(10, 10, 10, 40), seed=5):
+    """Noise runs whose first four z-planes are 0 and last four are 500."""
+    rng = np.random.default_rng(seed)
+    paths = []
+    for r in range(2):
+        data = 1000.0 + 20.0 * rng.standard_normal(shape)
+        data[:, :, :4] = 0.0
+        data[:, :, -4:] = 500.0
+        path = str(tmp_path / f"slab-{r + 1}.nii.gz")
+        write_nifti(make_volume(data), path)
+        paths.append(path)
+    return paths
+
+
+SLAB_TASK = {"onsets_s": [0.0, 60.0], "durations_s": [30.0, 30.0], "run_length_s": 120.0}
+
+
 def read_all_bytes(directory):
     return {
         name: (directory / name).read_bytes()
@@ -362,6 +379,24 @@ class TestAnalyze:
             nonempty += json.loads((out / "clusters.json").read_text()) != []
         assert nonempty <= 5, f"{nonempty} of 40 null phantoms gave clusters at q=0.05"
 
+    @pytest.mark.parametrize("mode", ["single", "concatenate", "average"])
+    def test_constant_and_zero_regions_give_finite_maps(self, tmp_path, mode):
+        cfg = write_runs_config(tmp_path, write_slab_runs(tmp_path), task=SLAB_TASK,
+                                duration_mode=mode)
+        out = tmp_path / "an"
+        assert main(["analyze", "--config", cfg, "--out", str(out)]) == 0
+        t_map = read_nifti(out / "t_map.nii.gz").data[..., 0]
+        z_map = read_nifti(out / "z_map.nii.gz").data[..., 0]
+        summary = json.loads((out / "manifest.json").read_text())["summary"]
+        # smoothing reaches two planes in z, so the outer two planes of each
+        # slab stay constant in time: they are the degenerate voxels
+        outer = np.zeros(t_map.shape, dtype=bool)
+        outer[:, :, [0, 1, -2, -1]] = True
+        assert np.isfinite(t_map).all() and np.isfinite(z_map).all()
+        assert (t_map[outer] == 0).all() and (z_map[outer] == 0).all()
+        assert summary["n_degenerate"] == outer.sum()
+        assert summary["n_mask_voxels"] + summary["n_degenerate"] == t_map.size
+
     def test_missing_input_file_is_data_error(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"runs": ["/no/such/run.nii.gz"],
@@ -499,6 +534,21 @@ class TestDurationStudy:
                              env=dict(os.environ, PYTHONPATH=SRC_PATH,
                                       MALLOC_MMAP_THRESHOLD_=str(1 << 20)))
         assert int(out.stdout) < 3.5 * run_bytes
+
+    @pytest.mark.parametrize("case", ["phantom too small", "file runs too small"])
+    def test_unplaceable_non_target_rois_is_data_error(self, tmp_path, capsys, case):
+        # three 200-voxel ROIs need 600 voxels outside the activation
+        if case == "phantom too small":
+            dims = (8, 8, 8)
+            cfg = write_config(tmp_path, phantom=dict(FAST_PHANTOM, dims=list(dims)))
+        else:
+            dims = (10, 10, 6)
+            runs = write_noise_runs(tmp_path, "small", dims + (40,), seed=3)
+            cfg = write_runs_config(tmp_path, runs, task=SLAB_TASK)
+        assert main(["duration-study", "--config", cfg, "--out", str(tmp_path / "x")]) == 3
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"boldkit: data error: .+\n", err)
+        assert "non-target ROIs" in err and f"dims {dims}" in err
 
     def test_wrong_run_count_exit_2(self, tmp_path):
         cfg = write_config(tmp_path, phantom=dict(FAST_PHANTOM, n_runs=3))
@@ -675,6 +725,30 @@ class TestInputErrors:
         assert "Traceback" not in err
         assert re.fullmatch(r"boldkit: (config|data) error: .+\n", err)
         assert named in err
+
+    @pytest.mark.parametrize("key, value, code", [
+        ("tr_s", float("inf"), 2),
+        ("noise_sigma", float("inf"), 2),
+        ("cnr", float("inf"), 2),
+        ("drift_amplitude", float("-inf"), 2),
+        ("field_tesla", float("nan"), 2),
+        ("noise_sigma", 1e200, 4),  # finite, but a series' sum of squares overflows
+        ("noise_sigma", 1.7e308, 4),  # the phantom itself overflows
+    ])
+    def test_non_finite_or_overflowing_phantom_numbers(self, tmp_path, capsys, key, value, code):
+        cfg = write_config(tmp_path, phantom=dict(FAST_PHANTOM, **{key: value}))
+        assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "an")]) == code
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"boldkit: (config error|numeric failure): .+\n", err)
+        if code == 2:
+            assert f"config key 'phantom.{key}': must be finite" in err
+
+    def test_infinite_flag_value_rejected(self, tmp_path, capsys):
+        out = tmp_path / "an"
+        assert main(["analyze", "--config", write_config(tmp_path), "--fwhm", "inf",
+                     "--out", str(out)]) == 2
+        assert "config key 'preprocess.fwhm_mm': must be finite" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
 
     def test_contrast_weight_list_rejected(self):
         with pytest.raises(ConfigError, match=re.escape("config key 'glm.contrast'")):

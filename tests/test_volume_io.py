@@ -39,7 +39,7 @@ from boldkit.volume_io import (
     write_nifti,
 )
 
-from oracles import roi_series_walk
+from oracles import roi_series_walk, traced_peak
 
 
 def build_raw_nifti(dims, payload: bytes, datatype: int, bitpix: int,
@@ -462,6 +462,20 @@ class TestVolumeInvariants:
         data[0, 0, 0, 0] = np.nan
         with pytest.raises(ValueError):
             make_volume(data)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_each_non_finite_value_rejected_beside_finite_extremes(self, value):
+        data = np.zeros((3, 3, 2, 2))
+        data[0, 0, 0, 0], data[2, 2, 1, 1] = -1e308, 1e308
+        data[1, 2, 0, 1] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            make_volume(data)
+
+    def test_finiteness_check_allocates_no_run_sized_temporary(self):
+        data = np.asfortranarray(np.random.default_rng(4).standard_normal((32, 32, 16, 20)))
+        header = VolumeHeader(dims=data.shape)
+        # a boolean mask of the run would take data.nbytes / 8
+        assert traced_peak(Volume4D, header, data) < data.nbytes / 64
 
     def test_bad_dims_rejected(self):
         with pytest.raises(ShapeError):
