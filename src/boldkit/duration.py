@@ -86,15 +86,22 @@ def average_runs(runset: RunSet) -> Volume4D:
     return Volume4D(header=replace(runset.runs[0].header), data=data)
 
 
-def local_standard_deviation(map3d: np.ndarray, roi: np.ndarray, radius_vox: int = 1) -> float:
-    """Mean over ROI voxels of the standard deviation in each voxel's
-    (2r+1)^3 neighborhood, clipped to the volume."""
+def _map_and_roi(map3d, roi) -> tuple[np.ndarray, np.ndarray]:
+    """The map as float64 and the ROI as bool, checked to match in shape
+    and to select at least one voxel."""
     map3d = np.asarray(map3d, dtype=np.float64)
     roi = np.asarray(roi, dtype=bool)
     if map3d.shape != roi.shape:
         raise ShapeError(f"map shape {map3d.shape} != ROI shape {roi.shape}")
     if not roi.any():
         raise EmptyMaskError("ROI selects no voxels")
+    return map3d, roi
+
+
+def local_standard_deviation(map3d: np.ndarray, roi: np.ndarray, radius_vox: int = 1) -> float:
+    """Mean over ROI voxels of the standard deviation in each voxel's
+    (2r+1)^3 neighborhood, clipped to the volume."""
+    map3d, roi = _map_and_roi(map3d, roi)
     if radius_vox < 1:
         raise ValueError("radius_vox must be a positive integer")
 
@@ -110,12 +117,7 @@ def local_standard_deviation(map3d: np.ndarray, roi: np.ndarray, radius_vox: int
 
 def total_variation(map3d: np.ndarray, roi: np.ndarray) -> float:
     """Mean absolute difference over 6-connected voxel pairs inside the ROI."""
-    map3d = np.asarray(map3d, dtype=np.float64)
-    roi = np.asarray(roi, dtype=bool)
-    if map3d.shape != roi.shape:
-        raise ShapeError(f"map shape {map3d.shape} != ROI shape {roi.shape}")
-    if not roi.any():
-        raise EmptyMaskError("ROI selects no voxels")
+    map3d, roi = _map_and_roi(map3d, roi)
 
     total = 0.0
     count = 0
@@ -135,12 +137,7 @@ def total_variation(map3d: np.ndarray, roi: np.ndarray) -> float:
 
 def peak_correlation(r_map: np.ndarray, roi: np.ndarray) -> float:
     """Maximum correlation value over ROI voxels."""
-    r_map = np.asarray(r_map, dtype=np.float64)
-    roi = np.asarray(roi, dtype=bool)
-    if r_map.shape != roi.shape:
-        raise ShapeError(f"map shape {r_map.shape} != ROI shape {roi.shape}")
-    if not roi.any():
-        raise EmptyMaskError("ROI selects no voxels")
+    r_map, roi = _map_and_roi(r_map, roi)
     return float(r_map[roi].max())
 
 

@@ -30,6 +30,9 @@ from .volume_io import Volume4D, block_width, fold_voxels, voxel_series
 
 Z_CLAMP = 40.0
 _RANK_RTOL = 1e-10
+# A series has no noise when its residual (or centred) mean square is at most
+# this fraction of its squared level: zero up to float rounding.
+_NO_NOISE_RTOL = 1e-20
 
 
 @dataclass
@@ -59,8 +62,8 @@ class StatMaps:
     ``degenerate`` flags the voxels with zero residual variance: the one
     rule for a voxel without noise. A constant series is one, since every
     design ``build_design_matrix`` makes has an intercept per run. Those
-    voxels carry a t = +inf sentinel here; ``analyze_volume`` leaves them
-    out of FDR and sets their t and z to 0.
+    voxels read the neutral t = 0, p = 0.5 (1 two-sided) and z = 0;
+    ``analyze_volume`` leaves them out of FDR.
     """
 
     t: np.ndarray
@@ -145,7 +148,7 @@ def p_to_z(p):
     """Standard-normal quantile of 1 - p, clamped to |z| <= 40."""
     p = np.asarray(p, dtype=np.float64)
     with np.errstate(divide="ignore"):
-        z = -ndtri(np.clip(p, 0.0, 1.0))
+        z = 0.0 - ndtri(np.clip(p, 0.0, 1.0))  # +0.0 at p = 0.5, where -ndtri gives -0.0
     return np.clip(z, -Z_CLAMP, Z_CLAMP)
 
 
@@ -153,9 +156,9 @@ def t_contrast(fit: GlmFit, c, two_sided: bool = False) -> StatMaps:
     """t statistic of a contrast with its p and z maps.
 
     t = c'beta / sqrt(residual_variance * c'(X'X)^+ c). Zero-residual
-    voxels get the +inf sentinel with p = 0, z clamped, and a degenerate
-    flag. A contrast outside the row space of a rank-deficient design is
-    rejected as inestimable.
+    voxels are flagged degenerate and get t = 0, so their p and z are the
+    neutral ones. A contrast outside the row space of a rank-deficient
+    design is rejected as inestimable.
     """
     c = np.asarray(c, dtype=np.float64).ravel()
     if c.size != fit.design.n_cols:
@@ -176,36 +179,34 @@ def t_contrast(fit: GlmFit, c, two_sided: bool = False) -> StatMaps:
     effect = c @ fit.beta
 
     # zero residual variance up to float rounding of an exact fit
-    degenerate = fit.residual_variance <= 1e-20 * fit._y_scale
+    degenerate = fit.residual_variance <= _NO_NOISE_RTOL * fit._y_scale
     se = np.sqrt(fit.residual_variance * variance_factor)
-    t = np.full(effect.shape, np.inf)
+    t = np.zeros(effect.shape)
     np.divide(effect, se, out=t, where=~degenerate)
 
-    safe_t = np.where(degenerate, 0.0, t)
-    p = np.where(degenerate, 0.0, t_to_p(safe_t, fit.dof, two_sided))
-    z = np.sign(safe_t) * p_to_z(p / 2.0) if two_sided else p_to_z(p)
-    z = np.where(degenerate, Z_CLAMP, z)
+    p = t_to_p(t, fit.dof, two_sided)
+    z = np.sign(t) * p_to_z(p / 2.0) if two_sided else p_to_z(p)
     return StatMaps(t=t, p=p, z=z, degenerate=degenerate, dof=fit.dof)
 
 
-def correlation_map(vol: Volume4D, regressor) -> tuple[np.ndarray, np.ndarray]:
-    """Pearson correlation of every voxel series with a regressor.
+def correlation_map(vol: Volume4D, regressor) -> np.ndarray:
+    """Pearson correlation of every voxel series with a regressor, as a 3-D map.
 
-    Returns (r, constant_mask): 3-D maps where constant voxel series are
-    flagged and assigned r = 0.
+    A series without noise (centred sum of squares at most _NO_NOISE_RTOL
+    times nt * mean^2, the rule ``t_contrast`` applies) reads r = 0; a
+    regressor without variation under the same rule is rejected.
     """
     regressor = np.asarray(regressor, dtype=np.float64).ravel()
     if regressor.size != vol.n_vols:
         raise ShapeError(f"regressor length {regressor.size} != {vol.n_vols} volumes")
     reg = regressor - regressor.mean()
     reg_norm = np.linalg.norm(reg)
-    if reg_norm == 0.0:
+    if reg_norm**2 <= _NO_NOISE_RTOL * regressor.size * regressor.mean() ** 2:
         raise DegenerateRegressorError("regressor is constant")
 
     series = voxel_series(vol)
     nt, v = series.shape
     r = np.zeros(v)
-    constant = np.zeros(v, dtype=bool)
     width = block_width(nt)
     scratch = np.empty((nt, min(width, v)))
     for start in range(0, v, width):
@@ -213,16 +214,8 @@ def correlation_map(vol: Volume4D, regressor) -> tuple[np.ndarray, np.ndarray]:
         block = series[:, cols]
         means = block.mean(axis=0)
         centered = np.subtract(block, means, out=scratch[:, :block.shape[1]])
-        norms = np.sqrt(np.einsum("tv,tv->v", centered, centered))
-        # Rounding can leave the mean of nt equal samples c off by up to
-        # nt/2 * eps * |c|, so a constant series need not centre to a zero
-        # norm; series whose norm is within twice sqrt(nt) times that bound
-        # are tested exactly.
-        small = np.flatnonzero(norms <= nt**1.5 * np.finfo(np.float64).eps * np.abs(means))
-        block_constant, block_r = constant[cols], r[cols]  # views into the outputs
-        block_constant[small] = block[:, small].max(axis=0) == block[:, small].min(axis=0)
-        valid = ~block_constant
-        block_r[valid] = (reg @ centered)[valid] / (norms[valid] * reg_norm)
+        sum_sq = np.einsum("tv,tv->v", centered, centered)
+        varying = sum_sq > _NO_NOISE_RTOL * nt * means**2
+        np.divide(reg @ centered, np.sqrt(sum_sq) * reg_norm, out=r[cols], where=varying)
     np.clip(r, -1.0, 1.0, out=r)
-    dims = vol.spatial_dims
-    return fold_voxels(r, dims), fold_voxels(constant, dims)
+    return fold_voxels(r, vol.spatial_dims)

@@ -99,10 +99,12 @@ def extract_clusters(rejected: np.ndarray, stats: StatMaps, connectivity: int = 
             raise ShapeError(f"stat map '{name}' shape {arr.shape} != mask shape {rejected.shape}")
 
     labels, n_components = ndimage.label(rejected, structure=_STRUCTURES[connectivity])
+    # every component's coordinates in one pass over the labels
+    members = ndimage.value_indices(labels, ignore_value=0)
     clusters = []
     for component in range(1, n_components + 1):
-        coords = np.argwhere(labels == component)
-        xs, ys, zs = coords[:, 0], coords[:, 1], coords[:, 2]
+        coords = np.transpose(members[component])  # as np.argwhere(labels == component)
+        xs, ys, zs = coords.T
         t_vals = stats.t[xs, ys, zs]
         peak = int(np.argmax(t_vals))
         clusters.append(

@@ -214,7 +214,7 @@ def analyze_volume(vol: Volume4D, design: DesignMatrix, cfg: PipelineConfig) -> 
 
     The contrast is the design's task column. The analysis mask is every
     voxel that is not degenerate (no residual noise, a constant series
-    included); degenerate voxels read 0 in the returned t and z maps.
+    included); degenerate voxels read t = z = 0 (``StatMaps``).
     """
     shape = vol.spatial_dims
     task = design.columns_labeled(LABEL_TASK)[0]
@@ -222,8 +222,6 @@ def analyze_volume(vol: Volume4D, design: DesignMatrix, cfg: PipelineConfig) -> 
     c = np.zeros(design.n_cols)
     c[task] = 1.0
     stats = t_contrast(fit, c, two_sided=cfg.glm["two_sided"])
-    stats.t[stats.degenerate] = 0.0
-    stats.z[stats.degenerate] = 0.0
 
     stats3d = replace(stats, t=fold_voxels(stats.t, shape), p=fold_voxels(stats.p, shape),
                       z=fold_voxels(stats.z, shape),
@@ -363,7 +361,7 @@ def run_duration_study(cfg: PipelineConfig) -> list:
     for mode, name in CONDITIONS:
         vol, matrix = _prepare_condition(cfg, runs, design, mode)
         result = analyze_volume(vol, matrix, cfg)
-        r_maps[name], _ = correlation_map(vol, result.regressor)
+        r_maps[name] = correlation_map(vol, result.regressor)
         del vol
         t_maps[name] = result.stats3d.t
         counts[name] = {"n_rejected": int(result.rejected.sum()),

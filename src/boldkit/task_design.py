@@ -9,7 +9,6 @@ time.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,9 +111,9 @@ class DesignMatrix:
     """N x P regression design with one label per column.
 
     Labels are drawn from {task, drift, intercept}; a design for runs
-    stacked along time has one intercept column per run. rank_deficient
-    flags a design whose columns are linearly dependent; fitting still
-    proceeds via the minimum-norm solution.
+    stacked along time has one intercept column per run. Columns may be
+    linearly dependent: ``fit_glm`` then takes the minimum-norm solution
+    and reports the effective rank (``GlmFit.rank``).
     """
 
     values: np.ndarray
@@ -126,12 +125,6 @@ class DesignMatrix:
             raise ShapeError("design matrix must be 2-D")
         if self.values.shape[1] != len(self.column_labels):
             raise ShapeError("one label per design column required")
-
-    @functools.cached_property
-    def rank_deficient(self) -> bool:
-        """Whether the columns are linearly dependent; its SVD runs on
-        first access only, since fitting does not need it."""
-        return bool(np.linalg.matrix_rank(self.values) < self.values.shape[1])
 
     @property
     def n_rows(self) -> int:
@@ -262,8 +255,7 @@ def build_design_matrix(design: BlockDesign, tr_s: float, run_lengths,
     Columns are one task column spanning all runs, then each run's DCT
     drift block, then one intercept per run; a run's drift and intercept
     columns are zero outside its own rows. A rank-deficient result is
-    flagged rather than rejected (fits fall back to the minimum-norm
-    solution).
+    not rejected: fits fall back to the minimum-norm solution.
     """
     tasks = [task_regressor(design, tr_s, n) for n in run_lengths]
     drifts = [dct_highpass_basis(n, tr_s, cutoff_hz) for n in run_lengths]

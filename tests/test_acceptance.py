@@ -180,9 +180,9 @@ def test_criterion_4_averaging_correlation():
         run0, truth = generate_phantom(spec, acq, design, run_index=0)
         run1, _ = generate_phantom(spec, acq, design, run_index=1)
         roi = truth["motor"] | truth["visual"]
-        r_single, _ = correlation_map(run0, regressor)
+        r_single = correlation_map(run0, regressor)
         averaged = average_runs(RunSet(runs=[run0, run1], design=design))
-        r_avg, _ = correlation_map(averaged, regressor)
+        r_avg = correlation_map(averaged, regressor)
         singles.append(float(r_single[roi].max()))
         averageds.append(float(r_avg[roi].max()))
 

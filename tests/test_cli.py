@@ -535,6 +535,21 @@ class TestDurationStudy:
                                       MALLOC_MMAP_THRESHOLD_=str(1 << 20)))
         assert int(out.stdout) < 3.5 * run_bytes
 
+    def test_constant_runs_read_zero_correlation(self, tmp_path):
+        # slice timing leaves a constant run varying by rounding; a series
+        # without noise reads r = 0 by the rule that flags it degenerate
+        runs = []
+        for r in range(2):
+            path = str(tmp_path / f"constant-{r + 1}.nii.gz")
+            write_nifti(make_volume(np.full((10, 10, 8, 40), 300.0)), path)
+            runs.append(path)
+        cfg = write_runs_config(tmp_path, runs, task=SLAB_TASK)
+        out = tmp_path / "dur"
+        assert main(["duration-study", "--config", cfg, "--out", str(out)]) == 0
+        rows = json.loads((out / "robustness.json").read_text())["rows"]
+        assert len(rows) == 9
+        assert all(row["peak_r"] == 0.0 for row in rows)
+
     @pytest.mark.parametrize("case", ["phantom too small", "file runs too small"])
     def test_unplaceable_non_target_rois_is_data_error(self, tmp_path, capsys, case):
         # three 200-voxel ROIs need 600 voxels outside the activation

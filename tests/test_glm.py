@@ -12,9 +12,10 @@ from boldkit.errors import (
     InestimableContrastError,
 )
 from boldkit.glm import correlation_map, fit_glm, p_to_z, t_contrast, t_to_p
+from boldkit.inference import fdr_bh
 from boldkit.phantom import AcquisitionParams, PhantomSpec, generate_phantom
 from boldkit.task_design import DesignMatrix, alternating_block_design, build_design_matrix
-from boldkit.volume_io import block_width, make_volume
+from boldkit.volume_io import block_width, make_volume, voxel_series
 
 from oracles import (
     normal_equations_beta,
@@ -131,9 +132,31 @@ class TestTContrast:
         Y = np.column_stack([design.values @ [1.0, 2.0, 3.0], rng.standard_normal(20)])
         stats = t_contrast(fit_glm(Y, design), [1.0, 0.0, 0.0])
         assert stats.degenerate[0] and not stats.degenerate[1]
-        assert np.isposinf(stats.t[0])
-        assert stats.p[0] == 0.0
-        assert stats.z[0] == 40.0
+        assert stats.t[0] == 0.0
+        assert stats.p[0] == 0.5
+        assert stats.z[0] == 0.0 and not np.signbit(stats.z[0])
+
+    def test_degenerate_voxels_read_neutral_values_two_sided(self):
+        rng = np.random.default_rng(8)
+        design, _ = random_problem(rng, n=20, p=3, v=1)
+        Y = np.column_stack([np.full(20, 3.0), np.zeros(20), rng.standard_normal(20)])
+        stats = t_contrast(fit_glm(Y, design), [1.0, 0.0, 0.0], two_sided=True)
+        assert stats.degenerate.tolist() == [True, True, False]
+        assert (stats.t[:2] == 0.0).all() and (stats.p[:2] == 1.0).all()
+        assert (stats.z[:2] == 0.0).all() and not np.signbit(stats.z[:2]).any()
+
+    def test_fdr_on_null_phantom_rejects_no_degenerate_voxel(self):
+        # the README's library recipe on a null phantom with a zero slab:
+        # background without noise must not read as activation
+        design = alternating_block_design()
+        vol, _ = generate_phantom(PhantomSpec(cnr=0.0, seed=7), AcquisitionParams(n_vols=100),
+                                  design)
+        vol.data[:, :, :3] = 0.0
+        matrix = build_design_matrix(design, 3.0, [100])
+        stats = t_contrast(fit_glm(voxel_series(vol), matrix), np.eye(matrix.n_cols)[0])
+        assert stats.degenerate.sum() == 3 * vol.spatial_dims[0] * vol.spatial_dims[1]
+        result = fdr_bh(stats.p, q=0.05)
+        assert not (result.rejected & stats.degenerate).any()
 
     # run lengths of one single-run and three concatenated layouts
     LAYOUTS = ([60], [60, 60], [45, 75], [60, 45, 90])
@@ -209,37 +232,43 @@ class TestCorrelationMap:
         data = np.empty((2, 1, 1, 30))
         data[0, 0, 0] = regressor * 3.0 + 5.0
         data[1, 0, 0] = -regressor + 2.0
-        r, flagged = correlation_map(make_volume(data, tr_seconds=2.0), regressor)
+        r = correlation_map(make_volume(data, tr_seconds=2.0), regressor)
         assert r[0, 0, 0] == pytest.approx(1.0)
         assert r[1, 0, 0] == pytest.approx(-1.0)
-        assert not flagged.any()
 
     def test_constant_voxels_flagged_zero(self):
         regressor = np.sin(np.arange(20))
         data = np.zeros((2, 1, 1, 20))
         data[0, 0, 0] = 7.0
         data[1, 0, 0] = regressor
-        r, flagged = correlation_map(make_volume(data, tr_seconds=2.0), regressor)
-        assert flagged[0, 0, 0] and not flagged[1, 0, 0]
+        r = correlation_map(make_volume(data, tr_seconds=2.0), regressor)
         assert r[0, 0, 0] == 0.0
+        assert r[1, 0, 0] == pytest.approx(1.0)
 
     def test_constant_series_whose_mean_rounds_is_flagged(self):
         # np.mean of seven 0.1 samples is 0.09999999999999999, so the
-        # centred series is not exactly zero; one ulp of variation is not
-        # constant
+        # centred series is not exactly zero; neither it nor one ulp of
+        # variation is noise, as t_contrast's degenerate flag agrees
         regressor = np.arange(7.0)
         data = np.full((2, 1, 1, 7), 0.1)
         data[1, 0, 0, 3] = np.nextafter(0.1, 1.0)
         assert data[0, 0, 0].mean() != 0.1
-        r, flagged = correlation_map(make_volume(data, tr_seconds=2.0), regressor)
-        assert flagged[0, 0, 0] and not flagged[1, 0, 0]
-        assert r[0, 0, 0] == 0.0
-        assert np.isfinite(r[1, 0, 0])
+        r = correlation_map(make_volume(data, tr_seconds=2.0), regressor)
+        assert (r == 0.0).all()
+        design = design_of(np.column_stack([regressor, np.ones(7)]))
+        stats = t_contrast(fit_glm(data.reshape(2, 7).T, design), [1.0, 0.0])
+        assert stats.degenerate.all()
 
     def test_constant_regressor_rejected(self):
         vol = make_volume(np.random.default_rng(13).random((2, 2, 2, 10)))
         with pytest.raises(DegenerateRegressorError):
             correlation_map(vol, np.ones(10))
+
+    def test_regressor_constant_up_to_rounding_rejected(self):
+        # its mean rounds, so the centred regressor is ~1e-17, not zero
+        vol = make_volume(np.random.default_rng(13).random((2, 2, 2, 7)))
+        with pytest.raises(DegenerateRegressorError):
+            correlation_map(vol, np.full(7, 0.1))
 
     def test_attenuation_matches_analytic_formula(self):
         rng = np.random.default_rng(14)
@@ -252,7 +281,7 @@ class TestCorrelationMap:
             + sigma_noise * rng.standard_normal((n_voxels, nt))
         )
         data = series.T.reshape(nt, n_voxels).T.reshape(n_voxels, 1, 1, nt)
-        r, _ = correlation_map(make_volume(data, tr_seconds=2.0), regressor)
+        r = correlation_map(make_volume(data, tr_seconds=2.0), regressor)
         assert float(r.mean()) == pytest.approx(expected_r, abs=0.02)
 
 
@@ -312,11 +341,10 @@ class TestBlockedPasses:
     def test_correlation_matches_one_shot_across_blocks(self):
         design, Y, constant, _ = self.blocked_problem(rank_deficient=False)
         regressor = design.values[:, 0]
-        r, flagged = correlation_map(make_volume(Y.T[:, None, None, :]), regressor)
+        r = correlation_map(make_volume(Y.T[:, None, None, :]), regressor)
 
         expected_constant = (Y == Y[0]).all(axis=0)
         assert expected_constant[constant].all() and expected_constant.sum() == 2
-        np.testing.assert_array_equal(flagged[:, 0, 0], expected_constant)
         valid = ~expected_constant
         centered = Y[:, valid] - Y[:, valid].mean(axis=0)
         reg = regressor - regressor.mean()
