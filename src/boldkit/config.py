@@ -13,7 +13,7 @@ import copy
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .duration import CONDITIONS
 from .errors import ConfigError
@@ -163,19 +163,8 @@ class PipelineConfig:
         return self.runs is None
 
     def as_dict(self) -> dict:
-        out = {
-            "seed": self.seed,
-            "output_dir": self.output_dir,
-            "task": self.task,
-            "preprocess": self.preprocess,
-            "glm": self.glm,
-            "inference": self.inference,
-            "duration_mode": self.duration_mode,
-        }
-        if self.runs is not None:
-            out["runs"] = self.runs
-        else:
-            out["phantom"] = self.phantom
+        out = asdict(self)
+        del out["threads"], out["phantom" if self.runs is not None else "runs"]
         return out
 
 

@@ -228,22 +228,18 @@ def analyze_volume(vol: Volume4D, design: DesignMatrix, cfg: PipelineConfig) -> 
                       degenerate=fold_voxels(stats.degenerate, shape))
     mask = ~stats3d.degenerate
 
-    q = cfg.inference["q"]
+    fdr = fdr_bh(stats3d.p[mask], cfg.inference["q"])
     adjusted = np.ones(shape)
+    adjusted[mask] = fdr.adjusted_p
     rejected = np.zeros(shape, dtype=bool)
-    threshold = 0.0
-    if mask.any():
-        result = fdr_bh(stats3d.p[mask], q)
-        adjusted[mask] = result.adjusted_p
-        rejected[mask] = result.rejected
-        threshold = result.p_threshold
+    rejected[mask] = fdr.rejected
 
     clusters = extract_clusters(rejected, stats3d, cfg.inference["connectivity"])
     return AnalysisResult(
         stats3d=stats3d,
         rejected=rejected,
         adjusted_p=adjusted,
-        p_threshold=threshold,
+        p_threshold=fdr.p_threshold,
         clusters=clusters,
         regressor=design.values[:, task],
     )
@@ -303,6 +299,12 @@ def _prepare_condition(cfg: PipelineConfig, runs, design: BlockDesign, mode: str
     return vol, single_run_design(design, tr, vol.n_vols, cutoff_hz=cutoff)
 
 
+def _run_count_error(cfg: PipelineConfig, runs, needed: str) -> ConfigError:
+    """The error for a run count a flow cannot use, naming the key that set it."""
+    key = "phantom.n_runs" if cfg.uses_phantom() else "runs"
+    return ConfigError(f"config key '{key}': {needed}, got {len(runs)}")
+
+
 def _check_cutoff(cfg: PipelineConfig, runs) -> None:
     """Fail before preprocessing when glm.cutoff_hz is at or above the
     Nyquist frequency of the runs' TR; the drift basis states the rule."""
@@ -318,8 +320,8 @@ def run_analyze(cfg: PipelineConfig) -> list:
     out = OutputTracker(cfg.output_dir)  # a bad output_dir fails before the work
     # single mode analyses run 1 only; the other runs are never preprocessed
     runs, design, _ = load_runs(cfg, n_used=1 if mode == "single" else None)
-    if mode in ("concatenate", "average") and len(runs) < 2:
-        raise DataError(f"duration mode '{mode}' needs at least two runs, got {len(runs)}")
+    if mode != "single" and len(runs) < 2:
+        raise _run_count_error(cfg, runs, f"duration mode '{mode}' needs at least two runs")
     _check_cutoff(cfg, runs)
 
     preprocess_runs(runs, cfg)
@@ -350,7 +352,7 @@ def run_duration_study(cfg: PipelineConfig) -> list:
     out = OutputTracker(cfg.output_dir)  # a bad output_dir fails before the work
     runs, design, truth = load_runs(cfg)
     if len(runs) != 2:
-        raise ConfigError(f"config key 'runs': duration study needs exactly 2 runs, got {len(runs)}")
+        raise _run_count_error(cfg, runs, "duration study needs exactly 2 runs")
     _check_cutoff(cfg, runs)
 
     preprocess_runs(runs, cfg)
@@ -362,6 +364,8 @@ def run_duration_study(cfg: PipelineConfig) -> list:
         vol, matrix = _prepare_condition(cfg, runs, design, mode)
         result = analyze_volume(vol, matrix, cfg)
         r_maps[name] = correlation_map(vol, result.regressor)
+        # a voxel without noise reads r = 0 by the rule that reads it t = 0
+        r_maps[name][result.stats3d.degenerate] = 0.0
         del vol
         t_maps[name] = result.stats3d.t
         counts[name] = {"n_rejected": int(result.rejected.sum()),

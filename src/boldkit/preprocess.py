@@ -264,43 +264,6 @@ class _ScoringDomain:
         self.normal = self.jacobian.T @ self.jacobian
 
 
-class _AlignmentCost:
-    """Residuals between a spline-resampled volume and the reference over
-    a scoring domain.
-
-    The moving volume is spline-prefiltered once; each evaluation then
-    samples it with cubic interpolation at the rigidly-mapped positions
-    of the domain's voxels and returns the differences against the
-    reference there, with their mean square as the cost.
-    """
-
-    def __init__(self, moving, domain: _ScoringDomain):
-        self.filtered = ndimage.spline_filter(moving, order=_SPLINE_ORDER)
-        self.domain = domain
-        magnitude = max(np.abs(self.filtered).max(initial=0.0), domain.reference_magnitude)
-        self.rounding = _ROUNDING * magnitude
-        self.flat = np.ptp(moving) <= self.rounding  # does not respond to motion
-        self.evaluations = 0
-
-    def __call__(self, params):
-        """Residual vector (sampled - reference) and its mean square."""
-        self.evaluations += 1
-        domain = self.domain
-        motion = RigidMotion.from_params(params)
-        matrix, offset = _rigid_matrix_offset(domain.shape, motion, domain.voxel)
-        coords = matrix @ domain.grid
-        coords += offset[:, np.newaxis]
-        sampled = ndimage.map_coordinates(
-            self.filtered, coords, order=_SPLINE_ORDER, mode="constant", cval=0.0,
-            prefilter=False,
-        )
-        residual = sampled - domain.reference_values
-        cost = float(np.mean(residual * residual))
-        if not np.isfinite(cost):
-            raise NumericError("non-finite registration cost")
-        return residual, cost
-
-
 # 1 mm of translation and 0.02 rad of rotation move the domain's samples
 # by comparable distances, so the step tolerance scales the same way
 _STEP_TOL = 1e-7 * np.array([1.0, 1.0, 1.0, 0.02, 0.02, 0.02])
@@ -310,24 +273,51 @@ _DAMPING_START = 1e-3
 _DAMPING_MAX = 1e10
 
 
-def _levenberg_marquardt(cost):
-    """Inverse-compositional damped Gauss-Newton descent on ``cost`` from
-    zero motion; a flat moving volume keeps it.
+def _register(moving, domain: _ScoringDomain):
+    """Rigid parameters aligning one volume to the domain's reference.
 
-    Each iteration solves (H + damping diag H) step = J^T r, with the
-    domain's fixed Jacobian J and normal matrix H, for the motion of the
-    reference that explains the residual r, and composes the estimate
-    with its inverse only if the exact cost then falls, raising the
-    damping and re-solving otherwise. Stops when the step falls below
-    the parameter tolerance, when an accepted step improves the cost by
-    less than the relative tolerance, or when the damping saturates.
-    Returns (params, cost, iterations).
+    The moving volume is spline-prefiltered once; each cost evaluation
+    samples it with cubic interpolation at the rigidly-mapped positions
+    of the domain's voxels, and the cost is the mean square of the
+    differences against the reference there. A volume whose range is
+    within rounding does not respond to motion and keeps zero motion.
+
+    Otherwise inverse-compositional damped Gauss-Newton descent runs from
+    zero motion. Each iteration solves (H + damping diag H) step = J^T r,
+    with the domain's fixed Jacobian J and normal matrix H, for the
+    motion of the reference that explains the residual r, and composes
+    the estimate with its inverse only if the exact cost then falls,
+    raising the damping and re-solving otherwise. Stops when the step
+    falls below the parameter tolerance, when an accepted step improves
+    the cost by less than the relative tolerance, or when the damping
+    saturates. Returns (params, cost, iterations, evaluations).
     """
+    filtered = ndimage.spline_filter(moving, order=_SPLINE_ORDER)
+    evaluations = 0
+
+    def residual_and_cost(params):
+        nonlocal evaluations
+        evaluations += 1
+        motion = RigidMotion.from_params(params)
+        matrix, offset = _rigid_matrix_offset(domain.shape, motion, domain.voxel)
+        coords = matrix @ domain.grid
+        coords += offset[:, np.newaxis]
+        sampled = ndimage.map_coordinates(
+            filtered, coords, order=_SPLINE_ORDER, mode="constant", cval=0.0,
+            prefilter=False,
+        )
+        residual = sampled - domain.reference_values
+        cost = float(np.mean(residual * residual))
+        if not np.isfinite(cost):
+            raise NumericError("non-finite registration cost")
+        return residual, cost
+
     x = np.zeros(6)
-    residual, current = cost(x)
-    if cost.flat:
-        return x, current, 0
-    jacobian, normal = cost.domain.jacobian, cost.domain.normal
+    residual, current = residual_and_cost(x)
+    magnitude = max(np.abs(filtered).max(initial=0.0), domain.reference_magnitude)
+    if np.ptp(moving) <= _ROUNDING * magnitude:
+        return x, current, 0, evaluations
+    jacobian, normal = domain.jacobian, domain.normal
     damping = _DAMPING_START
     for iteration in range(1, _MAX_ITERATIONS + 1):
         gradient = jacobian.T @ residual
@@ -336,30 +326,31 @@ def _levenberg_marquardt(cost):
             # lstsq: a zero column (no information) makes lhs singular
             step = np.linalg.lstsq(lhs, gradient, rcond=None)[0]
             if np.all(np.abs(step) <= _STEP_TOL):
-                return x, current, iteration
+                return x, current, iteration, evaluations
             trial_x = _compose_inverse(x, step)
-            trial_residual, trial = cost(trial_x)
+            trial_residual, trial = residual_and_cost(trial_x)
             if trial < current:
                 break
             damping *= 10.0
             if damping > _DAMPING_MAX:
-                return x, current, iteration
+                return x, current, iteration, evaluations
         converged = current - trial <= _COST_RTOL * current
         x, residual, current = trial_x, trial_residual, trial
         damping = max(damping / 10.0, _DAMPING_START)
         if converged:
             break
-    return x, current, iteration
+    return x, current, iteration, evaluations
 
 
 def estimate_motion(vol: Volume4D, reference_index: int = 0, threads: int | None = None) -> list:
     """Rigid parameters aligning every volume to the reference volume.
 
-    Minimizes the mean squared intensity difference between the cubic
-    spline-resampled volume and the reference, scored over a fixed
-    border-eroded domain, by inverse-compositional Levenberg-Marquardt
-    from zero motion (Baker & Matthews 2004): the Jacobian comes from the
-    reference's spline gradient, once per series, so each iteration
+    Each volume is one ``_register`` call: it minimizes the mean squared
+    intensity difference between the cubic spline-resampled volume and
+    the reference, scored over a fixed border-eroded domain, by
+    inverse-compositional Levenberg-Marquardt from zero motion (Baker &
+    Matthews 2004). The domain and the Jacobian, from the reference's
+    spline gradient, are built once per series, so each iteration
     resamples the moving volume once. The reference volume gets exact
     identity parameters; a volume whose range is within rounding (flat or
     empty) keeps identity. One WARNING gives the rank of a reference's
@@ -384,16 +375,11 @@ def estimate_motion(vol: Volume4D, reference_index: int = 0, threads: int | None
         logger.warning("reference volume %d: normal matrix rank %d of 6, so not every "
                        "motion parameter is constrained", reference_index, rank)
     moving = [i for i in range(nt) if i != reference_index]
-
-    def register(i):
-        cost = _AlignmentCost(vol.data[..., i], domain)
-        return _levenberg_marquardt(cost), cost.evaluations
-
     with ThreadPoolExecutor(max_workers=max(1, min(threads, len(moving)))) as pool:
-        registered = list(pool.map(register, moving))
+        registered = list(pool.map(lambda i: _register(vol.data[..., i], domain), moving))
 
     estimates = [RigidMotion() for _ in range(nt)]
-    for i, ((params, final_cost, iterations), evaluations) in zip(moving, registered):
+    for i, (params, final_cost, iterations, evaluations) in zip(moving, registered):
         logger.debug(
             "volume %d: %d iterations, %d cost evaluations, final cost %.6g",
             i, iterations, evaluations, final_cost,

@@ -26,9 +26,9 @@ from __future__ import annotations
 
 import functools
 import gzip
+import io
 import logging
 import math
-import os
 import time
 import zlib
 from dataclasses import dataclass, field
@@ -294,14 +294,12 @@ def _parse_header(path, raw_header: bytes, max_bytes: int) -> _Layout:
     return _Layout(header, shape, code, dtype, offset, n_bytes)
 
 
-def _read_stream(path, gzipped: bool, file_bytes: int) -> tuple[_Layout, bytes]:
-    """Header and data section read through a file object: plain files,
-    and gzip files through ``GzipFile`` (zlib). The reference path: it
-    raises every read error."""
-    max_bytes = file_bytes * MAX_DEFLATE_RATIO if gzipped else file_bytes
-    with gzip.open(path, "rb") if gzipped else open(path, "rb") as fh:
+def _read_stream(path, blob: bytes) -> tuple[_Layout, bytes]:
+    """Header and data section of the gzip file ``blob`` read through
+    ``GzipFile`` (zlib). The reference path: it raises every read error."""
+    with gzip.GzipFile(fileobj=io.BytesIO(blob), mode="rb") as fh:
         try:
-            layout = _parse_header(path, fh.read(HEADER_SIZE), max_bytes)
+            layout = _parse_header(path, fh.read(HEADER_SIZE), len(blob) * MAX_DEFLATE_RATIO)
             fh.seek(layout.offset)
             payload = fh.read(layout.n_bytes)
             if len(payload) < layout.n_bytes:
@@ -310,7 +308,7 @@ def _read_stream(path, gzipped: bool, file_bytes: int) -> tuple[_Layout, bytes]:
                 )
             # GzipFile checks a member's CRC-32 and ISIZE only once it reads
             # past the member's end, so the rest of the stream is drained
-            while gzipped and fh.read(_DRAIN_CHUNK):
+            while fh.read(_DRAIN_CHUNK):
                 pass
         except (gzip.BadGzipFile, EOFError, zlib.error) as exc:
             raise FormatError(f"{path}: corrupt gzip stream ({exc})") from exc
@@ -367,16 +365,12 @@ def _libdeflate():
     return inflate
 
 
-def _read_libdeflate(path, inflate) -> tuple[_Layout, np.ndarray] | None:
-    """Header and data section of a gzip file inflated in one call into a
-    buffer of exactly the size the header promises, or None whenever the
-    file is anything but one well-formed member of that size, so that
-    ``_read_stream`` reads it (and raises its error) instead.
-
-    The compressed bytes are local, so they are freed on return.
+def _read_libdeflate(path, blob: bytes, inflate) -> tuple[_Layout, np.ndarray] | None:
+    """Header and data section of the gzip file ``blob`` inflated in one
+    call into a buffer of exactly the size the header promises, or None
+    whenever the file is anything but one well-formed member of that
+    size, so that ``_read_stream`` reads it (and raises its error) instead.
     """
-    with open(path, "rb") as fh:
-        blob = fh.read()
     try:
         raw_header = zlib.decompressobj(31).decompress(blob, HEADER_SIZE)
         layout = _parse_header(path, raw_header, len(blob) * MAX_DEFLATE_RATIO)
@@ -404,35 +398,43 @@ def read_nifti(path) -> Volume4D:
     detected from the leading two bytes regardless of file name. A gzip
     file is inflated by the system libdeflate when it loads and the file
     is one well-formed member; anything else goes through Python's zlib,
-    with identical data and errors either way. One DEBUG record per read
-    names the inflater, the file and raw bytes and the seconds taken.
+    with identical data and errors either way. The file is read once,
+    whole; a plain file's data section is a view of those bytes, and a
+    gzip file's compressed bytes are freed before the float64 conversion.
+    One DEBUG record per read names the inflater, the file and raw bytes
+    and the seconds taken.
 
     Raises DataError when the path cannot be opened (missing, a
     directory, unreadable), FormatError for a malformed header (such as
     a non-finite scl_slope) or gzip stream or non-finite data, UnsupportedDatatypeError
     for datatypes outside the supported set, and TruncatedFileError when
     the data section is short, or longer than the file could hold
-    (checked before reading it).
+    (checked before inflating it).
     """
     start = time.perf_counter()
     try:
         with open(path, "rb") as fh:
-            gzipped = fh.read(2) == GZIP_MAGIC
-            file_bytes = os.fstat(fh.fileno()).st_size
+            blob = fh.read()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc.strerror}") from exc
-    found = None
-    inflater = "zlib" if gzipped else "none"
-    if gzipped and (inflate := _libdeflate()) is not None:
-        found = _read_libdeflate(path, inflate)
-        if found is not None:
-            inflater = "libdeflate"
-    layout, payload = found or _read_stream(path, gzipped, file_bytes)
+    file_bytes = len(blob)
+    if blob[:2] != GZIP_MAGIC:
+        inflater = "none"
+        layout = _parse_header(path, blob[:HEADER_SIZE], file_bytes)
+        payload = memoryview(blob)[layout.offset:layout.offset + layout.n_bytes]
+    else:
+        found = None
+        if (inflate := _libdeflate()) is not None:
+            found = _read_libdeflate(path, blob, inflate)
+        inflater = "zlib" if found is None else "libdeflate"
+        layout, payload = found or _read_stream(path, blob)
+        del found
+    del blob  # a plain file's payload is a view of it; compressed bytes are freed
     header, shape = layout.header, layout.shape
 
     raw = np.frombuffer(payload, dtype=layout.dtype, count=math.prod(shape))
     data = raw.reshape(shape, order="F").astype(np.float64)
-    del found, payload, raw
+    del payload, raw
 
     slope = float(header["scl_slope"])
     inter = float(header["scl_inter"])

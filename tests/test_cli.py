@@ -537,18 +537,21 @@ class TestDurationStudy:
 
     def test_constant_runs_read_zero_correlation(self, tmp_path):
         # slice timing leaves a constant run varying by rounding; a series
-        # without noise reads r = 0 by the rule that flags it degenerate
-        runs = []
-        for r in range(2):
-            path = str(tmp_path / f"constant-{r + 1}.nii.gz")
-            write_nifti(make_volume(np.full((10, 10, 8, 40), 300.0)), path)
-            runs.append(path)
-        cfg = write_runs_config(tmp_path, runs, task=SLAB_TASK)
-        out = tmp_path / "dur"
-        assert main(["duration-study", "--config", cfg, "--out", str(out)]) == 0
-        rows = json.loads((out / "robustness.json").read_text())["rows"]
-        assert len(rows) == 9
-        assert all(row["peak_r"] == 0.0 for row in rows)
+        # without noise reads r = 0 by the rule that flags it degenerate.
+        # At two levels, concatenation's intercept per run fits the step
+        # between them exactly, so that condition's series has no noise too.
+        for levels in ((300.0, 300.0), (300.0, 317.3)):
+            runs = []
+            for r, level in enumerate(levels):
+                path = str(tmp_path / f"constant-{r + 1}.nii.gz")
+                write_nifti(make_volume(np.full((10, 10, 8, 40), level)), path)
+                runs.append(path)
+            cfg = write_runs_config(tmp_path, runs, task=SLAB_TASK)
+            out = tmp_path / "dur"
+            assert main(["duration-study", "--config", cfg, "--out", str(out)]) == 0
+            rows = json.loads((out / "robustness.json").read_text())["rows"]
+            assert len(rows) == 9
+            assert all(row["peak_r"] == 0.0 for row in rows), levels
 
     @pytest.mark.parametrize("case", ["phantom too small", "file runs too small"])
     def test_unplaceable_non_target_rois_is_data_error(self, tmp_path, capsys, case):
@@ -568,6 +571,31 @@ class TestDurationStudy:
     def test_wrong_run_count_exit_2(self, tmp_path):
         cfg = write_config(tmp_path, phantom=dict(FAST_PHANTOM, n_runs=3))
         assert main(["duration-study", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+
+
+class TestRunCount:
+    """A run count the flow cannot use is a config error naming the key that set it."""
+
+    @pytest.mark.parametrize("command, mode, n_runs", [
+        ("duration-study", "single", 3),
+        ("analyze", "concatenate", 1),
+        ("analyze", "average", 1),
+    ])
+    @pytest.mark.parametrize("source", ["phantom", "files"])
+    def test_names_the_key_set(self, tmp_path, capsys, command, mode, n_runs, source):
+        if source == "phantom":
+            cfg = write_config(tmp_path, phantom=dict(FAST_PHANTOM, n_runs=n_runs),
+                               duration_mode=mode)
+            key = "phantom.n_runs"
+        else:
+            cfg = write_runs_config(tmp_path, simulate_runs(tmp_path, n_runs),
+                                    duration_mode=mode)
+            key = "runs"
+        capsys.readouterr()
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(rf"boldkit: config error: config key '{re.escape(key)}': .+\n", err)
+        assert f"got {n_runs}" in err
 
 
 class TestThreads:
