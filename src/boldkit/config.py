@@ -16,8 +16,9 @@ import sys
 from dataclasses import asdict, dataclass, field
 
 from .duration import CONDITIONS
-from .errors import ConfigError
-from .task_design import BlockDesign
+from .errors import ConfigError, OutOfRangeError
+from .task_design import DEFAULT_OVERSAMPLE, BlockDesign, check_hrf_step
+from .volume_io import FLOAT32_MAX
 
 DURATION_MODES = tuple(mode for mode, _ in CONDITIONS)
 SLICE_ORDER_NAMES = ("interleaved", "sequential")
@@ -73,6 +74,14 @@ def _three(item, message: str):
 _BOOLEAN = _is(lambda v: isinstance(v, bool), "must be a boolean")
 
 
+def _hrf_sampled(key, tr_s):
+    """Check that a task regressor can be built at TR tr_s."""
+    try:
+        check_hrf_step(tr_s / DEFAULT_OVERSAMPLE)
+    except OutOfRangeError as exc:
+        raise ConfigError(f"config key '{key}': {exc}") from exc
+
+
 # Every config key, in validation order. A root key maps to its check
 # (its default is the PipelineConfig field); a section maps each of its
 # keys to (default, check).
@@ -86,7 +95,8 @@ SCHEMA = {
     "phantom": {
         "dims": ([24, 24, 21], _three(_number(low=1, integer=True), "must be three integers")),
         "voxel_size_mm": ([3.3, 3.3, 4.8],
-                          _three(_number(low=1e-6), "must be three positive numbers")),
+                          _three(_number(low=1e-6, high=FLOAT32_MAX),
+                                 "must be three positive numbers")),
         "cnr": (10.75, _number(low=0)),
         "noise_sigma": (20.0, _number(low=1e-12)),
         "ar1_rho": (0.3, _all(_number(low=0), _is(lambda v: v < 1, "must be below 1"))),
@@ -94,12 +104,13 @@ SCHEMA = {
         "field_tesla": (0.55, _number(low=1e-6)),
         "n_runs": (2, _number(low=1, integer=True)),
         "n_vols": (100, _number(low=4, integer=True)),
-        "tr_s": (3.0, _number(low=1e-6)),
+        "tr_s": (3.0, _all(_number(low=1e-6), _hrf_sampled)),
         "te_ms": (85.0, _number(low=0)),
     },
     "task": {
         "onsets_s": ([0.0, 60.0, 120.0, 180.0, 240.0],
-                     _items(_number(low=0), "must be a list of numbers")),
+                     _items(_number(low=0), "must be a non-empty list of numbers",
+                            lambda items: len(items) > 0)),
         "durations_s": ([30.0, 30.0, 30.0, 30.0, 30.0],
                         _items(_number(low=0), "must be a list of numbers")),
         "run_length_s": (300.0, _number(low=1e-6)),

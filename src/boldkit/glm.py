@@ -192,9 +192,11 @@ def t_contrast(fit: GlmFit, c, two_sided: bool = False) -> StatMaps:
 def correlation_map(vol: Volume4D, regressor) -> np.ndarray:
     """Pearson correlation of every voxel series with a regressor, as a 3-D map.
 
-    A series without noise (centred sum of squares at most _NO_NOISE_RTOL
-    times nt * mean^2, the rule ``t_contrast`` applies) reads r = 0; a
-    regressor without variation under the same rule is rejected.
+    A series without variation (centred sum of squares at most
+    _NO_NOISE_RTOL times nt * mean^2) reads r = 0, and a regressor without
+    variation by that test is rejected. ``t_contrast`` uses the same
+    tolerance on another quantity, the residual variance against the
+    mean square, so a series the design fits exactly can still vary here.
     """
     regressor = np.asarray(regressor, dtype=np.float64).ravel()
     if regressor.size != vol.n_vols:

@@ -47,7 +47,14 @@ from .preprocess import (
     sequential_order,
     slice_timing_correct,
 )
-from .task_design import BlockDesign, DesignMatrix, LABEL_TASK, dct_highpass_basis
+from .task_design import (
+    DEFAULT_OVERSAMPLE,
+    BlockDesign,
+    DesignMatrix,
+    LABEL_TASK,
+    check_hrf_step,
+    dct_highpass_basis,
+)
 from .volume_io import (
     Volume4D,
     fold_voxels,
@@ -299,30 +306,39 @@ def _prepare_condition(cfg: PipelineConfig, runs, design: BlockDesign, mode: str
     return vol, single_run_design(design, tr, vol.n_vols, cutoff_hz=cutoff)
 
 
-def _run_count_error(cfg: PipelineConfig, runs, needed: str) -> ConfigError:
-    """The error for a run count a flow cannot use, naming the key that set it."""
-    key = "phantom.n_runs" if cfg.uses_phantom() else "runs"
-    return ConfigError(f"config key '{key}': {needed}, got {len(runs)}")
+def _check_run_count(cfg: PipelineConfig, fits, needed: str) -> None:
+    """Fail before any run is generated or read when the flow cannot use
+    the configured run count; the error names the key that set it."""
+    if cfg.uses_phantom():
+        key, count = "phantom.n_runs", int(cfg.phantom["n_runs"])
+    else:
+        key, count = "runs", len(cfg.runs)
+    if not fits(count):
+        raise ConfigError(f"config key '{key}': {needed}, got {count}")
 
 
-def _check_cutoff(cfg: PipelineConfig, runs) -> None:
-    """Fail before preprocessing when glm.cutoff_hz is at or above the
-    Nyquist frequency of the runs' TR; the drift basis states the rule."""
+def _check_tr(cfg: PipelineConfig, runs) -> None:
+    """Fail before preprocessing when the runs' TR cannot carry the design:
+    glm.cutoff_hz at or above its Nyquist frequency (the drift basis states
+    the rule), or an HRF step the kernel cannot be sampled at
+    (OutOfRangeError)."""
+    tr = runs[0].header.tr_seconds
     try:
-        dct_highpass_basis(runs[0].n_vols, runs[0].header.tr_seconds, cfg.glm["cutoff_hz"])
+        dct_highpass_basis(runs[0].n_vols, tr, cfg.glm["cutoff_hz"])
     except ValueError as exc:
         raise ConfigError(f"config key 'glm.cutoff_hz': {exc}") from exc
+    check_hrf_step(tr / DEFAULT_OVERSAMPLE)
 
 
 def run_analyze(cfg: PipelineConfig) -> list:
     """Preprocess, fit, threshold, and report one analysis."""
     mode = cfg.duration_mode
     out = OutputTracker(cfg.output_dir)  # a bad output_dir fails before the work
+    if mode != "single":
+        _check_run_count(cfg, lambda n: n >= 2, f"duration mode '{mode}' needs at least two runs")
     # single mode analyses run 1 only; the other runs are never preprocessed
     runs, design, _ = load_runs(cfg, n_used=1 if mode == "single" else None)
-    if mode != "single" and len(runs) < 2:
-        raise _run_count_error(cfg, runs, f"duration mode '{mode}' needs at least two runs")
-    _check_cutoff(cfg, runs)
+    _check_tr(cfg, runs)
 
     preprocess_runs(runs, cfg)
     vol, design_matrix = _prepare_condition(cfg, runs, design, mode)
@@ -350,10 +366,9 @@ def run_analyze(cfg: PipelineConfig) -> list:
 def run_duration_study(cfg: PipelineConfig) -> list:
     """Single vs concatenated vs averaged comparison on a two-run set."""
     out = OutputTracker(cfg.output_dir)  # a bad output_dir fails before the work
+    _check_run_count(cfg, lambda n: n == 2, "duration study needs exactly 2 runs")
     runs, design, truth = load_runs(cfg)
-    if len(runs) != 2:
-        raise _run_count_error(cfg, runs, "duration study needs exactly 2 runs")
-    _check_cutoff(cfg, runs)
+    _check_tr(cfg, runs)
 
     preprocess_runs(runs, cfg)
 

@@ -18,6 +18,8 @@ from .errors import NumericError, OutOfRangeError, ShapeError
 
 DEFAULT_OVERSAMPLE = 16
 DEFAULT_CUTOFF_HZ = 0.005
+# Most microtime steps a sampled HRF kernel may span (8 MB of float64).
+MAX_HRF_STEPS = 2**20
 
 LABEL_TASK = "task"
 LABEL_DRIFT = "drift"
@@ -175,16 +177,26 @@ def _gamma_pdf(t: np.ndarray, shape: float, scale: float) -> np.ndarray:
     return np.exp(xlogy(shape - 1.0, x) - x - gammaln(shape)) / scale
 
 
+def check_hrf_step(dt_s: float, params: HrfParams = DEFAULT_HRF) -> None:
+    """The steps the HRF can be sampled at: no longer than the kernel, and
+    no finer than MAX_HRF_STEPS steps per kernel. A design's step is its
+    TR over the oversampling factor. Raises OutOfRangeError otherwise.
+    """
+    shortest = params.kernel_length_s / MAX_HRF_STEPS
+    if not shortest <= dt_s <= params.kernel_length_s:  # also rejects NaN
+        raise OutOfRangeError(
+            f"HRF step {dt_s} s (a design's TR / {DEFAULT_OVERSAMPLE}) is outside "
+            f"[{shortest}, {params.kernel_length_s}] s, the steps its kernel can be sampled at"
+        )
+
+
 def canonical_hrf(params: HrfParams = DEFAULT_HRF, dt_s: float = 0.1) -> np.ndarray:
     """Canonical double-gamma response sampled at 0, dt, ..., kernel length.
 
     The kernel is normalized to unit peak so a regression coefficient
-    reads as peak response amplitude.
+    reads as peak response amplitude. dt_s must pass ``check_hrf_step``.
     """
-    if dt_s <= 0:
-        raise ValueError("dt_s must be positive")
-    if dt_s > params.kernel_length_s:
-        raise ValueError("dt_s must not exceed the kernel length")
+    check_hrf_step(dt_s, params)
     t = np.arange(0.0, params.kernel_length_s + dt_s * 0.5, dt_s)
     peak = _gamma_pdf(t, params.peak_delay_s / params.peak_dispersion_s,
                       params.peak_dispersion_s)

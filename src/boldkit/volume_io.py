@@ -6,13 +6,14 @@ series; writing always emits little-endian float32 with scl_slope=1.
 Orientation fields (qform/sform) are carried through untouched and never
 interpreted.
 
-A gzip file that is one well-formed member is inflated in a single call
-by the system libdeflate, loaded through ctypes on the first gzip read,
-straight into a buffer of the size its header promises; that is about
-twice as fast as zlib. Every other gzip file, and every gzip file when
-the library is missing, is read through ``GzipFile`` (zlib), which also
-raises every read error, so the data and errors never depend on the
-path. Writing always uses zlib.
+A gzip file is read by one reader: its header is parsed once, from a
+``GzipFile`` (zlib) stream. The system libdeflate, loaded through ctypes
+on the first gzip read, then inflates the whole file in a single call
+straight into a buffer of the size the header promises, about twice as
+fast as zlib. When the library is missing, or the file is not one
+well-formed member of that size, the same stream reads the data section
+and raises every read error, so the data and errors never depend on the
+inflater. Writing always uses zlib.
 
 In memory a volume is a float64 array of shape (nx, ny, nz, nt) stored
 x-fastest (Fortran order), as on disk. ``Volume4D`` enforces that layout,
@@ -50,6 +51,8 @@ VOX_OFFSET = 352
 MAGIC_SINGLE = b"n+1\x00"
 GZIP_MAGIC = b"\x1f\x8b"
 MAX_VOX_OFFSET = 2**31
+# Largest value a float32 header field (pixdim) can hold.
+FLOAT32_MAX = float(np.finfo(np.float32).max)
 # Deflate expands at most 1032-fold, which bounds what a gzip file can hold.
 MAX_DEFLATE_RATIO = 1032
 # Bytes read at a time past the data section of a gzip stream.
@@ -294,12 +297,28 @@ def _parse_header(path, raw_header: bytes, max_bytes: int) -> _Layout:
     return _Layout(header, shape, code, dtype, offset, n_bytes)
 
 
-def _read_stream(path, blob: bytes) -> tuple[_Layout, bytes]:
-    """Header and data section of the gzip file ``blob`` read through
-    ``GzipFile`` (zlib). The reference path: it raises every read error."""
+def _read_gzip(path, blob: bytes) -> tuple[_Layout, object, str]:
+    """Header, data section and inflater name of the gzip file ``blob``.
+
+    The header is parsed once, from a ``GzipFile`` (zlib) stream, which
+    reads any number of members. When libdeflate loads and ISIZE matches
+    the size the header promises, the whole file is inflated in one call
+    into a buffer of exactly that size; otherwise, or when that call
+    fails, the same stream reads on, checks every member's CRC-32 and
+    ISIZE, and raises the read error.
+    """
     with gzip.GzipFile(fileobj=io.BytesIO(blob), mode="rb") as fh:
         try:
             layout = _parse_header(path, fh.read(HEADER_SIZE), len(blob) * MAX_DEFLATE_RATIO)
+            size = layout.offset + layout.n_bytes
+            # ISIZE, the last four bytes, is the member's length mod 2**32: a
+            # mismatch rules libdeflate out before the buffer is allocated
+            if ((inflate := _libdeflate()) is not None
+                    and int.from_bytes(blob[-4:], "little") == size % 2**32):
+                buffer = np.empty(size, dtype=np.uint8)
+                if inflate(blob, buffer):
+                    return layout, buffer[layout.offset:], "libdeflate"
+                del buffer
             fh.seek(layout.offset)
             payload = fh.read(layout.n_bytes)
             if len(payload) < layout.n_bytes:
@@ -312,7 +331,7 @@ def _read_stream(path, blob: bytes) -> tuple[_Layout, bytes]:
                 pass
         except (gzip.BadGzipFile, EOFError, zlib.error) as exc:
             raise FormatError(f"{path}: corrupt gzip stream ({exc})") from exc
-    return layout, payload
+    return layout, payload, "zlib"
 
 
 @functools.cache
@@ -365,42 +384,18 @@ def _libdeflate():
     return inflate
 
 
-def _read_libdeflate(path, blob: bytes, inflate) -> tuple[_Layout, np.ndarray] | None:
-    """Header and data section of the gzip file ``blob`` inflated in one
-    call into a buffer of exactly the size the header promises, or None
-    whenever the file is anything but one well-formed member of that
-    size, so that ``_read_stream`` reads it (and raises its error) instead.
-    """
-    try:
-        raw_header = zlib.decompressobj(31).decompress(blob, HEADER_SIZE)
-        layout = _parse_header(path, raw_header, len(blob) * MAX_DEFLATE_RATIO)
-    except (zlib.error, DataError):
-        return None
-    size = layout.offset + layout.n_bytes
-    # ISIZE, the last four bytes, is the member's length mod 2**32: a
-    # mismatch rules the fast path out before the buffer is allocated
-    if int.from_bytes(blob[-4:], "little") != size % 2**32:
-        return None
-    try:
-        buffer = np.empty(size, dtype=np.uint8)
-    except MemoryError:
-        return None
-    if not inflate(blob, buffer):
-        return None
-    return layout, buffer[layout.offset:]
-
-
 def read_nifti(path) -> Volume4D:
     """Read a single-file NIfTI-1 volume, applying intensity scaling.
 
     Stored values become raw * scl_slope + scl_inter (a slope of zero is
     treated as one). Both byte orders are accepted; gzip compression is
-    detected from the leading two bytes regardless of file name. A gzip
-    file is inflated by the system libdeflate when it loads and the file
-    is one well-formed member; anything else goes through Python's zlib,
-    with identical data and errors either way. The file is read once,
-    whole; a plain file's data section is a view of those bytes, and a
-    gzip file's compressed bytes are freed before the float64 conversion.
+    detected from the leading two bytes regardless of file name. The
+    header is parsed once; a gzip file's data section is inflated by the
+    system libdeflate when it loads and the file is one well-formed
+    member, and by zlib otherwise, with identical data and errors either
+    way. The file is read once, whole; a plain file's data section is a
+    view of those bytes, and a gzip file's compressed bytes are freed
+    before the float64 conversion.
     One DEBUG record per read names the inflater, the file and raw bytes
     and the seconds taken.
 
@@ -423,12 +418,7 @@ def read_nifti(path) -> Volume4D:
         layout = _parse_header(path, blob[:HEADER_SIZE], file_bytes)
         payload = memoryview(blob)[layout.offset:layout.offset + layout.n_bytes]
     else:
-        found = None
-        if (inflate := _libdeflate()) is not None:
-            found = _read_libdeflate(path, blob, inflate)
-        inflater = "zlib" if found is None else "libdeflate"
-        layout, payload = found or _read_stream(path, blob)
-        del found
+        layout, payload, inflater = _read_gzip(path, blob)
     del blob  # a plain file's payload is a view of it; compressed bytes are freed
     header, shape = layout.header, layout.shape
 
@@ -473,8 +463,12 @@ def write_nifti(vol: Volume4D, path) -> None:
     4-byte extension flag); scl_slope/scl_inter are written as 1/0. A
     ``.gz`` suffix selects gzip compression at level 1, the fastest, since
     float32 noise barely compresses at any level (mtime pinned to zero so
-    identical volumes produce identical bytes).
+    identical volumes produce identical bytes). Raises ValueError, before
+    the path is opened, when a voxel size or the TR does not fit float32.
     """
+    pixdim = vol.header.voxel_size_mm + (vol.header.tr_seconds,)
+    if not all(abs(v) <= FLOAT32_MAX for v in pixdim):  # also rejects NaN
+        raise ValueError(f"voxel sizes and TR {pixdim} do not all fit float32")
     header = np.zeros((), dtype=_header_dtype("<"))
     header["sizeof_hdr"] = HEADER_SIZE
     header["dim"][0] = 4
@@ -483,8 +477,7 @@ def write_nifti(vol: Volume4D, path) -> None:
     header["datatype"] = FLOAT32_CODE
     header["bitpix"] = 32
     header["pixdim"][0] = 1.0
-    header["pixdim"][1:4] = vol.header.voxel_size_mm
-    header["pixdim"][4] = vol.header.tr_seconds
+    header["pixdim"][1:5] = pixdim
     header["vox_offset"] = VOX_OFFSET
     header["scl_slope"] = 1.0
     header["scl_inter"] = 0.0

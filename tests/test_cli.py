@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import boldkit
-from boldkit import pipeline, volume_io
+from boldkit import pipeline, task_design, volume_io
 from boldkit.cli import main
 from boldkit.config import PipelineConfig, load_config, validate_config
 from boldkit.errors import ConfigError
@@ -99,6 +99,11 @@ def write_slab_runs(tmp_path, shape=(10, 10, 10, 40), seed=5):
 
 
 SLAB_TASK = {"onsets_s": [0.0, 60.0], "durations_s": [30.0, 30.0], "run_length_s": 120.0}
+
+
+def refuse(*args, **kwargs):
+    """Stands in for a function the test must not reach."""
+    raise AssertionError("called where the flow should already have failed")
 
 
 def read_all_bytes(directory):
@@ -597,6 +602,30 @@ class TestRunCount:
         assert re.fullmatch(rf"boldkit: config error: config key '{re.escape(key)}': .+\n", err)
         assert f"got {n_runs}" in err
 
+    @pytest.mark.parametrize("command, mode, n_runs", [
+        ("duration-study", "single", 3),
+        ("analyze", "concatenate", 1),
+    ])
+    @pytest.mark.parametrize("source", ["phantom", "files"])
+    def test_checked_before_any_run_is_built(self, tmp_path, monkeypatch, command, mode,
+                                              n_runs, source):
+        if source == "phantom":
+            cfg = write_config(tmp_path, phantom=dict(FAST_PHANTOM, n_runs=n_runs),
+                               duration_mode=mode)
+        else:
+            cfg = write_runs_config(tmp_path, simulate_runs(tmp_path, n_runs),
+                                    duration_mode=mode)
+
+        monkeypatch.setattr(pipeline, "generate_phantom", refuse)
+        monkeypatch.setattr(pipeline, "read_nifti", refuse)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+
+    def test_count_wins_over_an_unreadable_file(self, tmp_path, capsys):
+        cfg = write_runs_config(tmp_path, [str(tmp_path / "missing.nii.gz")],
+                                duration_mode="concatenate")
+        assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+        assert "config key 'runs'" in capsys.readouterr().err
+
 
 class TestThreads:
     """--threads sets how many input runs are read, and volumes registered, at once."""
@@ -752,6 +781,8 @@ class TestInputErrors:
                                lambda tmp: task_args(tmp, durations_s=[15.0, 15.0, 45.0])),
         "overlapping_blocks": (2, "config key 'task'",
                                lambda tmp: task_args(tmp, durations_s=[45.0, 15.0, 15.0])),
+        "task_without_blocks": (2, "config key 'task.onsets_s'",
+                                lambda tmp: task_args(tmp, onsets_s=[], durations_s=[])),
         "cutoff_above_nyquist": (2, "config key 'glm.cutoff_hz'", lambda tmp: [
             "--config", write_config(tmp, glm={"cutoff_hz": 0.5})]),  # Nyquist at TR 3 s: 1/6 Hz
         "run_is_a_directory": (3, "run-dir.nii.gz", directory_runs_args),
@@ -785,6 +816,41 @@ class TestInputErrors:
         assert re.fullmatch(r"boldkit: (config error|numeric failure): .+\n", err)
         if code == 2:
             assert f"config key 'phantom.{key}': must be finite" in err
+
+    @pytest.mark.parametrize("tr_s, task", [
+        (1e-6, {"onsets_s": [0.0], "durations_s": [2e-5], "run_length_s": 3e-5}),
+        (1e6, {"onsets_s": [0.0], "durations_s": [1e6], "run_length_s": 2e7}),
+    ])
+    def test_tr_the_hrf_cannot_be_sampled_at(self, tmp_path, capsys, monkeypatch, tr_s, task):
+        monkeypatch.setattr(task_design, "canonical_hrf", refuse)
+        cfg = write_config(tmp_path, phantom=dict(FAST_PHANTOM, tr_s=tr_s), task=task)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "sim")]) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"boldkit: config error: config key 'phantom\.tr_s': .+\n", err)
+
+    def test_run_tr_the_hrf_cannot_be_sampled_at(self, tmp_path, capsys, monkeypatch):
+        tr = 1e-4
+        paths = []
+        for r in range(2):
+            vol = make_volume(np.random.default_rng(r).normal(100.0, 1.0, (6, 6, 4, 30)),
+                              tr_seconds=tr)
+            paths.append(str(tmp_path / f"run-{r}.nii.gz"))
+            write_nifti(vol, paths[-1])
+
+        monkeypatch.setattr(task_design, "canonical_hrf", refuse)
+        cfg = write_runs_config(tmp_path, paths, task={
+            "onsets_s": [0.0], "durations_s": [10 * tr], "run_length_s": 30 * tr})
+        assert main(["duration-study", "--config", cfg, "--out", str(tmp_path / "d")]) == 3
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"boldkit: data error: HRF step .+\n", err)
+
+    def test_voxel_size_past_float32_rejected(self, tmp_path, capsys):
+        out = tmp_path / "sim"
+        cfg = write_config(tmp_path, phantom=dict(FAST_PHANTOM, voxel_size_mm=[1e300] * 3))
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+        assert "config key 'phantom.voxel_size_mm'" in capsys.readouterr().err
+        assert not list(out.glob("*.nii.gz"))
+        validate_config({"phantom": {"voxel_size_mm": [volume_io.FLOAT32_MAX] * 3}})
 
     def test_infinite_flag_value_rejected(self, tmp_path, capsys):
         out = tmp_path / "an"

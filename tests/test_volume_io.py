@@ -325,6 +325,22 @@ class TestGzipInflaters:
         if case in ("cut in payload", "corrupt body", "flipped crc", "wrong isize"):
             assert issubclass(reference[0], FormatError)
 
+    @pytest.mark.parametrize("case", ["one member", "two members", "trailing bytes",
+                                      "cut in payload", "corrupt body", "flipped crc",
+                                      "wrong isize"])
+    def test_header_parsed_at_most_once(self, tmp_path, monkeypatch, case):
+        path = tmp_path / "odd.nii.gz"
+        path.write_bytes(self.mangled(case))
+        parse, calls = volume_io._parse_header, []
+
+        def counting_parse(*args):
+            calls.append(args)
+            return parse(*args)
+
+        monkeypatch.setattr(volume_io, "_parse_header", counting_parse)
+        read_outcome(path)
+        assert len(calls) <= 1
+
     def test_read_holds_no_more_than_payload_and_result(self, tmp_path, inflater):
         # float32 on disk: the float64 result is twice the payload. Neither
         # the compressed bytes (during the conversion) nor the payload
@@ -439,6 +455,17 @@ class TestWrite:
         assert back.header.orientation["sform_code"] == 1
         np.testing.assert_allclose(back.header.orientation["srow_x"], [3.3, 0, 0, -10.0],
                                    rtol=1e-6)
+
+    @pytest.mark.parametrize("voxel_size_mm, tr_seconds", [
+        ((3.3, 1e300, 4.8), 3.0), ((3.3, 3.3, 4.8), 1e39), ((3.3, 3.3, 4.8), float("nan")),
+    ])
+    def test_header_values_past_float32_rejected_before_writing(self, tmp_path,
+                                                                voxel_size_mm, tr_seconds):
+        vol = make_volume(np.ones((2, 2, 2)), voxel_size_mm=voxel_size_mm, tr_seconds=tr_seconds)
+        path = tmp_path / "big.nii.gz"
+        with pytest.raises(ValueError, match="fit float32"):
+            write_nifti(vol, path)
+        assert not path.exists()
 
     def test_unwritable_path_raises_oserror(self, tmp_path):
         vol = make_volume(np.zeros((2, 2, 2, 1)))
