@@ -17,8 +17,8 @@ from dataclasses import asdict, dataclass, field
 
 from .duration import CONDITIONS
 from .errors import ConfigError, OutOfRangeError
-from .task_design import DEFAULT_OVERSAMPLE, BlockDesign, check_hrf_step
-from .volume_io import FLOAT32_MAX
+from .task_design import DEFAULT_OVERSAMPLE, BlockDesign, check_hrf_step, check_run_window
+from .volume_io import FLOAT32_MAX, MAX_DIM
 
 DURATION_MODES = tuple(mode for mode, _ in CONDITIONS)
 SLICE_ORDER_NAMES = ("interleaved", "sequential")
@@ -93,7 +93,8 @@ SCHEMA = {
     "runs": _all(_is(lambda v: isinstance(v, list) and v, "must be a non-empty list of paths"),
                  _is(lambda v: all(isinstance(p, str) for p in v), "entries must be strings")),
     "phantom": {
-        "dims": ([24, 24, 21], _three(_number(low=1, integer=True), "must be three integers")),
+        "dims": ([24, 24, 21], _three(_number(low=1, high=MAX_DIM, integer=True),
+                                      "must be three integers")),
         "voxel_size_mm": ([3.3, 3.3, 4.8],
                           _three(_number(low=1e-6, high=FLOAT32_MAX),
                                  "must be three positive numbers")),
@@ -103,7 +104,7 @@ SCHEMA = {
         "drift_amplitude": (10.0, _number(low=0)),
         "field_tesla": (0.55, _number(low=1e-6)),
         "n_runs": (2, _number(low=1, integer=True)),
-        "n_vols": (100, _number(low=4, integer=True)),
+        "n_vols": (100, _number(low=4, high=MAX_DIM, integer=True)),
         "tr_s": (3.0, _all(_number(low=1e-6), _hrf_sampled)),
         "te_ms": (85.0, _number(low=0)),
     },
@@ -209,9 +210,16 @@ def validate_config(raw: dict) -> PipelineConfig:
             _require(len(section["onsets_s"]) == len(section["durations_s"]),
                      "task.durations_s", "must match onsets_s in length")
             try:  # BlockDesign states the paradigm's rules
-                BlockDesign(section["onsets_s"], section["durations_s"], section["run_length_s"])
+                design = BlockDesign(section["onsets_s"], section["durations_s"],
+                                     section["run_length_s"])
             except ValueError as exc:
                 raise ConfigError(f"config key 'task': {exc}") from exc
+
+    if cfg.phantom is not None:  # phantom runs must cover the task
+        try:
+            check_run_window(design, float(cfg.phantom["tr_s"]), int(cfg.phantom["n_vols"]))
+        except OutOfRangeError as exc:
+            raise ConfigError(f"config key 'phantom.n_vols': {exc}") from exc
 
     cfg.seed, cfg.threads = int(cfg.seed), int(cfg.threads)
     if cfg.runs is not None:

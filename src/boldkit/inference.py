@@ -1,9 +1,10 @@
-"""Benjamini-Hochberg FDR control, cluster extraction, and cluster tables."""
+"""Benjamini-Hochberg FDR control, cluster extraction, and cluster tables.
+
+No file I/O: the flows write the tables through ``OutputTracker``.
+"""
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,23 +141,3 @@ def cluster_table(clusters) -> list:
         )
     return rows
 
-
-def write_cluster_csv(rows, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=CLUSTER_COLUMNS, lineterminator="\n")
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({key: _format_cell(row[key]) for key in CLUSTER_COLUMNS})
-
-
-def write_cluster_json(rows, path) -> None:
-    ordered = [{key: row[key] for key in CLUSTER_COLUMNS} for row in rows]
-    with open(path, "w") as fh:
-        json.dump(ordered, fh, indent=2, sort_keys=False)
-        fh.write("\n")
-
-
-def _format_cell(value):
-    if isinstance(value, float):
-        return repr(value)
-    return value

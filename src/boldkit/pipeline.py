@@ -7,6 +7,7 @@ streams are written with a pinned mtime.
 
 from __future__ import annotations
 
+import csv
 import json
 import os
 import re
@@ -31,13 +32,7 @@ from .duration import (
 )
 from .errors import ConfigError, DataError
 from .glm import StatMaps, correlation_map, fit_glm, t_contrast
-from .inference import (
-    cluster_table,
-    extract_clusters,
-    fdr_bh,
-    write_cluster_csv,
-    write_cluster_json,
-)
+from .inference import CLUSTER_COLUMNS, cluster_table, extract_clusters, fdr_bh
 from .phantom import AcquisitionParams, PhantomSpec, generate_phantom
 from .preprocess import (
     apply_motion,
@@ -67,9 +62,10 @@ ADJUSTED_P_CEILING = 0.05
 
 
 class OutputTracker:
-    """Writes a flow's outputs and records each file's path; used as a
-    context manager, it removes an old manifest.json on entry, and every
-    file it recorded if the block raises: a failed run leaves no manifest."""
+    """Writes every output of a flow (maps, CSV and JSON tables, the
+    manifest) and records each file's path; used as a context manager,
+    it removes an old manifest.json on entry, and every file it recorded
+    if the block raises: a failed run leaves no manifest."""
 
     def __init__(self, out_dir):
         self.out_dir = str(out_dir)
@@ -112,10 +108,19 @@ class OutputTracker:
         except OSError as exc:
             raise DataError(f"cannot replace output {full}: {exc.strerror}") from exc
 
-    def json(self, name: str, obj) -> None:
+    def json(self, name: str, obj, sort_keys: bool = True) -> None:
         with open(self.path(name), "w") as fh:
-            json.dump(obj, fh, indent=2, sort_keys=True)
+            json.dump(obj, fh, indent=2, sort_keys=sort_keys)
             fh.write("\n")
+
+    def csv(self, name: str, columns: list, rows) -> None:
+        """A header of columns, then each dict row's values in column
+        order: floats written with repr, every other value with str."""
+        with open(self.path(name), "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(columns)
+            writer.writerows([repr(v) if isinstance(v, float) else str(v)
+                              for v in map(row.__getitem__, columns)] for row in rows)
 
     def map(self, name: str, data3d: np.ndarray, like: Volume4D) -> None:
         """A 3-D map as a one-volume NIfTI with like's geometry."""
@@ -290,20 +295,22 @@ def run_simulate(cfg: PipelineConfig) -> list:
     return out.files
 
 
-def _prepare_condition(cfg: PipelineConfig, runs, design: BlockDesign, mode: str):
-    """(volume, design matrix) for one duration condition."""
-    tr = runs[0].header.tr_seconds
-    cutoff = cfg.glm["cutoff_hz"]
-    if mode == "single":
-        vol = runs[0]
-        return vol, single_run_design(design, tr, vol.n_vols, cutoff_hz=cutoff)
-    # the RunSet shares the caller's list, so concatenation rebinds the
-    # caller's runs to views of the stack and the original arrays are freed
-    runset = RunSet(runs=runs, design=design)
+def _single_condition(cfg: PipelineConfig, vol: Volume4D, design: BlockDesign):
+    """(vol, its one-run design matrix)."""
+    return vol, single_run_design(design, vol.header.tr_seconds, vol.n_vols,
+                                  cutoff_hz=cfg.glm["cutoff_hz"])
+
+
+def _prepare_condition(cfg: PipelineConfig, runset: RunSet, mode: str):
+    """(volume, design matrix) for one duration condition of the run set.
+
+    Concatenation rebinds runset.runs, the list the caller preprocessed,
+    to views of the stack, so the original run arrays are freed.
+    """
     if mode == "concatenate":
-        return concatenate_runs(runset, cutoff_hz=cutoff)
-    vol = average_runs(runset)
-    return vol, single_run_design(design, tr, vol.n_vols, cutoff_hz=cutoff)
+        return concatenate_runs(runset, cutoff_hz=cfg.glm["cutoff_hz"])
+    vol = runset.runs[0] if mode == "single" else average_runs(runset)
+    return _single_condition(cfg, vol, runset.design)
 
 
 def _check_run_count(cfg: PipelineConfig, fits, needed: str) -> None:
@@ -339,9 +346,12 @@ def run_analyze(cfg: PipelineConfig) -> list:
     # single mode analyses run 1 only; the other runs are never preprocessed
     runs, design, _ = load_runs(cfg, n_used=1 if mode == "single" else None)
     _check_tr(cfg, runs)
+    # runs that differ in geometry or TR fail here, before any is preprocessed
+    runset = None if mode == "single" else RunSet(runs=runs, design=design)
 
     preprocess_runs(runs, cfg)
-    vol, design_matrix = _prepare_condition(cfg, runs, design, mode)
+    vol, design_matrix = (_single_condition(cfg, runs[0], design) if runset is None
+                          else _prepare_condition(cfg, runset, mode))
     result = analyze_volume(vol, design_matrix, cfg)
 
     with out:
@@ -350,8 +360,8 @@ def run_analyze(cfg: PipelineConfig) -> list:
         out.map("p_fdr_adjusted.nii.gz", np.minimum(result.adjusted_p, ADJUSTED_P_CEILING), vol)
         out.map("rejection_mask.nii.gz", result.rejected, vol)
         rows = cluster_table(result.clusters)
-        write_cluster_csv(rows, out.path("clusters.csv"))
-        write_cluster_json(rows, out.path("clusters.json"))
+        out.csv("clusters.csv", CLUSTER_COLUMNS, rows)
+        out.json("clusters.json", rows, sort_keys=False)  # keys in CLUSTER_COLUMNS order
         out.manifest("analyze", cfg, {
             "dof": result.stats3d.dof,
             "n_mask_voxels": int((~result.stats3d.degenerate).sum()),
@@ -369,6 +379,7 @@ def run_duration_study(cfg: PipelineConfig) -> list:
     _check_run_count(cfg, lambda n: n == 2, "duration study needs exactly 2 runs")
     runs, design, truth = load_runs(cfg)
     _check_tr(cfg, runs)
+    runset = RunSet(runs=runs, design=design)  # before any run is preprocessed
 
     preprocess_runs(runs, cfg)
 
@@ -376,7 +387,7 @@ def run_duration_study(cfg: PipelineConfig) -> list:
     # after concatenation the runs are views of the stack, which averaging reads
     t_maps, r_maps, counts = {}, {}, {}
     for mode, name in CONDITIONS:
-        vol, matrix = _prepare_condition(cfg, runs, design, mode)
+        vol, matrix = _prepare_condition(cfg, runset, mode)
         result = analyze_volume(vol, matrix, cfg)
         r_maps[name] = correlation_map(vol, result.regressor)
         # a voxel without noise reads r = 0 by the rule that reads it t = 0
@@ -416,9 +427,7 @@ def run_duration_study(cfg: PipelineConfig) -> list:
             "non_target_rois": sorted(nontargets),
             "rows": [asdict(row) for row in rows],
         })
-        with open(out.path("comparison.csv"), "w") as fh:
-            fh.write("condition,roi,lsd,tv,peak_r\n")
-            for row in rows:
-                fh.write(f"{row.condition},{row.roi},{row.lsd!r},{row.tv!r},{row.peak_r!r}\n")
+        out.csv("comparison.csv", ["condition", "roi", "lsd", "tv", "peak_r"],
+                [asdict(row) for row in rows])
         out.manifest("duration-study", cfg, counts)
     return out.files

@@ -437,7 +437,9 @@ def _axis_smoothing_operator(n: int, sigma_vox: float) -> np.ndarray | None:
     # tap weight by distance |i - j|, zero beyond the radius
     by_distance = np.zeros(n)
     by_distance[:radius + 1] = kernel[radius:]
-    operator = by_distance[np.abs(np.subtract.outer(np.arange(n), np.arange(n)))]
+    # reversed, window i of the mirrored taps starts at distance i: row i
+    # is by_distance[|i - j|], a view; the normalised copy is the one n x n array
+    operator = sliding_window_view(np.concatenate([by_distance[:0:-1], by_distance]), n)[::-1]
     return operator / operator.sum(axis=1, keepdims=True)
 
 

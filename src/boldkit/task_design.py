@@ -140,14 +140,11 @@ class DesignMatrix:
         return np.array([i for i, lab in enumerate(self.column_labels) if lab == label])
 
 
-def boxcar(design: BlockDesign, tr_s: float, n_vols: int, oversample: int = 1) -> np.ndarray:
-    """Sample the block paradigm on the microtime grid.
-
-    Sample i sits at time i * tr_s / oversample and is 1 inside any block
-    (half-open [onset, onset + duration)), 0 elsewhere.
+def check_run_window(design: BlockDesign, tr_s: float, n_vols: int) -> None:
+    """The runs a design can be sampled on: n_vols volumes at TR tr_s cover
+    the run to within one TR, and every block ends within the volumes.
+    Raises OutOfRangeError otherwise.
     """
-    if tr_s <= 0 or n_vols < 1 or oversample < 1:
-        raise ValueError("tr_s, n_vols and oversample must be positive")
     window_s = n_vols * tr_s
     if window_s < design.run_length_s - tr_s:
         raise OutOfRangeError(
@@ -159,6 +156,17 @@ def boxcar(design: BlockDesign, tr_s: float, n_vols: int, oversample: int = 1) -
             raise OutOfRangeError(
                 f"block at {onset} s extends past the {window_s} s sampled window"
             )
+
+
+def boxcar(design: BlockDesign, tr_s: float, n_vols: int, oversample: int = 1) -> np.ndarray:
+    """Sample the block paradigm on the microtime grid.
+
+    Sample i sits at time i * tr_s / oversample and is 1 inside any block
+    (half-open [onset, onset + duration)), 0 elsewhere.
+    """
+    if tr_s <= 0 or n_vols < 1 or oversample < 1:
+        raise ValueError("tr_s, n_vols and oversample must be positive")
+    check_run_window(design, tr_s, n_vols)
     t = np.arange(n_vols * oversample, dtype=np.float64) * (tr_s / oversample)
     box = np.zeros(t.shape, dtype=np.float64)
     for onset, duration in zip(design.onsets_s, design.durations_s):

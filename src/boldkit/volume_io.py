@@ -53,6 +53,8 @@ GZIP_MAGIC = b"\x1f\x8b"
 MAX_VOX_OFFSET = 2**31
 # Largest value a float32 header field (pixdim) can hold.
 FLOAT32_MAX = float(np.finfo(np.float32).max)
+# Longest axis the int16 dim field can hold.
+MAX_DIM = int(np.iinfo(np.int16).max)
 # Deflate expands at most 1032-fold, which bounds what a gzip file can hold.
 MAX_DEFLATE_RATIO = 1032
 # Bytes read at a time past the data section of a gzip stream.
@@ -464,8 +466,11 @@ def write_nifti(vol: Volume4D, path) -> None:
     ``.gz`` suffix selects gzip compression at level 1, the fastest, since
     float32 noise barely compresses at any level (mtime pinned to zero so
     identical volumes produce identical bytes). Raises ValueError, before
-    the path is opened, when a voxel size or the TR does not fit float32.
+    the path is opened, when a dim exceeds MAX_DIM or a voxel size or the
+    TR does not fit float32.
     """
+    if max(vol.header.dims) > MAX_DIM:
+        raise ValueError(f"dims {vol.header.dims} exceed {MAX_DIM}, the NIfTI header's limit")
     pixdim = vol.header.voxel_size_mm + (vol.header.tr_seconds,)
     if not all(abs(v) <= FLOAT32_MAX for v in pixdim):  # also rejects NaN
         raise ValueError(f"voxel sizes and TR {pixdim} do not all fit float32")

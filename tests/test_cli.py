@@ -1,5 +1,6 @@
 """Config validation, CLI commands, output determinism, exit codes."""
 
+import csv
 import json
 import os
 import re
@@ -427,12 +428,16 @@ class TestAnalyze:
                                "output_dir": str(out)})
 
         written = []
+        json_output = pipeline.OutputTracker.json
 
-        def fail(rows, path):
+        def fail(self, name, *args, **kwargs):
+            if name != "clusters.json":
+                return json_output(self, name, *args, **kwargs)
+            self.path(name)
             written.extend(os.listdir(out))
             raise OSError("disk full")
 
-        monkeypatch.setattr(pipeline, "write_cluster_json", fail)
+        monkeypatch.setattr(pipeline.OutputTracker, "json", fail)
         with pytest.raises(OSError, match="disk full"):
             pipeline.run_analyze(cfg)
         assert {"t_map.nii.gz", "rejection_mask.nii.gz", "clusters.csv"} <= set(written)
@@ -445,10 +450,15 @@ class TestAnalyze:
         pipeline.run_analyze(cfg)
         assert "manifest.json" in os.listdir(out)
 
-        def fail(rows, path):
+        json_output = pipeline.OutputTracker.json
+
+        def fail(self, name, *args, **kwargs):
+            if name != "clusters.json":
+                return json_output(self, name, *args, **kwargs)
+            self.path(name)
             raise OSError("disk full")
 
-        monkeypatch.setattr(pipeline, "write_cluster_json", fail)
+        monkeypatch.setattr(pipeline.OutputTracker, "json", fail)
         with pytest.raises(OSError, match="disk full"):
             pipeline.run_analyze(cfg)
         assert os.listdir(out) == []
@@ -751,6 +761,22 @@ class TestOutputFiles:
         assert main([command, *file_output_args(tmp_path)]) == 2
         assert calls == []
 
+    def test_csv_tables(self, tmp_path):
+        out = pipeline.OutputTracker(tmp_path)
+        out.csv("empty.csv", ["n", "value", "name"], [])
+        assert (tmp_path / "empty.csv").read_text() == "n,value,name\n"
+
+        values = [0.1, 1 / 3, -2.5e-300, 1e17]
+        rows = [{"name": "x, y", "value": v, "n": i} for i, v in enumerate(values)]
+        out.csv("table.csv", ["n", "value", "name"], rows)
+        text = (tmp_path / "table.csv").read_text()
+        assert text.splitlines()[1] == '0,0.1,"x, y"'
+        back = list(csv.reader(text.splitlines()))
+        assert back[0] == ["n", "value", "name"]
+        assert [float(value) for _, value, _ in back[1:]] == values
+        assert [name for _, _, name in back[1:]] == ["x, y"] * len(values)
+        assert out.files == [str(tmp_path / "empty.csv"), str(tmp_path / "table.csv")]
+
 
 def task_args(tmp_path, **task):
     return ["--config", write_config(tmp_path, task=dict(FAST_TASK, **task))]
@@ -851,6 +877,59 @@ class TestInputErrors:
         assert "config key 'phantom.voxel_size_mm'" in capsys.readouterr().err
         assert not list(out.glob("*.nii.gz"))
         validate_config({"phantom": {"voxel_size_mm": [volume_io.FLOAT32_MAX] * 3}})
+
+    @pytest.mark.parametrize("phantom, key", [
+        ({"dims": [40000, 1, 1]}, "phantom.dims"),
+        ({"dims": [2, 2, 2], "n_vols": 40000}, "phantom.n_vols"),
+    ])
+    def test_dims_past_the_header_limit_rejected(self, tmp_path, capsys, phantom, key):
+        out = tmp_path / "sim"
+        cfg = write_config(tmp_path, phantom=dict(FAST_PHANTOM, **phantom))
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+        assert f"config key '{key}': must be <= 32767" in capsys.readouterr().err
+        assert not out.exists()
+        validate_config({"phantom": {"dims": [volume_io.MAX_DIM, 1, 1]}})
+
+    @pytest.mark.parametrize("command", ["simulate", "analyze"])
+    def test_phantom_run_shorter_than_the_task_names_n_vols(self, tmp_path, capsys, command):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"phantom": {"n_vols": 4}}))
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            "boldkit: config error: config key 'phantom.n_vols': 4 volumes at TR 3.0 s "
+            "cover 12.0 s, short of the 300.0 s run\n")
+
+    def test_file_runs_shorter_than_the_task_are_a_data_error(self, tmp_path, capsys):
+        cfg = write_runs_config(tmp_path, write_noise_runs(tmp_path, "short", (6, 6, 4, 10), 3))
+        assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "an")]) == 3
+        assert re.fullmatch(r"boldkit: data error: 10 volumes at TR 3.0 s cover 30.0 s, "
+                            r"short of the 90.0 s run\n", capsys.readouterr().err)
+
+    MISMATCHED_RUNS = {
+        "dims": ([(8, 8, 6, 40), (8, 8, 5, 40)], [3.0, 3.0],
+                 "run dims (8, 8, 5, 40) != (8, 8, 6, 40)"),
+        "tr": ([(8, 8, 6, 50)] * 2, [3.0, 2.0], "runs differ in TR"),
+    }
+
+    @pytest.mark.parametrize("mismatch", sorted(MISMATCHED_RUNS))
+    @pytest.mark.parametrize("command, extra", [
+        ("analyze", {"duration_mode": "concatenate"}),
+        ("analyze", {"duration_mode": "average"}),
+        ("duration-study", {}),
+    ])
+    def test_runs_that_differ_fail_before_preprocessing(self, tmp_path, capsys, monkeypatch,
+                                                        mismatch, command, extra):
+        shapes, trs, message = self.MISMATCHED_RUNS[mismatch]
+        paths = []
+        for r, (shape, tr) in enumerate(zip(shapes, trs)):
+            paths.append(str(tmp_path / f"run-{r}.nii.gz"))
+            write_nifti(make_volume(np.ones(shape), tr_seconds=tr), paths[-1])
+        calls = []
+        monkeypatch.setattr(pipeline, "preprocess_runs", lambda *args: calls.append(args))
+        cfg = write_runs_config(tmp_path, paths, **extra)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+        assert message in capsys.readouterr().err
+        assert calls == []
 
     def test_infinite_flag_value_rejected(self, tmp_path, capsys):
         out = tmp_path / "an"

@@ -14,9 +14,8 @@ from boldkit.inference import (
     cluster_table,
     extract_clusters,
     fdr_bh,
-    write_cluster_csv,
-    write_cluster_json,
 )
+from boldkit.pipeline import OutputTracker
 
 from oracles import bh_reject_bruteforce, flood_fill_components
 
@@ -149,7 +148,7 @@ class TestClusterTable:
         rows = cluster_table([])
         assert rows == []
         path = tmp_path / "empty.csv"
-        write_cluster_csv(rows, path)
+        OutputTracker(tmp_path).csv("empty.csv", CLUSTER_COLUMNS, rows)
         assert path.read_text() == "rank,n_voxels,peak_p,peak_t,peak_z,cx,cy,cz\n"
 
     def test_rank_follows_size_order(self):
@@ -181,7 +180,7 @@ class TestClusterTable:
         rows = cluster_table(extract_clusters(mask, stats, 26))
 
         csv_path = tmp_path / "clusters.csv"
-        write_cluster_csv(rows, csv_path)
+        OutputTracker(tmp_path).csv("clusters.csv", CLUSTER_COLUMNS, rows)
         with open(csv_path, newline="") as fh:
             reader = csv.DictReader(fh)
             assert reader.fieldnames == CLUSTER_COLUMNS
@@ -192,6 +191,6 @@ class TestClusterTable:
             assert float(back["peak_t"]) == row["peak_t"]
 
         json_path = tmp_path / "clusters.json"
-        write_cluster_json(rows, json_path)
+        OutputTracker(tmp_path).json("clusters.json", rows, sort_keys=False)
         loaded = json.loads(json_path.read_text())
         assert loaded == [{k: row[k] for k in CLUSTER_COLUMNS} for row in rows]

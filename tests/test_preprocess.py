@@ -384,6 +384,20 @@ class TestEstimateMotion:
 
 
 class TestGaussianSmooth:
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 21, 64, 300])
+    @pytest.mark.parametrize("sigma", [0.4, 1.7, 9.0, 300.0])
+    def test_operator_views_match_index_formula(self, n, sigma):
+        operator = preprocess._axis_smoothing_operator(n, sigma)
+        kernel = gaussian_kernel_1d(sigma, max_radius=n - 1)
+        radius = kernel.size // 2
+        if radius == 0:
+            assert operator is None
+            return
+        by_distance = np.zeros(n)
+        by_distance[:radius + 1] = kernel[radius:]
+        by_index = by_distance[np.abs(np.subtract.outer(np.arange(n), np.arange(n)))]
+        np.testing.assert_array_equal(operator, by_index / by_index.sum(axis=1, keepdims=True))
+
     def test_sigma_arithmetic(self):
         sigma = fwhm_to_sigma_vox(8.0, VOXEL)
         assert sigma[0] == pytest.approx(3.3972 / 3.3, abs=2e-4)

@@ -29,6 +29,7 @@ from boldkit.duration import RunSet, average_runs, concatenate_runs, single_run_
 from boldkit.preprocess import gaussian_smooth, interleaved_order, slice_timing_correct
 from boldkit.task_design import BlockDesign
 from boldkit.volume_io import (
+    MAX_DIM,
     Volume4D,
     VolumeHeader,
     extract_roi_series,
@@ -464,6 +465,14 @@ class TestWrite:
         vol = make_volume(np.ones((2, 2, 2)), voxel_size_mm=voxel_size_mm, tr_seconds=tr_seconds)
         path = tmp_path / "big.nii.gz"
         with pytest.raises(ValueError, match="fit float32"):
+            write_nifti(vol, path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("name", ["long.nii", "long.nii.gz"])
+    def test_dims_past_int16_rejected_before_writing(self, tmp_path, name):
+        vol = make_volume(np.zeros((MAX_DIM + 1, 1, 1, 1)))
+        path = tmp_path / name
+        with pytest.raises(ValueError, match="exceed 32767"):
             write_nifti(vol, path)
         assert not path.exists()
 
