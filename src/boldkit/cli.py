@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Commands: simulate, analyze, duration-study, version. Exit codes:
-0 success, 2 configuration error, 3 data error, 4 numeric failure.
+0 success, 2 configuration error, 3 data error (running out of memory
+included), 4 numeric failure.
 """
 
 from __future__ import annotations
@@ -87,6 +88,10 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except DataError as exc:
         print(f"boldkit: data error: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except MemoryError as exc:  # the input is too large for this machine
+        detail = f": {exc}" if str(exc) else ""
+        print(f"boldkit: data error: {args.command} ran out of memory{detail}", file=sys.stderr)
         return EXIT_DATA
     except NumericError as exc:
         print(f"boldkit: numeric failure: {exc}", file=sys.stderr)

@@ -156,18 +156,22 @@ def generate_phantom(
 
     stream = np.random.Generator(np.random.Philox(key=(spec.seed << 64) | run_index))
     draws = stream.standard_normal((nt + 1, n_voxels))
-    drift_sign = np.where(draws[0] >= 0.0, 1.0, -1.0)
-    innovations = draws[1:]
+    drift = np.where(draws[0] >= 0.0, spec.drift_amplitude, -spec.drift_amplitude)
 
+    # Rows 1..nt of the draws become the series in place, one row at a time:
+    # noise[t] = rho * noise[t-1] + step * innovation[t], then + BASELINE,
+    # then + drift * t / 100, the same roundings as with whole-run temporaries.
+    series = draws[1:]
     rho = spec.ar1_rho
-    noise = np.empty_like(innovations)
-    noise[0] = innovations[0] * spec.noise_sigma
     step = spec.noise_sigma * np.sqrt(1.0 - rho**2)
+    series[0] *= spec.noise_sigma
     for t in range(1, nt):
-        noise[t] = rho * noise[t - 1] + step * innovations[t]
-
-    ramp = np.arange(nt, dtype=np.float64)[:, np.newaxis] / 100.0
-    series = BASELINE + noise + (drift_sign * spec.drift_amplitude) * ramp
+        series[t] *= step
+        series[t] += rho * series[t - 1]
+    series += BASELINE
+    ramp = np.arange(nt, dtype=np.float64) / 100.0
+    for t in range(nt):
+        series[t] += drift * ramp[t]
 
     # series is (nt, n_voxels); its transpose is Fortran-contiguous, so the
     # x-fastest reshape below is a view and the signal is added in place.

@@ -193,20 +193,21 @@ def load_runs(cfg: PipelineConfig, n_used: int | None = None):
 def preprocess_runs(runs: list, cfg: PipelineConfig) -> None:
     """Preprocess every run of the list in place, stage by stage.
 
-    runs[i] is replaced after each stage (slice timing, motion, smoothing),
-    so each stage's input is freed as soon as the stage returns rather than
-    when the whole run is done; the list must hold the only reference.
+    Slice timing and smoothing write into the run's own array, and motion
+    correction replaces runs[i] with its realigned copy, so the input is
+    freed as soon as that stage returns; the list must hold the only
+    reference to each run.
     """
     pre = cfg.preprocess
     for i in range(len(runs)):
         if pre["slice_timing"]:
             make_order = interleaved_order if pre["slice_order"] == "interleaved" else sequential_order
             order = make_order(runs[i].header.dims[2], pre["reference_fraction"])
-            runs[i] = slice_timing_correct(runs[i], order)
+            runs[i] = slice_timing_correct(runs[i], order, out=runs[i].data)
         if pre["motion_correction"]:
             runs[i] = apply_motion(runs[i], estimate_motion(runs[i], threads=cfg.threads))
         if pre["fwhm_mm"] > 0:
-            runs[i] = gaussian_smooth(runs[i], pre["fwhm_mm"])
+            runs[i] = gaussian_smooth(runs[i], pre["fwhm_mm"], out=runs[i].data)
 
 
 @dataclass

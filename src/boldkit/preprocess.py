@@ -86,7 +86,8 @@ def _mirrored_shift_matrix(kernel: np.ndarray) -> np.ndarray:
     return toeplitz + sliding_window_view(kernel[1:], nt)
 
 
-def slice_timing_correct(vol: Volume4D, order: SliceOrder) -> Volume4D:
+def slice_timing_correct(vol: Volume4D, order: SliceOrder,
+                         out: np.ndarray | None = None) -> Volume4D:
     """Shift every slice's series to the reference time within the TR.
 
     Each series is resampled by a Fourier phase shift (sinc
@@ -97,9 +98,12 @@ def slice_timing_correct(vol: Volume4D, order: SliceOrder) -> Volume4D:
     autocorrelation up to 0.5, which inflates OLS t-values. The
     operation is linear in the data.
 
-    The shift is one nt x nt matrix product per slice, so each slice holds
-    a transient float64 matrix of 8 * nt**2 bytes (80 kB at 100 volumes,
-    128 MB at 4000).
+    The result is written to out (see _output_array): a new array by
+    default, or vol.data itself to correct a run in place. The shift is
+    one nt x nt matrix product per slice, and each slice's matrix is a
+    transient of 8 * nt**2 bytes (80 kB at 100 volumes, 128 MB at 4000);
+    in place, each slice's product also passes through one scratch buffer
+    of one slice's series, 8 * nx * ny * nt bytes, allocated once.
     """
     nx, ny, nz, nt = vol.header.dims
     if nz != len(order.acquisition_sequence):
@@ -108,13 +112,15 @@ def slice_timing_correct(vol: Volume4D, order: SliceOrder) -> Volume4D:
         )
     if nt < 2:
         raise InsufficientDataError("slice timing correction needs at least 2 volumes")
+    out = _output_array(vol, out)
 
     tr = vol.header.tr_seconds
     reference_s = order.reference_fraction * tr
     offsets = slice_offsets_s(order, tr)
 
     freqs = np.fft.rfftfreq(2 * nt)
-    out = np.empty(vol.header.dims, order="F")
+    # x-fastest like the slice views, so the product is the same BLAS call
+    scratch = np.empty((nx * ny, nt), order="F") if np.may_share_memory(out, vol.data) else None
     for z in range(nz):
         shift_vols = (reference_s - offsets[z]) / tr
         # spectrum of the 2*nt-periodic kernel that advances a series by shift_vols
@@ -122,8 +128,25 @@ def slice_timing_correct(vol: Volume4D, order: SliceOrder) -> Volume4D:
         # (nx*ny, nt) views of slice z, x-fastest
         series = vol.data[:, :, z, :].reshape(nx * ny, nt, order="F")
         shifted = out[:, :, z, :].reshape(nx * ny, nt, order="F")
-        np.matmul(series, _mirrored_shift_matrix(np.fft.irfft(phase, n=2 * nt)), out=shifted)
+        np.matmul(series, _mirrored_shift_matrix(np.fft.irfft(phase, n=2 * nt)),
+                  out=shifted if scratch is None else scratch)
+        if scratch is not None:
+            shifted[...] = scratch
     return Volume4D(header=vol.header, data=out)
+
+
+def _output_array(vol: Volume4D, out: np.ndarray | None) -> np.ndarray:
+    """The array a stage writes its result for vol into: a new one when
+    out is None, else out, which must be a writable x-fastest float64
+    array of vol's dims. out may be vol.data itself: the stage then works
+    in place, and vol's values are overwritten."""
+    if out is None:
+        return np.empty(vol.header.dims, order="F")
+    if (out.shape != vol.header.dims or out.dtype != np.float64
+            or not out.flags.f_contiguous or not out.flags.writeable):
+        raise ValueError(f"out must be a writable x-fastest float64 array of shape "
+                         f"{vol.header.dims}")
+    return out
 
 
 @dataclass
@@ -427,9 +450,11 @@ def gaussian_kernel_1d(sigma_vox: float, max_radius: int | None = None) -> np.nd
     return taps / taps.sum()
 
 
-def _axis_smoothing_operator(n: int, sigma_vox: float) -> np.ndarray | None:
-    """n x n matrix of the truncated Gaussian along one axis, each row
-    divided by its in-field mass; None when it is the identity."""
+def _axis_smoothing_operator(n: int, sigma_vox: float, rows=slice(None),
+                             cols=slice(None)) -> np.ndarray | None:
+    """The rows and columns of the n x n matrix of the truncated Gaussian
+    along one axis, each row divided by its in-field mass; None when it is
+    the identity. The columns must hold every non-zero of the rows."""
     kernel = gaussian_kernel_1d(sigma_vox, max_radius=n - 1)
     radius = kernel.size // 2
     if radius == 0:
@@ -438,44 +463,87 @@ def _axis_smoothing_operator(n: int, sigma_vox: float) -> np.ndarray | None:
     by_distance = np.zeros(n)
     by_distance[:radius + 1] = kernel[radius:]
     # reversed, window i of the mirrored taps starts at distance i: row i
-    # is by_distance[|i - j|], a view; the normalised copy is the one n x n array
-    operator = sliding_window_view(np.concatenate([by_distance[:0:-1], by_distance]), n)[::-1]
+    # is by_distance[|i - j|], a view; the normalised copy is the one array made
+    weights = sliding_window_view(np.concatenate([by_distance[:0:-1], by_distance]), n)[::-1]
+    operator = weights[rows, cols]
     return operator / operator.sum(axis=1, keepdims=True)
 
 
-def gaussian_smooth(vol: Volume4D, fwhm_mm: float) -> Volume4D:
+SMOOTH_TILE = 256
+
+
+def _axis_tiles(n: int, sigma_vox: float) -> list | None:
+    """The smoothing along one axis as (rows, cols, operator) tiles: output
+    rows = operator @ input cols. None when it is the identity.
+
+    The output is cut into tiles of SMOOTH_TILE rows, each reading the
+    window of inputs within the kernel radius of them, so no operator
+    exceeds SMOOTH_TILE x (SMOOTH_TILE + 2 * radius); an axis of at most
+    SMOOTH_TILE voxels is one tile, the whole n x n operator. The tiles
+    whose rows are all farther than the radius from either end share one
+    operator.
+    """
+    radius = gaussian_kernel_1d(sigma_vox, max_radius=n - 1).size // 2
+    if radius == 0:
+        return None
+    tiles, interior = [], None
+    for start in range(0, n, SMOOTH_TILE):
+        stop = min(start + SMOOTH_TILE, n)
+        rows = slice(start, stop)
+        cols = slice(max(0, start - radius), min(n, stop + radius))
+        if start < radius or stop + radius > n:
+            operator = _axis_smoothing_operator(n, sigma_vox, rows, cols)
+        else:
+            if interior is None:
+                interior = _axis_smoothing_operator(n, sigma_vox, rows, cols)
+            operator = interior
+        tiles.append((rows, cols, operator))
+    return tiles
+
+
+def gaussian_smooth(vol: Volume4D, fwhm_mm: float, out: np.ndarray | None = None) -> Volume4D:
     """Separable 3-axis Gaussian smoothing with border renormalization.
 
-    Each axis is one matrix product with a small row-normalised operator
-    (see _axis_smoothing_operator) on the x-fastest data, so every output
-    voxel is the Gaussian-weighted mean of the in-field voxels around it:
+    Each axis is a matrix product with a row-normalised operator (see
+    _axis_smoothing_operator), applied in tiles along long axes (see
+    _axis_tiles), on the x-fastest data, so every output voxel is the
+    Gaussian-weighted mean of the in-field voxels around it:
     outside-volume support is excluded rather than read as zero, and
     constant volumes stay constant all the way to the edges. This equals
     zero-padded convolution divided by the smoothed indicator of the
     field of view.
 
-    Volumes are smoothed independently, a chunk of whole volumes (about
-    1 MB, see block_width) at a time. Within a chunk the axis passes
-    alternate between the chunk's slab of the output and one chunk-sized
-    scratch buffer, arranged so the last pass lands in the output; the
-    only full-size allocation is the output itself.
+    The result is written to out (see _output_array): a new array by
+    default, or vol.data itself to smooth a run in place. With no axis to
+    smooth, the input data is returned as it is unless out is another
+    array, which then receives a copy. Volumes are smoothed independently,
+    a chunk of whole volumes (about 1 MB, see block_width) at a time,
+    through one chunk-sized scratch buffer (_smooth_chunks); beyond out,
+    no run-sized array is allocated.
     """
     if fwhm_mm <= 0:
         raise ValueError("fwhm_mm must be positive")
     sigmas = fwhm_to_sigma_vox(fwhm_mm, vol.header.voxel_size_mm)
     dims = vol.header.dims
-    passes = [(axis, operator) for axis, sigma in enumerate(sigmas)
-              if (operator := _axis_smoothing_operator(dims[axis], sigma)) is not None]
-    if not passes:
+    passes = [(axis, tiles) for axis, sigma in enumerate(sigmas)
+              if (tiles := _axis_tiles(dims[axis], sigma)) is not None]
+    if not passes and (out is None or out is vol.data):
         return Volume4D(header=vol.header, data=vol.data)
-    out = np.empty(dims, order="F")
+    out = _output_array(vol, out)
     _smooth_chunks(vol.data, passes, out)
     return Volume4D(header=vol.header, data=out)
 
 
 def _smooth_chunks(data: np.ndarray, passes: list, out: np.ndarray) -> None:
-    """Apply the (axis, operator) passes to data into out, a chunk of
-    volumes at a time; the scratch buffer is freed on return."""
+    """Apply the (axis, tiles) passes to data into out, which may be data
+    itself, a chunk of volumes at a time; the scratch buffer is freed on
+    return.
+
+    Within a chunk the passes alternate between one chunk-sized scratch
+    buffer and the chunk's slab of out, scratch first, so a pass never
+    writes the slab it reads; after an odd number of passes the scratch
+    is copied into the slab.
+    """
     dims, nt = data.shape[:3], data.shape[3]
     step = block_width(math.prod(dims))
     scratch = np.empty(dims + (min(step, nt),), order="F")
@@ -483,9 +551,8 @@ def _smooth_chunks(data: np.ndarray, passes: list, out: np.ndarray) -> None:
         src = data[..., start:start + step]
         slab = out[..., start:start + step]
         chunk_dims = src.shape
-        for i, (axis, operator) in enumerate(passes):
-            # an even number of passes left after this one: write the slab
-            dst = slab if (len(passes) - 1 - i) % 2 == 0 else scratch[..., :chunk_dims[3]]
+        for i, (axis, tiles) in enumerate(passes):
+            dst = slab if i % 2 else scratch[..., :chunk_dims[3]]
             # batches of (before, n) x-fastest matrices, one per index of the later axes
             before, n = math.prod(chunk_dims[:axis]), chunk_dims[axis]
             after = math.prod(chunk_dims[axis + 1:])
@@ -493,8 +560,11 @@ def _smooth_chunks(data: np.ndarray, passes: list, out: np.ndarray) -> None:
             b = dst.reshape((before, n, after), order="F").transpose(2, 0, 1)
             if before == 1:  # x axis: one (after, n) product, not `after` one-row products
                 a, b = a[:, 0], b[:, 0]
-            np.matmul(a, operator.T, out=b)
+            for rows, cols, operator in tiles:
+                np.matmul(a[..., cols], operator.T, out=b[..., rows])
             src = dst
+        if src is not slab:
+            slab[...] = src
 
 
 def highpass_filter(vol: Volume4D, cutoff_hz: float) -> Volume4D:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import boldkit
-from boldkit import pipeline, task_design, volume_io
+from boldkit import cli, pipeline, task_design, volume_io
 from boldkit.cli import main
 from boldkit.config import PipelineConfig, load_config, validate_config
 from boldkit.errors import ConfigError
@@ -529,9 +529,9 @@ class TestDurationStudy:
     @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
                         reason="reads the peak resident set size from /proc")
     def test_peak_memory_below_three_and_a_half_runs(self, tmp_path):
-        # Smoothing holds its input and output, concatenation frees each run
-        # as it is copied into the stack, and averaging reads views of the
-        # stack, so no stage holds four run-sized arrays. tracemalloc would
+        # Preprocessing works inside each run's own array, concatenation
+        # frees each run as it is copied into the stack, and averaging reads
+        # views of the stack, so no stage holds four run-sized arrays. tracemalloc would
         # count the empty stack in full at once, but its pages become
         # resident only as they are filled, so the resident high-water mark
         # is measured. glibc otherwise raises its mmap threshold after the
@@ -776,6 +776,48 @@ class TestOutputFiles:
         assert [float(value) for _, value, _ in back[1:]] == values
         assert [name for _, _, name in back[1:]] == ["x, y"] * len(values)
         assert out.files == [str(tmp_path / "empty.csv"), str(tmp_path / "table.csv")]
+
+
+class TestOutOfMemory:
+    @pytest.mark.parametrize("command,flow", [
+        ("simulate", "run_simulate"),
+        ("analyze", "run_analyze"),
+        ("duration-study", "run_duration_study"),
+    ])
+    def test_data_error_naming_the_command(self, tmp_path, capsys, monkeypatch, command, flow):
+        def exhausted(cfg):
+            raise MemoryError("Unable to allocate 8.00 GiB for an array")
+
+        monkeypatch.setattr(cli, flow, exhausted)
+        assert main([command, "--config", write_config(tmp_path)]) == 3
+        assert capsys.readouterr().err == (f"boldkit: data error: {command} ran out of memory: "
+                                           "Unable to allocate 8.00 GiB for an array\n")
+
+    def test_message_without_detail(self, tmp_path, capsys, monkeypatch):
+        def exhausted(cfg):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "run_analyze", exhausted)
+        assert main(["analyze", "--config", write_config(tmp_path)]) == 3
+        assert capsys.readouterr().err == "boldkit: data error: analyze ran out of memory\n"
+
+    def test_failed_run_leaves_no_outputs(self, tmp_path, capsys, monkeypatch):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "an"
+        written = []
+        csv_output = pipeline.OutputTracker.csv
+
+        def exhausted(self, name, *args, **kwargs):
+            csv_output(self, name, *args, **kwargs)
+            written.extend(os.listdir(out))
+            raise MemoryError
+
+        monkeypatch.setattr(pipeline.OutputTracker, "csv", exhausted)
+        assert main(["analyze", "--config", cfg, "--out", str(out)]) == 3
+        assert re.fullmatch(r"boldkit: data error: analyze ran out of memory\n",
+                            capsys.readouterr().err)
+        assert {"t_map.nii.gz", "rejection_mask.nii.gz", "clusters.csv"} <= set(written)
+        assert os.listdir(out) == []
 
 
 def task_args(tmp_path, **task):

@@ -15,7 +15,9 @@ from boldkit.phantom import (
     generate_phantom,
     sphere_mask,
 )
-from boldkit.task_design import alternating_block_design
+from boldkit.task_design import alternating_block_design, task_regressor
+
+from oracles import traced_peak
 
 SMALL_DIMS = (10, 10, 8)
 
@@ -32,6 +34,32 @@ def short_design():
 
 def short_acq():
     return AcquisitionParams(n_vols=30)
+
+
+def documented_phantom(spec, acq, design, run_index):
+    """The run the generator documents, built with whole-run temporaries:
+    noise[t] = rho * noise[t-1] + step * innovation[t], then
+    BASELINE + noise + drift sign * amplitude * t / 100, then the
+    unit-peak task response times cnr * sigma * field scale in the ROIs."""
+    nt, n_voxels = acq.n_vols, int(np.prod(spec.dims))
+    stream = np.random.Generator(np.random.Philox(key=(spec.seed << 64) | run_index))
+    draws = stream.standard_normal((nt + 1, n_voxels))
+    drift_sign = np.where(draws[0] >= 0.0, 1.0, -1.0)
+    innovations = draws[1:]
+    rho = spec.ar1_rho
+    noise = np.empty_like(innovations)
+    noise[0] = innovations[0] * spec.noise_sigma
+    step = spec.noise_sigma * np.sqrt(1.0 - rho**2)
+    for t in range(1, nt):
+        noise[t] = rho * noise[t - 1] + step * innovations[t]
+    ramp = np.arange(nt, dtype=np.float64)[:, np.newaxis] / 100.0
+    series = BASELINE + noise + (drift_sign * spec.drift_amplitude) * ramp
+    data = series.T.reshape(spec.dims + (nt,), order="F").copy(order="F")
+    response = task_regressor(design, acq.tr_s, nt)
+    response = response / np.abs(response).max()
+    data[spec.target_mask()] += spec.cnr * spec.noise_sigma * field_snr_scale(spec.field_tesla) \
+        * response
+    return data
 
 
 class TestFieldScale:
@@ -99,6 +127,23 @@ class TestGeneration:
         draws = stream.standard_normal((30 + 1, int(np.prod(SMALL_DIMS))))
         expected = (BASELINE + spec.noise_sigma * draws[1:]).T
         assert np.array_equal(vol.data, expected.reshape(SMALL_DIMS + (30,), order="F"))
+
+    @pytest.mark.parametrize("run_index", [0, 1])
+    def test_default_phantom_is_the_documented_recurrence(self, run_index):
+        # AR(1) noise, drift and task signal at the default rho, drift and cnr
+        spec = small_spec(seed=7)
+        assert spec.ar1_rho == 0.3 and spec.drift_amplitude > 0 and spec.cnr > 0
+        vol, _ = generate_phantom(spec, short_acq(), short_design(), run_index=run_index)
+        expected = documented_phantom(spec, short_acq(), short_design(), run_index)
+        assert np.array_equal(vol.data, expected)
+
+    def test_memory_is_the_draws_plus_one_mib(self):
+        # the series is built inside the array of draws, one row at a time
+        spec = PhantomSpec(seed=7)
+        acq = AcquisitionParams()
+        draws_bytes = 8 * (acq.n_vols + 1) * int(np.prod(spec.dims))
+        design = alternating_block_design(block_s=30.0, run_length_s=300.0)
+        assert traced_peak(generate_phantom, spec, acq, design) < draws_bytes + 2**20
 
     def test_null_phantom_has_no_task_signal(self):
         spec = small_spec(cnr=0.0, drift_amplitude=0.0, ar1_rho=0.0)

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
-from boldkit import preprocess
+from boldkit import pipeline, preprocess
+from boldkit.config import validate_config
 from boldkit.errors import InsufficientDataError, NumericError, ShapeError
 from boldkit.preprocess import (
     RigidMotion,
@@ -25,7 +26,7 @@ from boldkit.preprocess import (
     slice_offsets_s,
     slice_timing_correct,
 )
-from boldkit.volume_io import make_volume
+from boldkit.volume_io import block_width, make_volume
 
 from oracles import gaussian_kernel_3d, slice_timing_fft, smooth_zero_padded, traced_peak
 
@@ -156,6 +157,36 @@ class TestSliceTiming:
         np.testing.assert_allclose(
             correct(2.0 * a - 3.0 * b), 2.0 * correct(a) - 3.0 * correct(b), atol=1e-12
         )
+
+    def test_in_place_equals_new_array(self):
+        rng = np.random.default_rng(7)
+        vol = make_volume(rng.standard_normal((5, 4, 6, 20)), voxel_size_mm=VOXEL,
+                          tr_seconds=3.0)
+        order = interleaved_order(6)
+        before = vol.data.copy()
+        expected = slice_timing_correct(vol, order).data
+        assert np.array_equal(vol.data, before)  # a new array leaves the input untouched
+        result = slice_timing_correct(vol, order, out=vol.data)
+        assert result.data is vol.data
+        assert np.array_equal(vol.data, expected)
+
+    def test_memory_in_place_is_one_shift_matrix(self):
+        # one nt x nt matrix lives at a time, plus one slice's series
+        nt = 1500
+        rng = np.random.default_rng(8)
+        vol = make_volume(rng.standard_normal((2, 2, 3, nt)), tr_seconds=3.0)
+        peak = traced_peak(slice_timing_correct, vol, sequential_order(3), vol.data)
+        assert peak < 8 * nt**2 + 2**20
+
+    @pytest.mark.parametrize("out", [
+        np.empty((3, 4, 5, 6)),                             # C order
+        np.empty((3, 4, 5, 6), order="F", dtype=np.float32),
+        np.empty((3, 4, 5, 7), order="F"),
+    ])
+    def test_out_must_be_an_x_fastest_float64_run(self, out):
+        vol = make_volume(np.zeros((3, 4, 5, 6)), tr_seconds=3.0)
+        with pytest.raises(ValueError, match="out must be"):
+            slice_timing_correct(vol, sequential_order(5), out=out)
 
     def test_too_few_volumes(self):
         vol = make_volume(np.zeros((2, 2, 3, 1)), tr_seconds=3.0)
@@ -474,6 +505,74 @@ class TestGaussianSmooth:
                           tr_seconds=3.0)
         assert traced_peak(gaussian_smooth, vol, 8.0) < vol.data.nbytes + 2 * 2**20
 
+    @pytest.mark.parametrize("dims,n_passes", [
+        ((10, 9, 7, 450), 3),
+        ((10, 1, 7, 4000), 2),   # a length-1 axis drops its pass
+        ((1, 8, 1, 40000), 1),
+    ])
+    def test_in_place_equals_new_array(self, dims, n_passes):
+        # several chunks with a partial last one, an odd and an even pass count
+        step = block_width(int(np.prod(dims[:3])))
+        assert dims[3] > step and dims[3] % step
+        sigmas = fwhm_to_sigma_vox(8.0, VOXEL)
+        assert sum(preprocess._axis_tiles(n, sigma) is not None
+                   for n, sigma in zip(dims, sigmas)) == n_passes
+        rng = np.random.default_rng(18)
+        vol = make_volume(1.0 + rng.random(dims), voxel_size_mm=VOXEL, tr_seconds=3.0)
+        before = vol.data.copy()
+        expected = gaussian_smooth(vol, 8.0).data
+        assert np.array_equal(vol.data, before)  # a new array leaves the input untouched
+        result = gaussian_smooth(vol, 8.0, out=vol.data)
+        assert result.data is vol.data
+        assert np.array_equal(vol.data, expected)
+
+    def test_no_axis_to_smooth(self):
+        vol = make_volume(np.arange(12.0).reshape(1, 1, 1, 12), tr_seconds=3.0)
+        assert gaussian_smooth(vol, 8.0).data is vol.data
+        assert gaussian_smooth(vol, 8.0, out=vol.data).data is vol.data
+        out = np.empty((1, 1, 1, 12), order="F")
+        assert gaussian_smooth(vol, 8.0, out=out).data is out
+        assert np.array_equal(out, vol.data)
+
+    @pytest.mark.parametrize("n,voxel_x", [
+        (600, 1.0),     # radius 13: the middle tiles share one operator
+        (700, 0.05),    # radius 271, past one tile: two tiles touch each end
+        (1000, 1e-30),  # radius n - 1: every tile reads the whole axis
+    ])
+    def test_tiled_axis_matches_one_operator(self, monkeypatch, n, voxel_x):
+        rng = np.random.default_rng(19)
+        vol = make_volume(1.0 + rng.random((n, 3, 2, 2)), voxel_size_mm=(voxel_x, 3.3, 4.8),
+                          tr_seconds=3.0)
+        tiled = gaussian_smooth(vol, 8.0).data
+        monkeypatch.setattr(preprocess, "SMOOTH_TILE", n)
+        whole = gaussian_smooth(vol, 8.0).data
+        np.testing.assert_allclose(tiled, whole, rtol=1e-13, atol=0)
+
+    def test_tiled_axis_matches_direct_3d_oracle(self):
+        rng = np.random.default_rng(20)
+        voxel = (1.0, 3.3, 4.8)
+        data = 1.0 + rng.random((300, 4, 3, 2))
+        out = gaussian_smooth(make_volume(data, voxel_size_mm=voxel, tr_seconds=3.0), 8.0)
+        expected = smooth_zero_padded(data, fwhm_to_sigma_vox(8.0, voxel))
+        np.testing.assert_allclose(out.data, expected, rtol=1e-12, atol=0)
+
+    def test_long_axis_tiles_share_the_interior_operator(self):
+        sigma = 3.4  # radius 13
+        tiles = preprocess._axis_tiles(4000, sigma)
+        assert len(tiles) == 16
+        assert len({id(operator) for _, _, operator in tiles}) == 3
+        assert tiles[0][1] == slice(0, 256 + 13) and tiles[-1][1] == slice(3840 - 13, 4000)
+        for rows, cols, operator in tiles:
+            assert operator.shape == (rows.stop - rows.start, cols.stop - cols.start)
+            assert operator.shape[1] <= preprocess.SMOOTH_TILE + 2 * 13
+
+    def test_memory_of_one_4000_voxel_axis(self):
+        # the whole-axis operator alone would be 8 * 4000**2 bytes (122 MiB)
+        rng = np.random.default_rng(21)
+        vol = make_volume(rng.standard_normal((4000, 1, 1, 8)), voxel_size_mm=(1.0, 3.3, 4.8),
+                          tr_seconds=3.0)
+        assert traced_peak(gaussian_smooth, vol, 8.0) < 4 * 2**20
+
     def test_kernel_wider_than_axis_is_clipped(self):
         # a 1e-30 mm voxel puts the 4-sigma radius far beyond any axis;
         # every in-field tap then has weight 1, so x becomes a plain mean
@@ -489,6 +588,27 @@ class TestGaussianSmooth:
     def test_kernel_radius_capped(self):
         assert gaussian_kernel_1d(1e30, max_radius=3).size == 7
         assert gaussian_kernel_1d(2.0, max_radius=0).size == 1
+
+
+class TestRunBuffers:
+    def test_flow_preprocessing_works_inside_the_run(self):
+        # slice timing and smoothing of an owned run allocate one slice's
+        # series and chunk-sized scratch, and equal the public stages
+        dims = (24, 24, 21, 100)
+        rng = np.random.default_rng(22)
+        vol = make_volume(1000.0 + rng.standard_normal(dims), voxel_size_mm=VOXEL,
+                          tr_seconds=3.0)
+        cfg = validate_config({})
+        pre = cfg.preprocess
+        assert pre["slice_timing"] and pre["slice_order"] == "interleaved"
+        assert not pre["motion_correction"] and pre["fwhm_mm"] == 8.0
+        order = interleaved_order(dims[2], pre["reference_fraction"])
+        expected = gaussian_smooth(slice_timing_correct(vol, order), 8.0).data
+        runs = [vol]
+        del vol
+        one_slice = 8 * dims[0] * dims[1] * dims[3]
+        assert traced_peak(pipeline.preprocess_runs, runs, cfg) < one_slice + 2 * 2**20
+        assert np.array_equal(runs[0].data, expected)
 
 
 class TestHighpass:
