@@ -203,11 +203,11 @@ def preprocess_runs(runs: list, cfg: PipelineConfig) -> None:
         if pre["slice_timing"]:
             make_order = interleaved_order if pre["slice_order"] == "interleaved" else sequential_order
             order = make_order(runs[i].header.dims[2], pre["reference_fraction"])
-            runs[i] = slice_timing_correct(runs[i], order, out=runs[i].data)
+            runs[i] = slice_timing_correct(runs[i], order, in_place=True)
         if pre["motion_correction"]:
             runs[i] = apply_motion(runs[i], estimate_motion(runs[i], threads=cfg.threads))
         if pre["fwhm_mm"] > 0:
-            runs[i] = gaussian_smooth(runs[i], pre["fwhm_mm"], out=runs[i].data)
+            runs[i] = gaussian_smooth(runs[i], pre["fwhm_mm"], in_place=True)
 
 
 @dataclass

@@ -86,8 +86,7 @@ def _mirrored_shift_matrix(kernel: np.ndarray) -> np.ndarray:
     return toeplitz + sliding_window_view(kernel[1:], nt)
 
 
-def slice_timing_correct(vol: Volume4D, order: SliceOrder,
-                         out: np.ndarray | None = None) -> Volume4D:
+def slice_timing_correct(vol: Volume4D, order: SliceOrder, in_place: bool = False) -> Volume4D:
     """Shift every slice's series to the reference time within the TR.
 
     Each series is resampled by a Fourier phase shift (sinc
@@ -98,12 +97,12 @@ def slice_timing_correct(vol: Volume4D, order: SliceOrder,
     autocorrelation up to 0.5, which inflates OLS t-values. The
     operation is linear in the data.
 
-    The result is written to out (see _output_array): a new array by
-    default, or vol.data itself to correct a run in place. The shift is
-    one nt x nt matrix product per slice, and each slice's matrix is a
-    transient of 8 * nt**2 bytes (80 kB at 100 volumes, 128 MB at 4000);
-    in place, each slice's product also passes through one scratch buffer
-    of one slice's series, 8 * nx * ny * nt bytes, allocated once.
+    The result goes into a new array, or into vol.data itself when
+    in_place (see _output_array). The shift is one nt x nt matrix product
+    per slice: each slice's matrix is a transient of 8 * nt**2 bytes
+    (80 kB at 100 volumes, 128 MB at 4000), and each product passes
+    through one scratch buffer of one slice's series, 8 * nx * ny * nt
+    bytes, allocated once, so a slice is never overwritten while read.
     """
     nx, ny, nz, nt = vol.header.dims
     if nz != len(order.acquisition_sequence):
@@ -112,7 +111,7 @@ def slice_timing_correct(vol: Volume4D, order: SliceOrder,
         )
     if nt < 2:
         raise InsufficientDataError("slice timing correction needs at least 2 volumes")
-    out = _output_array(vol, out)
+    out = _output_array(vol, in_place)
 
     tr = vol.header.tr_seconds
     reference_s = order.reference_fraction * tr
@@ -120,33 +119,29 @@ def slice_timing_correct(vol: Volume4D, order: SliceOrder,
 
     freqs = np.fft.rfftfreq(2 * nt)
     # x-fastest like the slice views, so the product is the same BLAS call
-    scratch = np.empty((nx * ny, nt), order="F") if np.may_share_memory(out, vol.data) else None
+    scratch = np.empty((nx * ny, nt), order="F")
     for z in range(nz):
         shift_vols = (reference_s - offsets[z]) / tr
         # spectrum of the 2*nt-periodic kernel that advances a series by shift_vols
         phase = np.exp(2j * np.pi * freqs * shift_vols)
         # (nx*ny, nt) views of slice z, x-fastest
         series = vol.data[:, :, z, :].reshape(nx * ny, nt, order="F")
-        shifted = out[:, :, z, :].reshape(nx * ny, nt, order="F")
-        np.matmul(series, _mirrored_shift_matrix(np.fft.irfft(phase, n=2 * nt)),
-                  out=shifted if scratch is None else scratch)
-        if scratch is not None:
-            shifted[...] = scratch
+        np.matmul(series, _mirrored_shift_matrix(np.fft.irfft(phase, n=2 * nt)), out=scratch)
+        out[:, :, z, :].reshape(nx * ny, nt, order="F")[...] = scratch
     return Volume4D(header=vol.header, data=out)
 
 
-def _output_array(vol: Volume4D, out: np.ndarray | None) -> np.ndarray:
-    """The array a stage writes its result for vol into: a new one when
-    out is None, else out, which must be a writable x-fastest float64
-    array of vol's dims. out may be vol.data itself: the stage then works
-    in place, and vol's values are overwritten."""
-    if out is None:
+def _output_array(vol: Volume4D, in_place: bool) -> np.ndarray:
+    """The array a stage writes its result for vol into: a new one, or
+    vol.data itself when in_place, whose values are then overwritten.
+    Written through x-fastest views, it must be a writable x-fastest
+    float64 array."""
+    if not in_place:
         return np.empty(vol.header.dims, order="F")
-    if (out.shape != vol.header.dims or out.dtype != np.float64
-            or not out.flags.f_contiguous or not out.flags.writeable):
-        raise ValueError(f"out must be a writable x-fastest float64 array of shape "
-                         f"{vol.header.dims}")
-    return out
+    data = vol.data
+    if not (data.dtype == np.float64 and data.flags.f_contiguous and data.flags.writeable):
+        raise ValueError("in-place preprocessing needs writable x-fastest float64 data")
+    return data
 
 
 @dataclass
@@ -450,11 +445,25 @@ def gaussian_kernel_1d(sigma_vox: float, max_radius: int | None = None) -> np.nd
     return taps / taps.sum()
 
 
-def _axis_smoothing_operator(n: int, sigma_vox: float, rows=slice(None),
-                             cols=slice(None)) -> np.ndarray | None:
-    """The rows and columns of the n x n matrix of the truncated Gaussian
-    along one axis, each row divided by its in-field mass; None when it is
-    the identity. The columns must hold every non-zero of the rows."""
+SMOOTH_TILE = 256
+
+
+def _axis_tiles(n: int, sigma_vox: float, tile: int | None = None) -> list | None:
+    """The smoothing along one axis as (rows, cols, operator) tiles: output
+    rows = operator @ input cols. None when it is the identity.
+
+    operator holds those rows and columns of the n x n matrix of the
+    truncated Gaussian, each row divided by its in-field mass. The output
+    is cut into tiles of `tile` rows (default SMOOTH_TILE), each reading
+    the window of inputs within the kernel radius r of them, so an
+    operator is at most tile x (tile + 2r); an axis of at most `tile`
+    voxels is one tile, the whole n x n operator. The tiles whose rows
+    are all farther than r from either end share one operator; each
+    other tile has its own, so the operators take at most
+    8 * min(n, 2r + 3 * tile) * min(n, tile + 2r) bytes, which is the
+    whole 8 * n**2 when r nears n.
+    """
+    tile = tile or SMOOTH_TILE
     kernel = gaussian_kernel_1d(sigma_vox, max_radius=n - 1)
     radius = kernel.size // 2
     if radius == 0:
@@ -463,63 +472,49 @@ def _axis_smoothing_operator(n: int, sigma_vox: float, rows=slice(None),
     by_distance = np.zeros(n)
     by_distance[:radius + 1] = kernel[radius:]
     # reversed, window i of the mirrored taps starts at distance i: row i
-    # is by_distance[|i - j|], a view; the normalised copy is the one array made
+    # is by_distance[|i - j|], a view; each tile's normalised operator is a copy
     weights = sliding_window_view(np.concatenate([by_distance[:0:-1], by_distance]), n)[::-1]
-    operator = weights[rows, cols]
-    return operator / operator.sum(axis=1, keepdims=True)
-
-
-SMOOTH_TILE = 256
-
-
-def _axis_tiles(n: int, sigma_vox: float) -> list | None:
-    """The smoothing along one axis as (rows, cols, operator) tiles: output
-    rows = operator @ input cols. None when it is the identity.
-
-    The output is cut into tiles of SMOOTH_TILE rows, each reading the
-    window of inputs within the kernel radius of them, so no operator
-    exceeds SMOOTH_TILE x (SMOOTH_TILE + 2 * radius); an axis of at most
-    SMOOTH_TILE voxels is one tile, the whole n x n operator. The tiles
-    whose rows are all farther than the radius from either end share one
-    operator.
-    """
-    radius = gaussian_kernel_1d(sigma_vox, max_radius=n - 1).size // 2
-    if radius == 0:
-        return None
     tiles, interior = [], None
-    for start in range(0, n, SMOOTH_TILE):
-        stop = min(start + SMOOTH_TILE, n)
+    for start in range(0, n, tile):
+        stop = min(start + tile, n)
         rows = slice(start, stop)
         cols = slice(max(0, start - radius), min(n, stop + radius))
-        if start < radius or stop + radius > n:
-            operator = _axis_smoothing_operator(n, sigma_vox, rows, cols)
-        else:
-            if interior is None:
-                interior = _axis_smoothing_operator(n, sigma_vox, rows, cols)
+        is_interior = start >= radius and stop + radius <= n
+        if is_interior and interior is not None:
             operator = interior
+        else:
+            operator = weights[rows, cols]
+            operator = operator / operator.sum(axis=1, keepdims=True)
+            if is_interior:
+                interior = operator
         tiles.append((rows, cols, operator))
     return tiles
 
 
-def gaussian_smooth(vol: Volume4D, fwhm_mm: float, out: np.ndarray | None = None) -> Volume4D:
+def _axis_smoothing_operator(n: int, sigma_vox: float) -> np.ndarray | None:
+    """The whole n x n smoothing operator along one axis (one tile of
+    _axis_tiles); None when it is the identity."""
+    tiles = _axis_tiles(n, sigma_vox, tile=n)
+    return None if tiles is None else tiles[0][2]
+
+
+def gaussian_smooth(vol: Volume4D, fwhm_mm: float, in_place: bool = False) -> Volume4D:
     """Separable 3-axis Gaussian smoothing with border renormalization.
 
-    Each axis is a matrix product with a row-normalised operator (see
-    _axis_smoothing_operator), applied in tiles along long axes (see
-    _axis_tiles), on the x-fastest data, so every output voxel is the
-    Gaussian-weighted mean of the in-field voxels around it:
-    outside-volume support is excluded rather than read as zero, and
-    constant volumes stay constant all the way to the edges. This equals
-    zero-padded convolution divided by the smoothed indicator of the
-    field of view.
+    Each axis is a matrix product with a row-normalised operator, applied
+    in tiles along long axes (see _axis_tiles), on the x-fastest data, so
+    every output voxel is the Gaussian-weighted mean of the in-field
+    voxels around it: outside-volume support is excluded rather than read
+    as zero, and constant volumes stay constant all the way to the edges.
+    This equals zero-padded convolution divided by the smoothed indicator
+    of the field of view.
 
-    The result is written to out (see _output_array): a new array by
-    default, or vol.data itself to smooth a run in place. With no axis to
-    smooth, the input data is returned as it is unless out is another
-    array, which then receives a copy. Volumes are smoothed independently,
-    a chunk of whole volumes (about 1 MB, see block_width) at a time,
-    through one chunk-sized scratch buffer (_smooth_chunks); beyond out,
-    no run-sized array is allocated.
+    The result goes into a new array, or into vol.data itself when
+    in_place (see _output_array); with no axis to smooth, vol is returned
+    as it is. Volumes are smoothed independently, a chunk of whole
+    volumes (about 1 MB, see block_width) at a time, through one
+    chunk-sized scratch buffer (_smooth_chunks); beyond the output, no
+    run-sized array is allocated.
     """
     if fwhm_mm <= 0:
         raise ValueError("fwhm_mm must be positive")
@@ -527,9 +522,9 @@ def gaussian_smooth(vol: Volume4D, fwhm_mm: float, out: np.ndarray | None = None
     dims = vol.header.dims
     passes = [(axis, tiles) for axis, sigma in enumerate(sigmas)
               if (tiles := _axis_tiles(dims[axis], sigma)) is not None]
-    if not passes and (out is None or out is vol.data):
-        return Volume4D(header=vol.header, data=vol.data)
-    out = _output_array(vol, out)
+    if not passes:
+        return vol
+    out = _output_array(vol, in_place)
     _smooth_chunks(vol.data, passes, out)
     return Volume4D(header=vol.header, data=out)
 

@@ -166,7 +166,7 @@ class TestSliceTiming:
         before = vol.data.copy()
         expected = slice_timing_correct(vol, order).data
         assert np.array_equal(vol.data, before)  # a new array leaves the input untouched
-        result = slice_timing_correct(vol, order, out=vol.data)
+        result = slice_timing_correct(vol, order, in_place=True)
         assert result.data is vol.data
         assert np.array_equal(vol.data, expected)
 
@@ -175,18 +175,26 @@ class TestSliceTiming:
         nt = 1500
         rng = np.random.default_rng(8)
         vol = make_volume(rng.standard_normal((2, 2, 3, nt)), tr_seconds=3.0)
-        peak = traced_peak(slice_timing_correct, vol, sequential_order(3), vol.data)
+        peak = traced_peak(slice_timing_correct, vol, sequential_order(3), True)
         assert peak < 8 * nt**2 + 2**20
 
-    @pytest.mark.parametrize("out", [
-        np.empty((3, 4, 5, 6)),                             # C order
-        np.empty((3, 4, 5, 6), order="F", dtype=np.float32),
-        np.empty((3, 4, 5, 7), order="F"),
+    @pytest.mark.parametrize("stage", ["slice_timing", "smoothing"])
+    @pytest.mark.parametrize("data", [
+        np.zeros((3, 4, 5, 6)),                             # C order
+        np.zeros((3, 4, 5, 6), order="F", dtype=np.float32),
+        np.zeros((3, 4, 5, 6), order="F"),                  # made read-only below
     ])
-    def test_out_must_be_an_x_fastest_float64_run(self, out):
-        vol = make_volume(np.zeros((3, 4, 5, 6)), tr_seconds=3.0)
-        with pytest.raises(ValueError, match="out must be"):
-            slice_timing_correct(vol, sequential_order(5), out=out)
+    def test_in_place_needs_writable_x_fastest_float64_data(self, stage, data):
+        # Volume4D guarantees the layout and dtype; data set afterwards does not
+        vol = make_volume(np.zeros((3, 4, 5, 6)), voxel_size_mm=VOXEL, tr_seconds=3.0)
+        if data.dtype == np.float64 and data.flags.f_contiguous:
+            data.flags.writeable = False
+        vol.data = data
+        with pytest.raises(ValueError, match="in-place preprocessing needs"):
+            if stage == "slice_timing":
+                slice_timing_correct(vol, sequential_order(5), in_place=True)
+            else:
+                gaussian_smooth(vol, 8.0, in_place=True)
 
     def test_too_few_volumes(self):
         vol = make_volume(np.zeros((2, 2, 3, 1)), tr_seconds=3.0)
@@ -522,17 +530,14 @@ class TestGaussianSmooth:
         before = vol.data.copy()
         expected = gaussian_smooth(vol, 8.0).data
         assert np.array_equal(vol.data, before)  # a new array leaves the input untouched
-        result = gaussian_smooth(vol, 8.0, out=vol.data)
+        result = gaussian_smooth(vol, 8.0, in_place=True)
         assert result.data is vol.data
         assert np.array_equal(vol.data, expected)
 
     def test_no_axis_to_smooth(self):
         vol = make_volume(np.arange(12.0).reshape(1, 1, 1, 12), tr_seconds=3.0)
-        assert gaussian_smooth(vol, 8.0).data is vol.data
-        assert gaussian_smooth(vol, 8.0, out=vol.data).data is vol.data
-        out = np.empty((1, 1, 1, 12), order="F")
-        assert gaussian_smooth(vol, 8.0, out=out).data is out
-        assert np.array_equal(out, vol.data)
+        assert gaussian_smooth(vol, 8.0) is vol
+        assert gaussian_smooth(vol, 8.0, in_place=True) is vol
 
     @pytest.mark.parametrize("n,voxel_x", [
         (600, 1.0),     # radius 13: the middle tiles share one operator
