@@ -12,11 +12,25 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import EmptyMaskError, ShapeError
 from .task_design import DEFAULT_CUTOFF_HZ, BlockDesign, DesignMatrix, build_design_matrix
-from .volume_io import Volume4D
+from .volume_io import Volume4D, output_array
 
 # The study's conditions in order: each duration_mode and the name the
-# duration study reports it under.
+# duration study reports it under. Averaging is last, since the flows
+# average in place, over the first run.
 CONDITIONS = (("single", "single"), ("concatenate", "concatenated"), ("average", "averaged"))
+
+
+def check_runs_match(headers) -> None:
+    """Raise ShapeError unless every run header has the first's dims,
+    voxel size and TR."""
+    first = headers[0]
+    for h in headers[1:]:
+        if h.dims != first.dims:
+            raise ShapeError(f"run dims {h.dims} != {first.dims}")
+        if h.voxel_size_mm != first.voxel_size_mm:
+            raise ShapeError("runs differ in voxel geometry")
+        if abs(h.tr_seconds - first.tr_seconds) > 1e-9:
+            raise ShapeError("runs differ in TR")
 
 
 @dataclass
@@ -30,21 +44,43 @@ class RunSet:
     def __post_init__(self):
         if len(self.runs) < 2:
             raise ShapeError("duration studies need at least two runs")
-        first = self.runs[0].header
-        for run in self.runs[1:]:
-            h = run.header
-            if h.dims != first.dims:
-                raise ShapeError(f"run dims {h.dims} != {first.dims}")
-            if h.voxel_size_mm != first.voxel_size_mm:
-                raise ShapeError("runs differ in voxel geometry")
-            if abs(h.tr_seconds - first.tr_seconds) > 1e-9:
-                raise ShapeError("runs differ in TR")
+        check_runs_match([run.header for run in self.runs])
 
 
 def single_run_design(design: BlockDesign, tr_s: float, n_vols: int,
                       cutoff_hz: float = DEFAULT_CUTOFF_HZ) -> DesignMatrix:
     """Task + DCT drift + intercept design for one run."""
     return build_design_matrix(design, tr_s, [n_vols], cutoff_hz)
+
+
+def run_slabs(spatial_dims, run_lengths) -> list:
+    """The consecutive time slabs of one new x-fastest stack of
+    spatial_dims + (sum(run_lengths),), one per run length. Each slab is
+    x-fastest itself, so a run can be generated or read into its slab and
+    preprocessed there in place; runs that are the slabs, in order, are
+    concatenated without a copy (concatenate_runs). The stack's pages
+    become resident only as the slabs are written."""
+    stack = np.empty(tuple(spatial_dims) + (sum(run_lengths),), order="F")
+    starts = np.cumsum([0, *run_lengths])
+    return [stack[..., start:stop] for start, stop in zip(starts[:-1], starts[1:])]
+
+
+def _stack_of(runs) -> np.ndarray | None:
+    """The array whose consecutive time slabs are the runs' data, in run
+    order (as run_slabs makes them), or None."""
+    stack = runs[0].data.base
+    if not (isinstance(stack, np.ndarray) and stack.dtype == np.float64
+            and stack.flags.f_contiguous
+            and stack.shape == runs[0].data.shape[:3] + (sum(run.n_vols for run in runs),)):
+        return None
+    # an x-fastest run of the stack's spatial dims that starts where a slab
+    # starts is that slab
+    address = stack.ctypes.data
+    for run in runs:
+        if run.data.base is not stack or run.data.ctypes.data != address:
+            return None
+        address += run.data.nbytes
+    return stack
 
 
 def concatenate_runs(runset: RunSet,
@@ -56,34 +92,46 @@ def concatenate_runs(runset: RunSet,
     place of a global one, so inter-run baseline offsets cannot
     masquerade as activation.
 
-    Each run is copied into its time slab of the stack, and runset.runs[i]
-    is then rebound to a new Volume4D that is a view of that slab; the
-    Volume4D objects passed in are left untouched. A run whose only holder
-    was the RunSet is thus freed as soon as it is copied, so building the
-    stack never holds more than three run-sized arrays.
+    Runs that already are the consecutive time slabs of one stack
+    (run_slabs) are concatenated without a copy: the result's data is
+    that stack. Otherwise each run is copied into its time slab of a new
+    stack, and runset.runs[i] is then rebound to a new Volume4D that is a
+    view of that slab; the Volume4D objects passed in are left untouched.
+    A run whose only holder was the RunSet is thus freed as soon as it is
+    copied, so building the stack never holds more than three run-sized
+    arrays.
     """
     header = runset.runs[0].header
     n_per_run = [run.n_vols for run in runset.runs]
-    # pages of the empty stack become resident only as each slab is written
-    data = np.empty(header.dims[:3] + (sum(n_per_run),), order="F")
-    start = 0
-    for i, n in enumerate(n_per_run):
-        slab = data[..., start:start + n]
-        slab[...] = runset.runs[i].data
-        runset.runs[i] = Volume4D(header=runset.runs[i].header, data=slab)
-        start += n
+    data = _stack_of(runset.runs)
+    if data is None:
+        # pages of the empty stack become resident only as each slab is written
+        slabs = run_slabs(header.dims[:3], n_per_run)
+        data = slabs[0].base
+        for i, slab in enumerate(slabs):
+            slab[...] = runset.runs[i].data
+            runset.runs[i] = Volume4D(header=runset.runs[i].header, data=slab)
     design = build_design_matrix(runset.design, header.tr_seconds, n_per_run, cutoff_hz)
     return Volume4D(header=replace(header, dims=data.shape), data=data), design
 
 
-def average_runs(runset: RunSet) -> Volume4D:
-    """Voxelwise mean across runs at each time point (nt unchanged)."""
+def average_runs(runset: RunSet, in_place: bool = False) -> Volume4D:
+    """Voxelwise mean across runs at each time point (nt unchanged).
+
+    The mean goes into a new array, or, when in_place, into
+    runset.runs[0].data (``output_array``), which then holds the mean and
+    no longer the first run; a volume sharing that data, such as the
+    concatenation of stacked runs, changes with it.
+    """
+    runs = runset.runs
+    first = runs[0].data
+    data = output_array(first, first.shape) if in_place else np.empty(first.shape, order="F")
     # a running sum adds in the same order as np.mean over stacked runs
-    data = runset.runs[0].data + runset.runs[1].data
-    for run in runset.runs[2:]:
+    np.add(first, runs[1].data, out=data)
+    for run in runs[2:]:
         data += run.data
-    data /= len(runset.runs)
-    return Volume4D(header=replace(runset.runs[0].header), data=data)
+    data /= len(runs)
+    return Volume4D(header=replace(runs[0].header), data=data)
 
 
 def _map_and_roi(map3d, roi) -> tuple[np.ndarray, np.ndarray]:
@@ -160,26 +208,26 @@ def non_target_rois(dims, exclude: np.ndarray, n_rois: int = 3, n_voxels: int = 
     if available.shape[0] < n_rois * n_voxels:
         raise ValueError("not enough voxels outside the exclusion mask")
 
-    offsets = np.array([[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]])
     rois = {}
     for index in range(n_rois):
         for _ in range(1000):
-            start = available[rng.integers(available.shape[0])]
-            if not blocked[tuple(start)]:
+            start = tuple(int(c) for c in available[rng.integers(available.shape[0])])
+            if not blocked[start]:
                 break
         else:
             raise ValueError("could not place a non-target ROI seed voxel")
 
-        members = {tuple(start)}
-        frontier = [tuple(start)]
+        members = {start}
+        frontier = [start]
         while len(members) < n_voxels and frontier:
             pick = frontier[rng.integers(len(frontier))]
-            neighbors = np.array(pick) + offsets
+            x, y, z = pick
+            # the six face neighbours, in a fixed order
             candidates = [
-                tuple(n) for n in neighbors
-                if all(0 <= c < d for c, d in zip(n, dims))
-                and tuple(n) not in members
-                and not blocked[tuple(n)]
+                n for n in ((x + 1, y, z), (x - 1, y, z), (x, y + 1, z),
+                            (x, y - 1, z), (x, y, z + 1), (x, y, z - 1))
+                if 0 <= n[0] < dims[0] and 0 <= n[1] < dims[1] and 0 <= n[2] < dims[2]
+                and n not in members and not blocked[n]
             ]
             if not candidates:
                 frontier.remove(pick)

@@ -2,8 +2,8 @@
 
 Every voxel series is baseline + activation * HRF response + AR(1) noise
 + signed linear drift. All randomness of a run comes from one Philox
-(counter-based) stream keyed by (seed, run index) and drawn in a single
-call, so output is bit-reproducible and independent of any parallel
+(counter-based) stream keyed by (seed, run index) and drawn in a fixed
+order, so output is bit-reproducible and independent of any parallel
 schedule.
 """
 
@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import NumericError, ShapeError
 from .task_design import BlockDesign, task_regressor
-from .volume_io import Volume4D, VolumeHeader
+from .volume_io import Volume4D, VolumeHeader, output_array
 
 BASELINE = 1000.0
 REFERENCE_FIELD_TESLA = 3.0
@@ -129,6 +129,7 @@ def generate_phantom(
     acq: AcquisitionParams,
     design: BlockDesign,
     run_index: int = 0,
+    out: np.ndarray | None = None,
 ) -> tuple[Volume4D, dict]:
     """Simulate one run and return it with its ground-truth ROI masks.
 
@@ -137,16 +138,24 @@ def generate_phantom(
     signal amplitude inside target ROIs. run_index selects the random
     stream so multi-run sets are mutually independent at equal seeds.
 
-    The stream is Philox keyed by (seed << 64) | run_index and drawn once
-    as standard normals of shape (nt + 1, n_voxels), voxels in canonical
+    The stream is Philox keyed by (seed << 64) | run_index. It gives
+    standard normals of shape (nt + 1, n_voxels), voxels in canonical
     scan order (x fastest): row 0 sets the drift signs, rows 1..nt are
     the AR(1) innovations; overflowing intensities raise NumericError.
+    Row 0 is drawn on its own and rows 1..nt straight into the run's
+    (nt, n_voxels) time-by-voxel view, the same draws as one call.
+
+    The run is drawn into out when it is given (``output_array``: shape
+    dims + (nt,), writable, x-fastest float64), such as its time slab of
+    a stack of runs, and into a new array otherwise; the volume's data is
+    that array.
     """
     if not 0 <= run_index < 2**64:
         raise ValueError("run_index must fit in an unsigned 64-bit integer")
     nx, ny, nz = spec.dims
     nt = acq.n_vols
     n_voxels = nx * ny * nz
+    dims = (nx, ny, nz, nt)
 
     response = task_regressor(design, acq.tr_s, nt)
     peak = np.abs(response).max()
@@ -154,14 +163,17 @@ def generate_phantom(
         response = response / peak
     amplitude = spec.cnr * spec.noise_sigma * field_snr_scale(spec.field_tesla)
 
+    data = np.empty(dims, order="F") if out is None else output_array(out, dims)
     stream = np.random.Generator(np.random.Philox(key=(spec.seed << 64) | run_index))
-    draws = stream.standard_normal((nt + 1, n_voxels))
-    drift = np.where(draws[0] >= 0.0, spec.drift_amplitude, -spec.drift_amplitude)
+    drift = np.where(stream.standard_normal(n_voxels) >= 0.0,
+                     spec.drift_amplitude, -spec.drift_amplitude)
+    # the x-fastest data's (nt, n_voxels) view is C-contiguous, as the draw needs
+    series = data.reshape(n_voxels, nt, order="F").T
+    stream.standard_normal(out=series)
 
-    # Rows 1..nt of the draws become the series in place, one row at a time:
+    # The innovations become the series in place, one row at a time:
     # noise[t] = rho * noise[t-1] + step * innovation[t], then + BASELINE,
     # then + drift * t / 100, the same roundings as with whole-run temporaries.
-    series = draws[1:]
     rho = spec.ar1_rho
     step = spec.noise_sigma * np.sqrt(1.0 - rho**2)
     series[0] *= spec.noise_sigma
@@ -173,13 +185,10 @@ def generate_phantom(
     for t in range(nt):
         series[t] += drift * ramp[t]
 
-    # series is (nt, n_voxels); its transpose is Fortran-contiguous, so the
-    # x-fastest reshape below is a view and the signal is added in place.
-    data = series.T.reshape((nx, ny, nz, nt), order="F")
     data[spec.target_mask()] += amplitude * response
 
     header = VolumeHeader(
-        dims=(nx, ny, nz, nt),
+        dims=dims,
         voxel_size_mm=spec.voxel_size_mm,
         tr_seconds=acq.tr_s,
     )

@@ -23,14 +23,16 @@ from .duration import (
     RobustnessRow,
     RunSet,
     average_runs,
+    check_runs_match,
     concatenate_runs,
     local_standard_deviation,
     non_target_rois,
     peak_correlation,
+    run_slabs,
     single_run_design,
     total_variation,
 )
-from .errors import ConfigError, DataError
+from .errors import BoldkitError, ConfigError, DataError
 from .glm import StatMaps, correlation_map, fit_glm, t_contrast
 from .inference import CLUSTER_COLUMNS, cluster_table, extract_clusters, fdr_bh
 from .phantom import AcquisitionParams, PhantomSpec, generate_phantom
@@ -54,6 +56,7 @@ from .volume_io import (
     Volume4D,
     fold_voxels,
     read_nifti,
+    read_nifti_header,
     voxel_series,
     write_nifti,
 )
@@ -171,6 +174,13 @@ def load_runs(cfg: PipelineConfig, n_used: int | None = None):
     the runs kept do not depend on n_used. File runs are all read, so a
     bad input is reported whichever runs the flow uses.
 
+    The runs used are generated or read straight into the consecutive
+    time slabs of one stack (run_slabs), so concatenating them copies
+    nothing. File runs are stacked only when all are used and their
+    headers, read first, agree in dims, voxel size and TR
+    (check_runs_match); otherwise each is read into its own array, so the
+    errors are those of a plain read and of RunSet.
+
     Files are read by up to cfg.threads threads at once (decompression
     releases the GIL); the runs come back in config order, so results do
     not depend on the thread count. Phantom runs are generated one at a
@@ -179,24 +189,37 @@ def load_runs(cfg: PipelineConfig, n_used: int | None = None):
     design = block_design_from_config(cfg)
     if cfg.uses_phantom():
         spec, acq = phantom_pieces(cfg)
+        n_runs = len(range(int(cfg.phantom["n_runs"]))[:n_used])
         runs = []
         truth = None
-        for r in range(int(cfg.phantom["n_runs"]))[:n_used]:
-            vol, truth = generate_phantom(spec, acq, design, run_index=r)
+        for r, out in enumerate(run_slabs(spec.dims, [acq.n_vols] * n_runs)):
+            vol, truth = generate_phantom(spec, acq, design, run_index=r, out=out)
             runs.append(vol)
         return runs, design, truth
+    slabs = _file_slabs(cfg.runs) if n_used is None else [None] * len(cfg.runs)
     with ThreadPoolExecutor(max_workers=min(cfg.threads, len(cfg.runs))) as pool:
-        runs = list(pool.map(read_nifti, cfg.runs))
+        runs = list(pool.map(read_nifti, cfg.runs, slabs))
     return runs[:n_used], design, None
+
+
+def _file_slabs(paths) -> list:
+    """One slab of a stack per file run (run_slabs), sized from the files'
+    headers; None for each run when a header does not read or the runs
+    differ."""
+    try:
+        headers = [read_nifti_header(path) for path in paths]
+        check_runs_match(headers)
+    except BoldkitError:
+        return [None] * len(paths)
+    return run_slabs(headers[0].dims[:3], [h.dims[3] for h in headers])
 
 
 def preprocess_runs(runs: list, cfg: PipelineConfig) -> None:
     """Preprocess every run of the list in place, stage by stage.
 
-    Slice timing and smoothing write into the run's own array, and motion
-    correction replaces runs[i] with its realigned copy, so the input is
-    freed as soon as that stage returns; the list must hold the only
-    reference to each run.
+    Every stage writes into the run's own array (in_place=True), a slab
+    of the stack when the runs are stacked, so the stack stays their
+    concatenation; runs[i] is rebound to each stage's Volume4D of it.
     """
     pre = cfg.preprocess
     for i in range(len(runs)):
@@ -205,7 +228,8 @@ def preprocess_runs(runs: list, cfg: PipelineConfig) -> None:
             order = make_order(runs[i].header.dims[2], pre["reference_fraction"])
             runs[i] = slice_timing_correct(runs[i], order, in_place=True)
         if pre["motion_correction"]:
-            runs[i] = apply_motion(runs[i], estimate_motion(runs[i], threads=cfg.threads))
+            motion = estimate_motion(runs[i], threads=cfg.threads)
+            runs[i] = apply_motion(runs[i], motion, in_place=True)
         if pre["fwhm_mm"] > 0:
             runs[i] = gaussian_smooth(runs[i], pre["fwhm_mm"], in_place=True)
 
@@ -305,12 +329,13 @@ def _single_condition(cfg: PipelineConfig, vol: Volume4D, design: BlockDesign):
 def _prepare_condition(cfg: PipelineConfig, runset: RunSet, mode: str):
     """(volume, design matrix) for one duration condition of the run set.
 
-    Concatenation rebinds runset.runs, the list the caller preprocessed,
-    to views of the stack, so the original run arrays are freed.
+    Stacked runs are concatenated without a copy; averaging writes the
+    mean into runset.runs[0] in place, so it must be the last condition
+    built from the run set.
     """
     if mode == "concatenate":
         return concatenate_runs(runset, cutoff_hz=cfg.glm["cutoff_hz"])
-    vol = runset.runs[0] if mode == "single" else average_runs(runset)
+    vol = runset.runs[0] if mode == "single" else average_runs(runset, in_place=True)
     return _single_condition(cfg, vol, runset.design)
 
 
@@ -384,8 +409,9 @@ def run_duration_study(cfg: PipelineConfig) -> list:
 
     preprocess_runs(runs, cfg)
 
-    # one condition at a time: its volume is dropped before the next is built;
-    # after concatenation the runs are views of the stack, which averaging reads
+    # one condition at a time, in CONDITIONS order: the single run is slab 0
+    # of the stack, the concatenation is the stack itself, and averaging,
+    # last, writes the mean into slab 0
     t_maps, r_maps, counts = {}, {}, {}
     for mode, name in CONDITIONS:
         vol, matrix = _prepare_condition(cfg, runset, mode)

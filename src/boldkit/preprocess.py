@@ -406,20 +406,23 @@ def estimate_motion(vol: Volume4D, reference_index: int = 0, threads: int | None
     return estimates
 
 
-def apply_motion(vol: Volume4D, motion: list) -> Volume4D:
+def apply_motion(vol: Volume4D, motion: list, in_place: bool = False) -> Volume4D:
     """Realign every volume by resampling through its estimated transform.
 
-    Identity parameters return the input data unchanged (no resampling
-    pass), so an already-still series is untouched.
+    Identity parameters leave a volume's data as it is (no resampling
+    pass), so an already-still series is untouched. The result goes into a
+    new array, or into vol.data itself when in_place (see _output_array):
+    each volume is resampled on its own, into one volume of scratch, and
+    only then written over its input.
     """
     if len(motion) != vol.n_vols:
         raise ShapeError(f"{len(motion)} motion entries for {vol.n_vols} volumes")
-    out = np.empty_like(vol.data)
+    out = _output_array(vol, in_place)
     for i, m in enumerate(motion):
-        if not np.any(m.params):
-            out[..., i] = vol.data[..., i]
-        else:
+        if np.any(m.params):
             out[..., i] = resample_rigid(vol.data[..., i], m, vol.header.voxel_size_mm)
+        elif out is not vol.data:
+            out[..., i] = vol.data[..., i]
     return Volume4D(header=vol.header, data=out)
 
 

@@ -30,6 +30,7 @@ import gzip
 import io
 import logging
 import math
+import os
 import time
 import zlib
 from dataclasses import dataclass, field
@@ -180,8 +181,11 @@ class Volume4D:
     """A 4-D scalar field with its acquisition geometry.
 
     data has shape header.dims, dtype float64 and x-fastest (Fortran)
-    layout; values are finite. Instances are treated as immutable once
-    built and are safe to share.
+    layout; values are finite when the volume is built. data may be a
+    view, such as one run's time slab of a stack of runs, and the in-place
+    stages (``in_place=True`` in ``preprocess`` and ``average_runs``)
+    overwrite the data they are given, so a volume is not immutable: it
+    changes when such a stage writes into data it shares.
     """
 
     header: VolumeHeader
@@ -226,6 +230,16 @@ def fold_voxels(values: np.ndarray, spatial_dims) -> np.ndarray:
     an (nt, V) matrix becomes (nx, ny, nz, nt), x-fastest.
     """
     return values.T.reshape(tuple(spatial_dims) + values.shape[:-1], order="F")
+
+
+def output_array(out: np.ndarray, dims) -> np.ndarray:
+    """out, checked to be what a stage may write a volume of these dims
+    into: a writable x-fastest float64 array of that shape."""
+    if out.shape != tuple(dims):
+        raise ShapeError(f"data of shape {tuple(dims)} cannot fill an array of shape {out.shape}")
+    if not (out.dtype == np.float64 and out.flags.f_contiguous and out.flags.writeable):
+        raise ValueError("an output array must be writable x-fastest float64 data")
+    return out
 
 
 def make_volume(data, voxel_size_mm=(3.3, 3.3, 4.8), tr_seconds=3.0) -> Volume4D:
@@ -386,7 +400,48 @@ def _libdeflate():
     return inflate
 
 
-def read_nifti(path) -> Volume4D:
+def _volume_header(layout: _Layout) -> VolumeHeader:
+    """The VolumeHeader of a checked file header."""
+    header = layout.header
+    orientation = {name: np.array(header[name]).tolist() for name in _ORIENTATION_FIELDS}
+    vox = tuple(float(v) for v in header["pixdim"][1:4])
+    tr = float(header["pixdim"][4])
+    if layout.shape[3] == 1 and not 0 < tr < math.inf:
+        tr = 1.0  # single volume: TR is meaningless, keep header constructible
+    return VolumeHeader(
+        dims=layout.shape,
+        voxel_size_mm=vox,
+        tr_seconds=tr,
+        datatype_code=layout.code,
+        orientation=orientation,
+    )
+
+
+def read_nifti_header(path) -> VolumeHeader:
+    """The header ``read_nifti(path)`` would give, from the file's first
+    bytes: a gzip file has only its first 348 bytes inflated. The header
+    is checked as a read checks it, against the file's size, but the data
+    section is not read, so a file whose header reads may still fail to.
+    Raises what ``read_nifti`` raises for the same fault in the header.
+    """
+    try:
+        with open(path, "rb") as fh:
+            file_bytes = os.fstat(fh.fileno()).st_size
+            if fh.read(2) != GZIP_MAGIC:
+                fh.seek(0)
+                return _volume_header(_parse_header(path, fh.read(HEADER_SIZE), file_bytes))
+            fh.seek(0)
+            try:
+                with gzip.GzipFile(fileobj=fh, mode="rb") as stream:
+                    raw_header = stream.read(HEADER_SIZE)
+            except (gzip.BadGzipFile, EOFError, zlib.error) as exc:
+                raise FormatError(f"{path}: corrupt gzip stream ({exc})") from exc
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc.strerror}") from exc
+    return _volume_header(_parse_header(path, raw_header, file_bytes * MAX_DEFLATE_RATIO))
+
+
+def read_nifti(path, out: np.ndarray | None = None) -> Volume4D:
     """Read a single-file NIfTI-1 volume, applying intensity scaling.
 
     Stored values become raw * scl_slope + scl_inter (a slope of zero is
@@ -397,16 +452,20 @@ def read_nifti(path) -> Volume4D:
     member, and by zlib otherwise, with identical data and errors either
     way. The file is read once, whole; a plain file's data section is a
     view of those bytes, and a gzip file's compressed bytes are freed
-    before the float64 conversion.
+    before the float64 conversion. The data are converted into out when it
+    is given (``output_array``: the file's shape, writable, x-fastest
+    float64), such as a run's time slab of a stack, and into a new array
+    otherwise; the result's data is then out itself.
     One DEBUG record per read names the inflater, the file and raw bytes
     and the seconds taken.
 
     Raises DataError when the path cannot be opened (missing, a
     directory, unreadable), FormatError for a malformed header (such as
     a non-finite scl_slope) or gzip stream or non-finite data, UnsupportedDatatypeError
-    for datatypes outside the supported set, and TruncatedFileError when
+    for datatypes outside the supported set, TruncatedFileError when
     the data section is short, or longer than the file could hold
-    (checked before inflating it).
+    (checked before inflating it), and ShapeError when out has another
+    shape than the file's data.
     """
     start = time.perf_counter()
     try:
@@ -425,7 +484,12 @@ def read_nifti(path) -> Volume4D:
     header, shape = layout.header, layout.shape
 
     raw = np.frombuffer(payload, dtype=layout.dtype, count=math.prod(shape))
-    data = raw.reshape(shape, order="F").astype(np.float64)
+    raw = raw.reshape(shape, order="F")
+    if out is None:
+        data = raw.astype(np.float64)
+    else:
+        data = output_array(out, shape)
+        data[...] = raw
     del payload, raw
 
     slope = float(header["scl_slope"])
@@ -436,21 +500,9 @@ def read_nifti(path) -> Volume4D:
         data *= slope
         data += inter
 
-    orientation = {name: np.array(header[name]).tolist() for name in _ORIENTATION_FIELDS}
-    vox = tuple(float(v) for v in header["pixdim"][1:4])
-    tr = float(header["pixdim"][4])
-    if shape[3] == 1 and not 0 < tr < math.inf:
-        tr = 1.0  # single volume: TR is meaningless, keep header constructible
-
-    vol_header = VolumeHeader(
-        dims=shape,
-        voxel_size_mm=vox,
-        tr_seconds=tr,
-        datatype_code=layout.code,
-        orientation=orientation,
-    )
     try:
-        vol = Volume4D(header=vol_header, data=data)  # its finiteness check is the only one
+        # its finiteness check is the only one
+        vol = Volume4D(header=_volume_header(layout), data=data)
     except ValueError as exc:
         raise FormatError(f"{path}: data contains non-finite values after scaling") from exc
     logger.debug("read %s: %s, %d file bytes -> %d raw bytes in %.3f s", path, inflater,

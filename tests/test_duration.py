@@ -12,6 +12,7 @@ from boldkit.duration import (
     local_standard_deviation,
     non_target_rois,
     peak_correlation,
+    run_slabs,
     single_run_design,
     total_variation,
 )
@@ -103,6 +104,20 @@ class TestConcatenateRuns:
             assert kept.data is array and not np.shares_memory(array, vol.data)
             np.testing.assert_array_equal(array, original)
 
+    def test_slab_runs_are_concatenated_without_a_copy(self):
+        design = alternating_block_design(block_s=15.0, run_length_s=90.0)
+        spec = PhantomSpec(dims=(10, 10, 8), cnr=5.0, seed=0)
+        acq = AcquisitionParams(n_vols=30)
+        slabs = run_slabs(spec.dims, [30, 30])
+        runs = [generate_phantom(spec, acq, design, run_index=r, out=slab)[0]
+                for r, slab in enumerate(slabs)]
+        run0, run1, _, _ = make_runs()
+        vol, _ = concatenate_runs(RunSet(runs=list(runs), design=design))
+        assert vol.data is slabs[0].base
+        for run in runs:
+            assert np.shares_memory(run.data, vol.data)
+        np.testing.assert_array_equal(vol.data, np.concatenate([run0.data, run1.data], axis=3))
+
     def test_full_rank_when_runs_are(self):
         run0, run1, design, _ = make_runs(n_vols=100)
         _, matrix = concatenate_runs(RunSet(runs=[run0, run1], design=design))
@@ -121,6 +136,15 @@ class TestAverageRuns:
                               tr_seconds=3.0)
         out = average_runs(RunSet(runs=[run0, negated], design=design))
         np.testing.assert_allclose(out.data, 0.0, atol=1e-12)
+
+    def test_in_place_equals_new_array(self):
+        run0, run1, design, _ = make_runs()
+        runs = [make_volume(-run0.data), run1, run0]
+        expected = average_runs(RunSet(runs=list(runs), design=design)).data
+        first = runs[0].data
+        out = average_runs(RunSet(runs=list(runs), design=design), in_place=True)
+        assert out.data is first
+        np.testing.assert_array_equal(out.data, expected)
 
     def test_commutes_with_smoothing(self):
         run0, run1, design, _ = make_runs()

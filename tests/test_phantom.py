@@ -106,6 +106,16 @@ class TestGeneration:
         b, _ = generate_phantom(spec, acq, design)
         assert np.array_equal(a.data, b.data)
 
+    def test_drawn_into_a_slab_equals_a_new_array(self):
+        spec, acq, design = small_spec(), short_acq(), short_design()
+        expected, _ = generate_phantom(spec, acq, design, run_index=2)
+        stack = np.zeros(SMALL_DIMS + (3 * 30,), order="F")
+        slab = stack[..., 30:60]
+        vol, _ = generate_phantom(spec, acq, design, run_index=2, out=slab)
+        assert vol.data is slab
+        assert np.array_equal(slab, expected.data)
+        assert not stack[..., :30].any() and not stack[..., 60:].any()
+
     def test_different_seeds_differ(self):
         acq, design = short_acq(), short_design()
         a, _ = generate_phantom(small_spec(seed=1), acq, design)

@@ -230,6 +230,22 @@ class TestRigidTransforms:
         out = apply_motion(vol, [RigidMotion() for _ in range(4)])
         np.testing.assert_array_equal(out.data, vol.data)
 
+    def test_apply_in_place_equals_new_array_in_one_volume_of_scratch(self):
+        rng = np.random.default_rng(5)
+        dims = (16, 14, 12)
+        vol = make_volume(rng.random(dims + (6,)), voxel_size_mm=VOXEL, tr_seconds=3.0)
+        motion = [RigidMotion(translation_mm=rng.normal(0.0, 2.0, 3),
+                              rotation_rad=rng.normal(0.0, 0.03, 3)) for _ in range(6)]
+        motion[2] = RigidMotion()  # identity: the volume is left as it is
+        before = vol.data.copy()
+        expected = apply_motion(vol, motion).data
+        assert np.array_equal(vol.data, before)  # a new array leaves the input untouched
+        result = apply_motion(vol, motion, in_place=True)
+        assert result.data is vol.data
+        assert np.array_equal(vol.data, expected)
+        volume_bytes = 8 * int(np.prod(dims))
+        assert traced_peak(apply_motion, vol, motion, True) < 1.5 * volume_bytes
+
     def test_integer_shift_then_unshift(self):
         rng = np.random.default_rng(4)
         data = rng.random((10, 10, 10))

@@ -36,6 +36,7 @@ from boldkit.volume_io import (
     fold_voxels,
     make_volume,
     read_nifti,
+    read_nifti_header,
     voxel_series,
     write_nifti,
 )
@@ -238,6 +239,29 @@ class TestRead:
             read_nifti(path)
 
 
+    @pytest.mark.parametrize("name, raw, datatype, bitpix, slope, inter", [
+        ("float32.nii.gz", np.arange(120, dtype=np.float32) - 60.5, 16, 32, 0.0, 0.0),
+        ("scaled-int16.nii", np.arange(120, dtype=np.int16) - 60, 4, 16, 2.5, -3.0),
+    ])
+    def test_read_into_an_output_array(self, tmp_path, name, raw, datatype, bitpix,
+                                       slope, inter):
+        blob = build_raw_nifti((5, 4, 3, 2), raw.tobytes(), datatype=datatype, bitpix=bitpix,
+                               scl_slope=slope, scl_inter=inter)
+        path = tmp_path / name
+        path.write_bytes(gzip.compress(blob, mtime=0) if name.endswith(".gz") else blob)
+        expected = read_nifti(path)
+        assert read_nifti_header(path) == expected.header
+
+        stack = np.full((5, 4, 3, 6), -1.0, order="F")
+        slab = stack[..., 3:5]
+        vol = read_nifti(path, out=slab)
+        assert vol.data is slab and vol.header == expected.header
+        assert np.array_equal(slab, expected.data)
+        assert (stack[..., :3] == -1.0).all() and (stack[..., 5:] == -1.0).all()
+        with pytest.raises(ShapeError):
+            read_nifti(path, out=stack[..., :3])
+
+
 @pytest.mark.usefixtures("zlib_only")
 class TestReadZlib(TestRead):
     """Every read case again with gzip files inflated by zlib."""
@@ -382,6 +406,26 @@ _MUTATION = st.one_of(
 
 
 class TestMalformedHeaders:
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(mutations=st.lists(_MUTATION, min_size=1, max_size=6), gzipped=st.booleans())
+    def test_header_read_alone_matches_a_whole_read(self, tmp_path, mutations, gzipped):
+        # a header that does not read is a data error, and one that does is
+        # the header of a whole read that succeeds (compared by repr, as a
+        # mutated orientation field may be NaN)
+        blob = bytearray(_VALID_HEADER)
+        for fmt, pos, value in mutations:
+            struct.pack_into(fmt, blob, pos, value)
+        path = tmp_path / "mutated.nii"
+        path.write_bytes(gzip.compress(bytes(blob), mtime=0) if gzipped else bytes(blob))
+        try:
+            header = read_nifti_header(path)
+        except DataError:
+            return
+        data, whole = read_outcome(path)
+        if isinstance(data, bytes):
+            assert repr(whole) == repr(header)
+
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(mutations=st.lists(_MUTATION, min_size=1, max_size=6))
