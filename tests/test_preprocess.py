@@ -232,7 +232,7 @@ class TestRigidTransforms:
 
     def test_apply_in_place_equals_new_array_in_one_volume_of_scratch(self):
         rng = np.random.default_rng(5)
-        dims = (16, 14, 12)
+        dims = (24, 24, 21)
         vol = make_volume(rng.random(dims + (6,)), voxel_size_mm=VOXEL, tr_seconds=3.0)
         motion = [RigidMotion(translation_mm=rng.normal(0.0, 2.0, 3),
                               rotation_rad=rng.normal(0.0, 0.03, 3)) for _ in range(6)]
