@@ -12,7 +12,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import EmptyMaskError, ShapeError
 from .task_design import DEFAULT_CUTOFF_HZ, BlockDesign, DesignMatrix, build_design_matrix
-from .volume_io import Volume4D, output_array
+from .volume_io import Volume4D, check_finite, output_array, time_blocks
 
 # The study's conditions in order: each duration_mode and the name the
 # duration study reports it under. Averaging is last, since the flows
@@ -99,7 +99,8 @@ def concatenate_runs(runset: RunSet,
     view of that slab; the Volume4D objects passed in are left untouched.
     A run whose only holder was the RunSet is thus freed as soon as it is
     copied, so building the stack never holds more than three run-sized
-    arrays.
+    arrays. The runs were checked to be finite when built, so the stack
+    is not read again.
     """
     header = runset.runs[0].header
     n_per_run = [run.n_vols for run in runset.runs]
@@ -110,28 +111,34 @@ def concatenate_runs(runset: RunSet,
         data = slabs[0].base
         for i, slab in enumerate(slabs):
             slab[...] = runset.runs[i].data
-            runset.runs[i] = Volume4D(header=runset.runs[i].header, data=slab)
+            runset.runs[i] = Volume4D._checked(runset.runs[i].header, slab)
     design = build_design_matrix(runset.design, header.tr_seconds, n_per_run, cutoff_hz)
-    return Volume4D(header=replace(header, dims=data.shape), data=data), design
+    return Volume4D._checked(replace(header, dims=data.shape), data), design
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is one NumericError, below
 def average_runs(runset: RunSet, in_place: bool = False) -> Volume4D:
     """Voxelwise mean across runs at each time point (nt unchanged).
 
     The mean goes into a new array, or, when in_place, into
     runset.runs[0].data (``output_array``), which then holds the mean and
     no longer the first run; a volume sharing that data, such as the
-    concatenation of stacked runs, changes with it.
+    concatenation of stacked runs, changes with it. It is taken a block of
+    about 1 MB of volumes at a time (time_blocks), each block checked for
+    finiteness while in cache: a mean that overflows float64 raises
+    NumericError.
     """
     runs = runset.runs
     first = runs[0].data
     data = output_array(first, first.shape) if in_place else np.empty(first.shape, order="F")
-    # a running sum adds in the same order as np.mean over stacked runs
-    np.add(first, runs[1].data, out=data)
-    for run in runs[2:]:
-        data += run.data
-    data /= len(runs)
-    return Volume4D(header=replace(runs[0].header), data=data)
+    for block in time_blocks(first.shape):
+        # a running sum adds in the same order as np.mean over stacked runs
+        mean = np.add(first[..., block], runs[1].data[..., block], out=data[..., block])
+        for run in runs[2:]:
+            mean += run.data[..., block]
+        mean /= len(runs)
+        check_finite(mean, "run averaging")
+    return Volume4D._checked(replace(runs[0].header), data)
 
 
 def _map_and_roi(map3d, roi) -> tuple[np.ndarray, np.ndarray]:

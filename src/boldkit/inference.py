@@ -44,8 +44,10 @@ def fdr_bh(p, q: float) -> FdrResult:
     """Benjamini-Hochberg step-up over a flat vector of p-values.
 
     The threshold is the largest sorted p(k) with p(k) <= k*q/m, or zero
-    when no k qualifies. Ties are resolved by a stable sort so results
-    are order-deterministic.
+    when no k qualifies. How the sort orders ties does not matter: the
+    sorted values are the same, and tied p-values all get the adjusted
+    value of the last of them, since a float division by a larger rank
+    never gives more.
     """
     p = np.asarray(p, dtype=np.float64).ravel()
     if not 0.0 < q < 1.0:
@@ -56,7 +58,7 @@ def fdr_bh(p, q: float) -> FdrResult:
         raise ValueError("p-values must be finite and within [0, 1]")
 
     m = p.size
-    order = np.argsort(p, kind="stable")
+    order = np.argsort(p)
     sorted_p = p[order]
     ranks = np.arange(1, m + 1)
 

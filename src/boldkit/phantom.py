@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError, ShapeError
+from .errors import ShapeError
 from .task_design import BlockDesign, task_regressor
-from .volume_io import Volume4D, VolumeHeader, output_array
+from .volume_io import Volume4D, VolumeHeader, check_finite, output_array, time_blocks
 
 BASELINE = 1000.0
 REFERENCE_FIELD_TESLA = 3.0
@@ -171,21 +171,31 @@ def generate_phantom(
     series = data.reshape(n_voxels, nt, order="F").T
     stream.standard_normal(out=series)
 
-    # The innovations become the series in place, one row at a time:
-    # noise[t] = rho * noise[t-1] + step * innovation[t], then + BASELINE,
-    # then + drift * t / 100, the same roundings as with whole-run temporaries.
+    # The innovations become the series in place, one row (volume) at a
+    # time: noise[t] = rho * noise[t-1] + step * innovation[t], then
+    # + BASELINE, then + drift * t / 100, then + the activation, the same
+    # roundings as with whole-run temporaries. Rows are finished a block of
+    # volumes at a time (time_blocks) and checked while in cache; the noise
+    # of a block's last row is kept for the next block's first.
     rho = spec.ar1_rho
     step = spec.noise_sigma * np.sqrt(1.0 - rho**2)
-    series[0] *= spec.noise_sigma
-    for t in range(1, nt):
-        series[t] *= step
-        series[t] += rho * series[t - 1]
-    series += BASELINE
     ramp = np.arange(nt, dtype=np.float64) / 100.0
-    for t in range(nt):
-        series[t] += drift * ramp[t]
-
-    data[spec.target_mask()] += amplitude * response
+    signal = amplitude * response
+    targets = np.flatnonzero(spec.target_mask().reshape(-1, order="F"))
+    series[0] *= spec.noise_sigma
+    noise = None
+    for block in time_blocks(dims):
+        rows = series[block]
+        start = block.start
+        for t in range(max(start, 1), start + rows.shape[0]):
+            series[t] *= step
+            series[t] += rho * (noise if t == start else series[t - 1])
+        noise = rows[-1].copy()
+        rows += BASELINE
+        for t in range(start, start + rows.shape[0]):
+            series[t] += drift * ramp[t]
+        rows[:, targets] += signal[block, np.newaxis]
+        check_finite(rows, "phantom generation")
 
     header = VolumeHeader(
         dims=dims,
@@ -193,8 +203,4 @@ def generate_phantom(
         tr_seconds=acq.tr_s,
     )
     truth = {name: mask.copy() for name, mask in spec.target_rois.items()}
-    try:
-        vol = Volume4D(header=header, data=data)
-    except ValueError as exc:
-        raise NumericError("phantom intensities overflow float64") from exc
-    return vol, truth
+    return Volume4D._checked(header, data), truth

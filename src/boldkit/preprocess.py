@@ -20,7 +20,7 @@ from scipy import ndimage
 from .config import usable_cpus
 from .errors import InsufficientDataError, NumericError, ShapeError
 from .task_design import dct_highpass_basis
-from .volume_io import Volume4D, block_width, fold_voxels, voxel_series
+from .volume_io import Volume4D, check_finite, fold_voxels, time_blocks, voxel_series
 
 FWHM_TO_SIGMA = 1.0 / (2.0 * np.sqrt(2.0 * np.log(2.0)))
 KERNEL_TRUNCATE_SIGMAS = 4.0
@@ -86,6 +86,7 @@ def _mirrored_shift_matrix(kernel: np.ndarray) -> np.ndarray:
     return toeplitz + sliding_window_view(kernel[1:], nt)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is one NumericError, below
 def slice_timing_correct(vol: Volume4D, order: SliceOrder, in_place: bool = False) -> Volume4D:
     """Shift every slice's series to the reference time within the TR.
 
@@ -103,6 +104,8 @@ def slice_timing_correct(vol: Volume4D, order: SliceOrder, in_place: bool = Fals
     (80 kB at 100 volumes, 128 MB at 4000), and each product passes
     through one scratch buffer of one slice's series, 8 * nx * ny * nt
     bytes, allocated once, so a slice is never overwritten while read.
+    Each slice's result is checked for finiteness in that buffer: a shift
+    that overflows float64 raises NumericError.
     """
     nx, ny, nz, nt = vol.header.dims
     if nz != len(order.acquisition_sequence):
@@ -127,8 +130,9 @@ def slice_timing_correct(vol: Volume4D, order: SliceOrder, in_place: bool = Fals
         # (nx*ny, nt) views of slice z, x-fastest
         series = vol.data[:, :, z, :].reshape(nx * ny, nt, order="F")
         np.matmul(series, _mirrored_shift_matrix(np.fft.irfft(phase, n=2 * nt)), out=scratch)
+        check_finite(scratch, "slice timing correction")
         out[:, :, z, :].reshape(nx * ny, nt, order="F")[...] = scratch
-    return Volume4D(header=vol.header, data=out)
+    return Volume4D._checked(vol.header, out)
 
 
 def _output_array(vol: Volume4D, in_place: bool) -> np.ndarray:
@@ -413,7 +417,9 @@ def apply_motion(vol: Volume4D, motion: list, in_place: bool = False) -> Volume4
     pass), so an already-still series is untouched. The result goes into a
     new array, or into vol.data itself when in_place (see _output_array):
     each volume is resampled on its own, into one volume of scratch, and
-    only then written over its input.
+    only then written over its input. Each resampled volume is checked for
+    finiteness as it is written: one that overflows float64 raises
+    NumericError.
     """
     if len(motion) != vol.n_vols:
         raise ShapeError(f"{len(motion)} motion entries for {vol.n_vols} volumes")
@@ -421,9 +427,10 @@ def apply_motion(vol: Volume4D, motion: list, in_place: bool = False) -> Volume4
     for i, m in enumerate(motion):
         if np.any(m.params):
             out[..., i] = resample_rigid(vol.data[..., i], m, vol.header.voxel_size_mm)
+            check_finite(out[..., i], "motion correction")
         elif out is not vol.data:
             out[..., i] = vol.data[..., i]
-    return Volume4D(header=vol.header, data=out)
+    return Volume4D._checked(vol.header, out)
 
 
 def fwhm_to_sigma_vox(fwhm_mm: float, voxel_size_mm) -> np.ndarray:
@@ -448,7 +455,7 @@ def gaussian_kernel_1d(sigma_vox: float, max_radius: int | None = None) -> np.nd
     return taps / taps.sum()
 
 
-SMOOTH_TILE = 256
+SMOOTH_TILE = 16
 
 
 def _axis_tiles(n: int, sigma_vox: float, tile: int | None = None) -> list | None:
@@ -456,15 +463,19 @@ def _axis_tiles(n: int, sigma_vox: float, tile: int | None = None) -> list | Non
     rows = operator @ input cols. None when it is the identity.
 
     operator holds those rows and columns of the n x n matrix of the
-    truncated Gaussian, each row divided by its in-field mass. The output
-    is cut into tiles of `tile` rows (default SMOOTH_TILE), each reading
-    the window of inputs within the kernel radius r of them, so an
-    operator is at most tile x (tile + 2r); an axis of at most `tile`
-    voxels is one tile, the whole n x n operator. The tiles whose rows
-    are all farther than r from either end share one operator; each
-    other tile has its own, so the operators take at most
-    8 * min(n, 2r + 3 * tile) * min(n, tile + 2r) bytes, which is the
-    whole 8 * n**2 when r nears n.
+    truncated Gaussian, each row divided by its in-field mass, the sum of
+    the whole row, so a tile's rows equal the whole operator's bit for
+    bit. The output is cut into tiles of `tile` rows (default
+    SMOOTH_TILE), each reading the window of inputs within the kernel
+    radius r of them, so an operator is at most tile x (tile + 2r) and no
+    product multiplies the zeros outside the kernel's band; an axis of at
+    most `tile` voxels is one tile, the whole n x n operator. The tiles
+    whose rows are all farther than r from either end and have equal
+    masses share one operator (a few masses occur on a long axis); each
+    other tile has its own. Beyond the interior operators, the tiles near
+    either end take at most 8 * min(n, 2r + 2 * tile) * min(n, tile + 2r)
+    bytes, which is the whole 8 * n**2 when r nears n. Summing every
+    row's mass takes n**2 additions.
     """
     tile = tile or SMOOTH_TILE
     kernel = gaussian_kernel_1d(sigma_vox, max_radius=n - 1)
@@ -477,19 +488,21 @@ def _axis_tiles(n: int, sigma_vox: float, tile: int | None = None) -> list | Non
     # reversed, window i of the mirrored taps starts at distance i: row i
     # is by_distance[|i - j|], a view; each tile's normalised operator is a copy
     weights = sliding_window_view(np.concatenate([by_distance[:0:-1], by_distance]), n)[::-1]
-    tiles, interior = [], None
+    # numpy sums a row pairwise, so rows with the same taps at other
+    # positions can differ in the last bit of their mass
+    mass = weights.sum(axis=1, keepdims=True)
+    tiles, interior = [], {}
     for start in range(0, n, tile):
         stop = min(start + tile, n)
         rows = slice(start, stop)
         cols = slice(max(0, start - radius), min(n, stop + radius))
-        is_interior = start >= radius and stop + radius <= n
-        if is_interior and interior is not None:
-            operator = interior
-        else:
-            operator = weights[rows, cols]
-            operator = operator / operator.sum(axis=1, keepdims=True)
-            if is_interior:
-                interior = operator
+        # interior tiles hold the same taps; those of equal masses are equal
+        key = mass[rows].tobytes() if start >= radius and stop + radius <= n else None
+        operator = interior.get(key)
+        if operator is None:
+            operator = weights[rows, cols] / mass[rows]
+            if key is not None:
+                interior[key] = operator
         tiles.append((rows, cols, operator))
     return tiles
 
@@ -501,6 +514,7 @@ def _axis_smoothing_operator(n: int, sigma_vox: float) -> np.ndarray | None:
     return None if tiles is None else tiles[0][2]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is one NumericError, below
 def gaussian_smooth(vol: Volume4D, fwhm_mm: float, in_place: bool = False) -> Volume4D:
     """Separable 3-axis Gaussian smoothing with border renormalization.
 
@@ -515,9 +529,11 @@ def gaussian_smooth(vol: Volume4D, fwhm_mm: float, in_place: bool = False) -> Vo
     The result goes into a new array, or into vol.data itself when
     in_place (see _output_array); with no axis to smooth, vol is returned
     as it is. Volumes are smoothed independently, a chunk of whole
-    volumes (about 1 MB, see block_width) at a time, through one
+    volumes (about 1 MB, see time_blocks) at a time, through one
     chunk-sized scratch buffer (_smooth_chunks); beyond the output, no
-    run-sized array is allocated.
+    run-sized array is allocated. Each chunk's result is checked for
+    finiteness while in cache: one that overflows float64 raises
+    NumericError.
     """
     if fwhm_mm <= 0:
         raise ValueError("fwhm_mm must be positive")
@@ -529,7 +545,7 @@ def gaussian_smooth(vol: Volume4D, fwhm_mm: float, in_place: bool = False) -> Vo
         return vol
     out = _output_array(vol, in_place)
     _smooth_chunks(vol.data, passes, out)
-    return Volume4D(header=vol.header, data=out)
+    return Volume4D._checked(vol.header, out)
 
 
 def _smooth_chunks(data: np.ndarray, passes: list, out: np.ndarray) -> None:
@@ -540,14 +556,14 @@ def _smooth_chunks(data: np.ndarray, passes: list, out: np.ndarray) -> None:
     Within a chunk the passes alternate between one chunk-sized scratch
     buffer and the chunk's slab of out, scratch first, so a pass never
     writes the slab it reads; after an odd number of passes the scratch
-    is copied into the slab.
+    is copied into the slab. Each chunk's result is checked (check_finite)
+    before it is left.
     """
-    dims, nt = data.shape[:3], data.shape[3]
-    step = block_width(math.prod(dims))
-    scratch = np.empty(dims + (min(step, nt),), order="F")
-    for start in range(0, nt, step):
-        src = data[..., start:start + step]
-        slab = out[..., start:start + step]
+    blocks = time_blocks(data.shape)
+    scratch = np.empty(data[..., blocks[0]].shape, order="F")
+    for block in blocks:
+        src = data[..., block]
+        slab = out[..., block]
         chunk_dims = src.shape
         for i, (axis, tiles) in enumerate(passes):
             dst = slab if i % 2 else scratch[..., :chunk_dims[3]]
@@ -561,6 +577,7 @@ def _smooth_chunks(data: np.ndarray, passes: list, out: np.ndarray) -> None:
             for rows, cols, operator in tiles:
                 np.matmul(a[..., cols], operator.T, out=b[..., rows])
             src = dst
+        check_finite(src, "smoothing")
         if src is not slab:
             slab[...] = src
 

@@ -42,6 +42,7 @@ from .errors import (
     DataError,
     EmptyMaskError,
     FormatError,
+    NumericError,
     ShapeError,
     TruncatedFileError,
     UnsupportedDatatypeError,
@@ -181,25 +182,44 @@ class Volume4D:
     """A 4-D scalar field with its acquisition geometry.
 
     data has shape header.dims, dtype float64 and x-fastest (Fortran)
-    layout; values are finite when the volume is built. data may be a
-    view, such as one run's time slab of a stack of runs, and the in-place
-    stages (``in_place=True`` in ``preprocess`` and ``average_runs``)
-    overwrite the data they are given, so a volume is not immutable: it
-    changes when such a stage writes into data it shares.
+    layout; values are finite when the volume is built. ``Volume4D(...)``
+    and ``make_volume`` check data from outside the library, a block of
+    about 1 MB at a time. Each library stage that writes run data
+    (``read_nifti``, ``generate_phantom``, the ``preprocess`` stages,
+    ``average_runs``) checks every block as it writes it and builds its
+    result with ``Volume4D._checked``, without a second pass;
+    ``concatenate_runs`` stacks volumes already checked. data may be
+    a view, such as one run's time slab of a stack of runs, and the
+    in-place stages (``in_place=True`` in ``preprocess`` and
+    ``average_runs``) overwrite the data they are given, so a volume is
+    not immutable: it changes when such a stage writes into data it shares.
     """
 
     header: VolumeHeader
     data: np.ndarray
 
     def __post_init__(self):
+        self._check_layout()
+        if not all(all_finite(self.data[..., block]) for block in time_blocks(self.header.dims)):
+            raise ValueError("volume data contains non-finite values")
+
+    @classmethod
+    def _checked(cls, header: VolumeHeader, data: np.ndarray) -> "Volume4D":
+        """A volume of data that is already known to be finite: the stage
+        that wrote it checked every block (check_finite), or it holds only
+        data of checked volumes. Built with the layout check, without the
+        finiteness pass; for the library's own stages only."""
+        vol = cls.__new__(cls)
+        vol.header, vol.data = header, data
+        vol._check_layout()
+        return vol
+
+    def _check_layout(self) -> None:
         self.data = np.asfortranarray(self.data, dtype=np.float64)
         if self.data.shape != self.header.dims:
             raise ShapeError(
                 f"data shape {self.data.shape} does not match header dims {self.header.dims}"
             )
-        # NaN and +-inf each show in the min or the max; no run-sized temporary
-        if not (np.isfinite(self.data.min()) and np.isfinite(self.data.max())):
-            raise ValueError("volume data contains non-finite values")
 
     @property
     def n_vols(self) -> int:
@@ -221,6 +241,26 @@ def block_width(n_rows: int) -> int:
     byte budget, so a block of voxel series or of whole volumes stays
     cache-sized and a blocked pass's scratch stays small."""
     return max(1, _BLOCK_BYTES // (8 * n_rows))
+
+
+def time_blocks(dims) -> list:
+    """Slices of the time axis that cut an x-fastest volume of these dims
+    into consecutive blocks of whole volumes of about 1 MB (block_width)."""
+    step = block_width(math.prod(dims[:3]))
+    return [slice(start, start + step) for start in range(0, dims[3], step)]
+
+
+def all_finite(values: np.ndarray) -> bool:
+    """Whether every value is finite. NaN and +-inf each show in the min
+    or the max, so no temporary of the values' size is made."""
+    return bool(np.isfinite(values.min()) and np.isfinite(values.max()))
+
+
+def check_finite(block: np.ndarray, stage: str) -> None:
+    """Raise NumericError naming the stage unless every value of a block
+    it has just written is finite; called while the block is in cache."""
+    if not all_finite(block):
+        raise NumericError(f"{stage} overflows float64: its result holds non-finite values")
 
 
 def fold_voxels(values: np.ndarray, spatial_dims) -> np.ndarray:
@@ -452,7 +492,8 @@ def read_nifti(path, out: np.ndarray | None = None) -> Volume4D:
     member, and by zlib otherwise, with identical data and errors either
     way. The file is read once, whole; a plain file's data section is a
     view of those bytes, and a gzip file's compressed bytes are freed
-    before the float64 conversion. The data are converted into out when it
+    before the float64 conversion. The data are converted, scaled and
+    checked for finiteness a block of about 1 MB at a time, into out when it
     is given (``output_array``: the file's shape, writable, x-fastest
     float64), such as a run's time slab of a stack, and into a new array
     otherwise; the result's data is then out itself.
@@ -485,26 +526,26 @@ def read_nifti(path, out: np.ndarray | None = None) -> Volume4D:
 
     raw = np.frombuffer(payload, dtype=layout.dtype, count=math.prod(shape))
     raw = raw.reshape(shape, order="F")
-    if out is None:
-        data = raw.astype(np.float64)
-    else:
-        data = output_array(out, shape)
-        data[...] = raw
-    del payload, raw
+    data = np.empty(shape, order="F") if out is None else output_array(out, shape)
+    vol_header = _volume_header(layout)
 
     slope = float(header["scl_slope"])
     inter = float(header["scl_inter"])
     if slope == 0.0:
         slope = 1.0
-    if slope != 1.0 or inter != 0.0:
-        data *= slope
-        data += inter
-
-    try:
-        # its finiteness check is the only one
-        vol = Volume4D(header=_volume_header(layout), data=data)
-    except ValueError as exc:
-        raise FormatError(f"{path}: data contains non-finite values after scaling") from exc
+    # each block is converted, scaled and checked while it is in cache;
+    # an overflow of the scaling is the FormatError below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for block in time_blocks(shape):
+            values = data[..., block]
+            values[...] = raw[..., block]
+            if slope != 1.0 or inter != 0.0:
+                values *= slope
+                values += inter
+            if not all_finite(values):
+                raise FormatError(f"{path}: data contains non-finite values after scaling")
+    del payload, raw
+    vol = Volume4D._checked(vol_header, data)
     logger.debug("read %s: %s, %d file bytes -> %d raw bytes in %.3f s", path, inflater,
                  file_bytes, layout.offset + layout.n_bytes, time.perf_counter() - start)
     return vol

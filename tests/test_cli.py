@@ -19,6 +19,8 @@ from boldkit.errors import ConfigError
 from boldkit.phantom import generate_phantom
 from boldkit.volume_io import make_volume, read_nifti, write_nifti
 
+from test_volume_io import build_raw_nifti
+
 SRC_PATH = os.path.dirname(os.path.dirname(boldkit.__file__))
 
 FAST_PHANTOM = {
@@ -953,6 +955,30 @@ class TestInputErrors:
         assert re.fullmatch(r"boldkit: (config error|numeric failure): .+\n", err)
         if code == 2:
             assert f"config key 'phantom.{key}': must be finite" in err
+
+    @pytest.mark.parametrize("fwhm", [[], ["--fwhm", "0"]])
+    def test_overflow_in_preprocessing_is_a_numeric_failure(self, tmp_path, fwhm):
+        # float64 runs alternating at +-1.5e308 in time: the sinc shift of
+        # slice timing overshoots float64. A fresh interpreter, so numpy
+        # warnings reach stderr as a user would see them.
+        dims = (8, 8, 6, 40)
+        sign = np.where(np.arange(dims[3]) % 2 == 0, 1.0, -1.0)
+        payload = np.broadcast_to(1.5e308 * sign, dims).astype("<f8").tobytes(order="F")
+        runs = []
+        for r in (1, 2):
+            path = tmp_path / f"run-{r}.nii"
+            path.write_bytes(build_raw_nifti(dims, payload, datatype=64, bitpix=64))
+            runs.append(str(path))
+        cfg = write_runs_config(tmp_path, runs, duration_mode="average", task=dict(SLAB_TASK))
+        out = tmp_path / "an"
+        proc = subprocess.run([sys.executable, "-m", "boldkit.cli", "analyze", "--config", cfg,
+                               "--out", str(out), *fwhm],
+                              capture_output=True, text=True, timeout=120,
+                              env=dict(os.environ, PYTHONPATH=SRC_PATH))
+        assert proc.returncode == 4
+        assert re.fullmatch(r"boldkit: numeric failure: slice timing correction overflows .+\n",
+                            proc.stderr)
+        assert not (out / "manifest.json").exists()
 
     @pytest.mark.parametrize("tr_s, task", [
         (1e-6, {"onsets_s": [0.0], "durations_s": [2e-5], "run_length_s": 3e-5}),

@@ -16,7 +16,8 @@ from boldkit.duration import (
     single_run_design,
     total_variation,
 )
-from boldkit.errors import EmptyMaskError, ShapeError
+from boldkit import volume_io
+from boldkit.errors import EmptyMaskError, NumericError, ShapeError
 from boldkit.phantom import AcquisitionParams, PhantomSpec, generate_phantom, sphere_mask
 from boldkit.preprocess import gaussian_smooth
 from boldkit.task_design import alternating_block_design, task_regressor
@@ -118,6 +119,23 @@ class TestConcatenateRuns:
             assert np.shares_memory(run.data, vol.data)
         np.testing.assert_array_equal(vol.data, np.concatenate([run0.data, run1.data], axis=3))
 
+    @pytest.mark.parametrize("stacked", [True, False])
+    def test_checked_runs_are_not_read_again(self, monkeypatch, stacked):
+        # the runs were checked to be finite when built; the stack is not
+        run0, run1, design, _ = make_runs()
+        stack = None
+        if stacked:
+            slabs = run_slabs(run0.spatial_dims, [30, 30])
+            for slab, run in zip(slabs, (run0, run1)):
+                slab[...] = run.data
+            run0, run1 = (make_volume(slab) for slab in slabs)
+            stack = slabs[0].base
+        checks = []
+        monkeypatch.setattr(volume_io, "all_finite", lambda values: checks.append(values))
+        vol, _ = concatenate_runs(RunSet(runs=[run0, run1], design=design))
+        assert checks == []
+        assert (vol.data is stack) == stacked
+
     def test_full_rank_when_runs_are(self):
         run0, run1, design, _ = make_runs(n_vols=100)
         _, matrix = concatenate_runs(RunSet(runs=[run0, run1], design=design))
@@ -145,6 +163,17 @@ class TestAverageRuns:
         out = average_runs(RunSet(runs=list(runs), design=design), in_place=True)
         assert out.data is first
         np.testing.assert_array_equal(out.data, expected)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("in_place", [False, True])
+    def test_overflowing_mean_is_a_numeric_error(self, in_place):
+        # the sum of two runs at 1.5e308 overflows in the last of several blocks
+        run0, run1, design, _ = make_runs(dims=(24, 24, 21), n_vols=30)
+        assert volume_io.block_width(24 * 24 * 21) < 30
+        for run in (run0, run1):
+            run.data[..., -1] = 1.5e308
+        with pytest.raises(NumericError, match="run averaging overflows"):
+            average_runs(RunSet(runs=[run0, run1], design=design), in_place=in_place)
 
     def test_commutes_with_smoothing(self):
         run0, run1, design, _ = make_runs()

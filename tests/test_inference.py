@@ -71,6 +71,28 @@ class TestFdrBh:
         result = fdr_bh(p, q)
         np.testing.assert_array_equal(result.rejected, bh_reject_bruteforce(p, q))
 
+    @pytest.mark.parametrize("m", [7, 5000, 122_880])
+    def test_heavy_ties_match_a_stable_sort_bitwise(self, m):
+        # how the sort orders tied p-values changes no bit of the result
+        rng = np.random.default_rng(25)
+        levels = np.array([0.0, 1e-6, 0.001, 0.004, 0.01, 0.02, 0.05, 0.3, 0.5, 1.0])
+        p = levels[rng.integers(0, levels.size, m)]
+        p[rng.random(m) < 0.2] = rng.random() * 0.01  # one more tied value
+        q = 0.05
+        order = np.argsort(p, kind="stable")
+        sorted_p, ranks = p[order], np.arange(1, m + 1)
+        passing = np.nonzero(sorted_p <= ranks * q / m)[0]
+        threshold = float(sorted_p[passing[-1]]) if passing.size else 0.0
+        adjusted = np.empty(m)
+        adjusted[order] = np.minimum(
+            np.minimum.accumulate((m * sorted_p / ranks)[::-1])[::-1], 1.0)
+
+        result = fdr_bh(p, q)
+        assert np.float64(result.p_threshold).tobytes() == np.float64(threshold).tobytes()
+        rejected = p <= threshold if passing.size else np.zeros(m, dtype=bool)
+        assert np.array_equal(result.rejected, rejected)
+        assert result.adjusted_p.tobytes() == adjusted.tobytes()
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             fdr_bh([0.5, 1.2], q=0.05)

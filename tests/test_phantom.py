@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from boldkit.duration import single_run_design
-from boldkit.errors import OutOfRangeError
+from boldkit import volume_io
+from boldkit.errors import NumericError, OutOfRangeError
 from boldkit.glm import fit_glm, t_contrast
 from boldkit.phantom import (
     BASELINE,
@@ -146,6 +147,21 @@ class TestGeneration:
         vol, _ = generate_phantom(spec, short_acq(), short_design(), run_index=run_index)
         expected = documented_phantom(spec, short_acq(), short_design(), run_index)
         assert np.array_equal(vol.data, expected)
+
+    def test_blocks_carry_the_recurrence(self):
+        # the run is finished in blocks of volumes, the last one partial;
+        # each block's first row continues the previous block's noise
+        spec = PhantomSpec(seed=7)
+        acq = AcquisitionParams(n_vols=35)
+        design = alternating_block_design(block_s=15.0, run_length_s=105.0)
+        step = volume_io.block_width(int(np.prod(spec.dims)))
+        assert 2 * step < acq.n_vols and acq.n_vols % step
+        vol, _ = generate_phantom(spec, acq, design, run_index=1)
+        assert np.array_equal(vol.data, documented_phantom(spec, acq, design, 1))
+
+    def test_overflow_is_a_numeric_error(self):
+        with pytest.raises(NumericError, match="phantom generation overflows"):
+            generate_phantom(small_spec(noise_sigma=1.7e308), short_acq(), short_design())
 
     def test_memory_is_the_draws_plus_one_mib(self):
         # the series is built inside the array of draws, one row at a time

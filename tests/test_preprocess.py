@@ -579,13 +579,28 @@ class TestGaussianSmooth:
 
     def test_long_axis_tiles_share_the_interior_operator(self):
         sigma = 3.4  # radius 13
+        tile = preprocess.SMOOTH_TILE
+        assert tile > 13
         tiles = preprocess._axis_tiles(4000, sigma)
-        assert len(tiles) == 16
-        assert len({id(operator) for _, _, operator in tiles}) == 3
-        assert tiles[0][1] == slice(0, 256 + 13) and tiles[-1][1] == slice(3840 - 13, 4000)
+        assert len(tiles) == -(-4000 // tile)
+        # the interior tiles hold the same taps, and share one operator per
+        # distinct set of row masses (a few: numpy sums a row pairwise)
+        operators = {id(operator): operator.tobytes() for _, _, operator in tiles}
+        assert len(operators) == len(set(operators.values())) < 10
+        last = (len(tiles) - 1) * tile
+        assert tiles[0][1] == slice(0, tile + 13) and tiles[-1][1] == slice(last - 13, 4000)
         for rows, cols, operator in tiles:
             assert operator.shape == (rows.stop - rows.start, cols.stop - cols.start)
             assert operator.shape[1] <= preprocess.SMOOTH_TILE + 2 * 13
+
+    @pytest.mark.parametrize("n", [24, 30, 64, 300, 4000])
+    @pytest.mark.parametrize("sigma", [0.5, 0.708, 1.03, 1.7, 3.4, 9.0, 80.0])
+    def test_tiles_are_blocks_of_the_whole_operator(self, n, sigma):
+        whole = preprocess._axis_smoothing_operator(n, sigma)
+        for rows, cols, operator in preprocess._axis_tiles(n, sigma):
+            assert np.array_equal(operator, whole[rows, cols])
+            # no tap of the row lies outside the tile's columns
+            assert not whole[rows, :cols.start].any() and not whole[rows, cols.stop:].any()
 
     def test_memory_of_one_4000_voxel_axis(self):
         # the whole-axis operator alone would be 8 * 4000**2 bytes (122 MiB)
@@ -630,6 +645,53 @@ class TestRunBuffers:
         one_slice = 8 * dims[0] * dims[1] * dims[3]
         assert traced_peak(pipeline.preprocess_runs, runs, cfg) < one_slice + 2 * 2**20
         assert np.array_equal(runs[0].data, expected)
+
+
+# the largest float64: a weighted mean of it may round past it, to +inf
+FLOAT64_MAX = float(np.finfo(np.float64).max)
+
+
+class TestStageChecks:
+    """A stage checks the run data it writes as it writes it: a result that
+    overflows float64 is one NumericError naming the stage, in a new array
+    or in place, and no numpy overflow warning escapes."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("in_place", [False, True])
+    def test_slice_timing_overflow(self, in_place):
+        # the sinc shift of a series alternating at +-1.5e308 overshoots
+        sign = np.where(np.arange(40) % 2 == 0, 1.0, -1.0)
+        vol = make_volume(np.broadcast_to(1.5e308 * sign, (8, 8, 6, 40)), voxel_size_mm=VOXEL)
+        with pytest.raises(NumericError, match="slice timing correction overflows"):
+            slice_timing_correct(vol, interleaved_order(6), in_place=in_place)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("in_place", [False, True])
+    def test_smoothing_overflow(self, in_place):
+        vol = make_volume(np.full((6, 5, 4, 3), FLOAT64_MAX), voxel_size_mm=VOXEL)
+        with pytest.raises(NumericError, match="smoothing overflows"):
+            gaussian_smooth(vol, 8.0, in_place=in_place)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("in_place", [False, True])
+    def test_motion_correction_overflow(self, in_place):
+        vol = make_volume(np.full((6, 5, 4, 3), FLOAT64_MAX), voxel_size_mm=VOXEL)
+        motion = [RigidMotion(), RigidMotion.from_params([0.3, 0.1, 0.2, 0.01, 0.0, 0.02]),
+                  RigidMotion()]
+        with pytest.raises(NumericError, match="motion correction overflows"):
+            apply_motion(vol, motion, in_place=in_place)
+
+    def test_the_last_slice_and_chunk_are_checked(self):
+        dims = (24, 24, 21, 60)
+        assert dims[3] > block_width(int(np.prod(dims[:3])))  # several chunks
+        data = np.ones(dims)
+        data[:, :, -1, :] = 1.5e308 * np.where(np.arange(dims[3]) % 2 == 0, 1.0, -1.0)
+        with pytest.raises(NumericError, match="slice timing correction"):
+            slice_timing_correct(make_volume(data, voxel_size_mm=VOXEL), interleaved_order(21))
+        data = np.ones(dims)
+        data[..., -2:] = FLOAT64_MAX
+        with pytest.raises(NumericError, match="smoothing"):
+            gaussian_smooth(make_volume(data, voxel_size_mm=VOXEL), 8.0)
 
 
 class TestHighpass:

@@ -143,6 +143,26 @@ class TestRead:
             with pytest.raises(FormatError, match=field):
                 read_nifti(path)
 
+    @pytest.mark.parametrize("case", ["scaling overflows", "nan", "inf"])
+    def test_non_finite_data_after_scaling_is_a_format_error(self, tmp_path, case):
+        # the bad value sits in the last volume, several blocks in
+        dims = (64, 64, 4, 40)
+        values = np.ones(dims, dtype="<f8")
+        slope = 1.0
+        if case == "scaling overflows":
+            values[..., -1] = 1e300
+            slope = 1e30
+        else:
+            values[-1, -1, -1, -1] = float(case)
+        blob = build_raw_nifti(dims, values.tobytes(order="F"), datatype=64, bitpix=64,
+                               scl_slope=slope)
+        path = tmp_path / "bad.nii"
+        path.write_bytes(blob)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FormatError, match="non-finite values after scaling"):
+                read_nifti(path)
+
     def test_big_endian_file(self, tmp_path):
         values = np.arange(8, dtype=">f4")
         blob = build_raw_nifti((2, 2, 2, 1), values.tobytes(), datatype=16, bitpix=32,
@@ -550,6 +570,16 @@ class TestVolumeInvariants:
         data[1, 2, 0, 1] = value
         with pytest.raises(ValueError, match="non-finite"):
             make_volume(data)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_the_constructor_checks_every_block(self, value):
+        # a non-finite value in the last volume, several blocks in
+        dims = (64, 64, 4, 40)
+        assert volume_io.block_width(64 * 64 * 4) < dims[3]
+        data = np.zeros(dims, order="F")
+        data[63, 63, 3, 39] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            Volume4D(header=VolumeHeader(dims=dims), data=data)
 
     def test_finiteness_check_allocates_no_run_sized_temporary(self):
         data = np.asfortranarray(np.random.default_rng(4).standard_normal((32, 32, 16, 20)))
