@@ -8,6 +8,7 @@ then smoothing, with drift handled inside the GLM (or here, standalone).
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -455,29 +456,20 @@ def gaussian_kernel_1d(sigma_vox: float, max_radius: int | None = None) -> np.nd
     return taps / taps.sum()
 
 
-SMOOTH_TILE = 16
+SMOOTH_TILE = 32
 
 
-def _axis_tiles(n: int, sigma_vox: float, tile: int | None = None) -> list | None:
-    """The smoothing along one axis as (rows, cols, operator) tiles: output
-    rows = operator @ input cols. None when it is the identity.
+@functools.lru_cache(maxsize=8)
+def _axis_taps(n: int, sigma_vox: float) -> tuple | None:
+    """(radius, weights, mass) of the truncated Gaussian along an axis of
+    n voxels, or None when it is the identity: weights[i, j] is the tap
+    at distance |i - j| (an n x n read-only view of 2n - 1 floats) and
+    mass[i] the sum of row i, its in-field mass.
 
-    operator holds those rows and columns of the n x n matrix of the
-    truncated Gaussian, each row divided by its in-field mass, the sum of
-    the whole row, so a tile's rows equal the whole operator's bit for
-    bit. The output is cut into tiles of `tile` rows (default
-    SMOOTH_TILE), each reading the window of inputs within the kernel
-    radius r of them, so an operator is at most tile x (tile + 2r) and no
-    product multiplies the zeros outside the kernel's band; an axis of at
-    most `tile` voxels is one tile, the whole n x n operator. The tiles
-    whose rows are all farther than r from either end and have equal
-    masses share one operator (a few masses occur on a long axis); each
-    other tile has its own. Beyond the interior operators, the tiles near
-    either end take at most 8 * min(n, 2r + 2 * tile) * min(n, tile + 2r)
-    bytes, which is the whole 8 * n**2 when r nears n. Summing every
-    row's mass takes n**2 additions.
+    Summing the rows takes n**2 additions, so the result is kept per
+    (n, sigma_vox), at 24 * n bytes an entry: the runs of a set, all of
+    one shape, pay it once per axis.
     """
-    tile = tile or SMOOTH_TILE
     kernel = gaussian_kernel_1d(sigma_vox, max_radius=n - 1)
     radius = kernel.size // 2
     if radius == 0:
@@ -486,11 +478,39 @@ def _axis_tiles(n: int, sigma_vox: float, tile: int | None = None) -> list | Non
     by_distance = np.zeros(n)
     by_distance[:radius + 1] = kernel[radius:]
     # reversed, window i of the mirrored taps starts at distance i: row i
-    # is by_distance[|i - j|], a view; each tile's normalised operator is a copy
+    # is by_distance[|i - j|], a view
     weights = sliding_window_view(np.concatenate([by_distance[:0:-1], by_distance]), n)[::-1]
     # numpy sums a row pairwise, so rows with the same taps at other
     # positions can differ in the last bit of their mass
     mass = weights.sum(axis=1, keepdims=True)
+    mass.flags.writeable = False
+    return radius, weights, mass
+
+
+def _axis_tiles(n: int, sigma_vox: float, tile: int | None = None) -> list | None:
+    """The smoothing along one axis as (rows, cols, operator) tiles: output
+    rows = operator @ input cols. None when it is the identity.
+
+    operator holds those rows and columns of the n x n matrix of the
+    truncated Gaussian, each row divided by its in-field mass, the sum of
+    the whole row (_axis_taps), so a tile's rows equal the whole
+    operator's bit for bit. The output is cut into tiles of `tile` rows
+    (default SMOOTH_TILE), each reading the window of inputs within the
+    kernel radius r of them, so an operator is at most tile x (tile + 2r)
+    and no product multiplies the zeros outside the kernel's band; an
+    axis of at most `tile` voxels is one tile, the whole n x n operator.
+    The tiles whose rows are all farther than r from either end and have
+    equal masses share one operator (a few masses occur on a long axis);
+    each other tile has its own. Beyond the interior operators, the tiles
+    near either end take at most
+    8 * min(n, 2r + 2 * tile) * min(n, tile + 2r) bytes, which is the
+    whole 8 * n**2 when r nears n.
+    """
+    tile = tile or SMOOTH_TILE
+    taps = _axis_taps(n, sigma_vox)
+    if taps is None:
+        return None
+    radius, weights, mass = taps
     tiles, interior = [], {}
     for start in range(0, n, tile):
         stop = min(start + tile, n)

@@ -19,7 +19,7 @@ from boldkit.errors import ConfigError
 from boldkit.phantom import generate_phantom
 from boldkit.volume_io import make_volume, read_nifti, write_nifti
 
-from test_volume_io import build_raw_nifti
+from oracles import build_raw_nifti
 
 SRC_PATH = os.path.dirname(os.path.dirname(boldkit.__file__))
 

@@ -578,20 +578,29 @@ class TestGaussianSmooth:
         np.testing.assert_allclose(out.data, expected, rtol=1e-12, atol=0)
 
     def test_long_axis_tiles_share_the_interior_operator(self):
-        sigma = 3.4  # radius 13
+        n, sigma, radius = 4000, 3.4, 13
         tile = preprocess.SMOOTH_TILE
-        assert tile > 13
-        tiles = preprocess._axis_tiles(4000, sigma)
-        assert len(tiles) == -(-4000 // tile)
-        # the interior tiles hold the same taps, and share one operator per
-        # distinct set of row masses (a few: numpy sums a row pairwise)
-        operators = {id(operator): operator.tobytes() for _, _, operator in tiles}
-        assert len(operators) == len(set(operators.values())) < 10
+        assert tile > radius
+        tiles = preprocess._axis_tiles(n, sigma)
+        assert len(tiles) == -(-n // tile)
+        # the interior tiles hold the same taps and share one operator per
+        # distinct set of row masses (numpy sums a row pairwise, so a few
+        # occur); each tile within the radius of an end has its own
+        by_distance = np.zeros(n)
+        by_distance[:radius + 1] = gaussian_kernel_1d(sigma)[radius:]
+        mass = np.concatenate([
+            by_distance[np.abs(np.subtract.outer(np.arange(i, i + 250), np.arange(n)))].sum(axis=1)
+            for i in range(0, n, 250)])
+        starts = range(0, n, tile)
+        ends = [start for start in starts if start < radius or start + tile + radius > n]
+        interior = {mass[start:start + tile].tobytes() for start in starts if start not in ends}
+        assert len(ends) == 2
+        assert len({id(operator) for _, _, operator in tiles}) == len(ends) + len(interior)
         last = (len(tiles) - 1) * tile
-        assert tiles[0][1] == slice(0, tile + 13) and tiles[-1][1] == slice(last - 13, 4000)
+        assert tiles[0][1] == slice(0, tile + radius) and tiles[-1][1] == slice(last - radius, n)
         for rows, cols, operator in tiles:
             assert operator.shape == (rows.stop - rows.start, cols.stop - cols.start)
-            assert operator.shape[1] <= preprocess.SMOOTH_TILE + 2 * 13
+            assert operator.shape[1] <= preprocess.SMOOTH_TILE + 2 * radius
 
     @pytest.mark.parametrize("n", [24, 30, 64, 300, 4000])
     @pytest.mark.parametrize("sigma", [0.5, 0.708, 1.03, 1.7, 3.4, 9.0, 80.0])

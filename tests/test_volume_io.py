@@ -41,27 +41,7 @@ from boldkit.volume_io import (
     write_nifti,
 )
 
-from oracles import roi_series_walk, traced_peak
-
-
-def build_raw_nifti(dims, payload: bytes, datatype: int, bitpix: int,
-                    scl_slope=0.0, scl_inter=0.0, byteorder="<",
-                    sizeof_hdr=348, magic=b"n+1\x00", tr=3.0) -> bytes:
-    """Hand-assemble a NIfTI-1 file, independent of write_nifti."""
-    end = byteorder
-    header = bytearray(348)
-    struct.pack_into(end + "i", header, 0, sizeof_hdr)
-    dim = [4] + list(dims) + [1] * (7 - len(dims))
-    struct.pack_into(end + "8h", header, 40, *dim)
-    struct.pack_into(end + "h", header, 70, datatype)
-    struct.pack_into(end + "h", header, 72, bitpix)
-    pixdim = [1.0, 3.3, 3.3, 4.8, tr, 0, 0, 0]
-    struct.pack_into(end + "8f", header, 76, *pixdim)
-    struct.pack_into(end + "f", header, 108, 352.0)  # vox_offset
-    struct.pack_into(end + "f", header, 112, scl_slope)
-    struct.pack_into(end + "f", header, 116, scl_inter)
-    struct.pack_into("4s", header, 344, magic)
-    return bytes(header) + b"\x00" * 4 + payload
+from oracles import build_raw_nifti, roi_series_walk, traced_peak
 
 
 def random_volume(rng, dims=(5, 4, 3, 6)):
