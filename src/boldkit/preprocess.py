@@ -497,8 +497,8 @@ def _axis_tiles(n: int, sigma_vox: float, tile: int | None = None) -> list | Non
     operator's bit for bit. The output is cut into tiles of `tile` rows
     (default SMOOTH_TILE), each reading the window of inputs within the
     kernel radius r of them, so an operator is at most tile x (tile + 2r)
-    and no product multiplies the zeros outside the kernel's band; an
-    axis of at most `tile` voxels is one tile, the whole n x n operator.
+    and the products skip the inputs beyond the kernel's band; an axis of
+    at most `tile` voxels is one tile, the whole n x n operator.
     The tiles whose rows are all farther than r from either end and have
     equal masses share one operator (a few masses occur on a long axis);
     each other tile has its own. Beyond the interior operators, the tiles
