@@ -11,7 +11,7 @@ import argparse
 import sys
 
 from . import __version__
-from .config import load_config
+from .config import SCHEMA, load_config
 from .errors import ConfigError, DataError, NumericError
 from .pipeline import run_analyze, run_duration_study, run_simulate
 
@@ -21,20 +21,27 @@ EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
 
-def _add_common_flags(parser: argparse.ArgumentParser):
+# Each flag: its config key, argparse type and metavar, and help. The
+# key's SCHEMA entry checks the value and gives a section key's default.
+FLAGS = (
+    ("--out", "output_dir", str, "DIR", "output directory"),
+    ("--seed", "seed", int, "U64", "simulation / seeding value"),
+    ("--threads", "threads", int, "N",
+     "input runs read, and volumes motion-registered, at once; results never depend on it"),
+    ("--q", "inference.q", float, "Q", "FDR level"),
+    ("--fwhm", "preprocess.fwhm_mm", float, "MM", "smoothing kernel FWHM in mm"),
+    ("--cutoff-hz", "glm.cutoff_hz", float, "HZ", "high-pass cutoff in Hz"),
+    ("--connectivity", "inference.connectivity", int, "N", "cluster neighborhood"),
+)
+
+
+def _add_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--config", metavar="PATH", help="JSON config file (or a previous manifest)")
-    parser.add_argument("--out", metavar="DIR", help="output directory")
-    parser.add_argument("--seed", type=int, metavar="U64", help="simulation / seeding value")
-    parser.add_argument("--threads", type=int, metavar="N",
-                        help="input runs read, and volumes motion-registered, at once "
-                             "(default: usable CPUs); results never depend on it")
-    parser.add_argument("--q", type=float, metavar="Q", help="FDR level (default 0.05)")
-    parser.add_argument("--fwhm", type=float, metavar="MM",
-                        help="smoothing kernel FWHM in mm (default 8)")
-    parser.add_argument("--cutoff-hz", type=float, metavar="HZ",
-                        help="high-pass cutoff in Hz (default 0.005)")
-    parser.add_argument("--connectivity", type=int, choices=(6, 18, 26),
-                        help="cluster neighborhood (default 26)")
+    for flag, key, kind, metavar, help_text in FLAGS:
+        section, _, name = key.rpartition(".")
+        if section:
+            help_text += f" (default {SCHEMA[section][name][0]})"
+        parser.add_argument(flag, dest=key, type=kind, metavar=metavar, help=help_text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -46,22 +53,9 @@ def build_parser() -> argparse.ArgumentParser:
         ("analyze", "run the preprocessing + GLM + FDR + cluster pipeline"),
         ("duration-study", "compare single, concatenated, and averaged runs"),
     ):
-        command = sub.add_parser(name, help=help_text)
-        _add_common_flags(command)
+        _add_flags(sub.add_parser(name, help=help_text))
     sub.add_parser("version", help="print the toolkit version")
     return parser
-
-
-def _overrides_from_args(args) -> dict:
-    return {
-        "output_dir": args.out,
-        "seed": args.seed,
-        "threads": args.threads,
-        "inference.q": args.q,
-        "preprocess.fwhm_mm": args.fwhm,
-        "glm.cutoff_hz": args.cutoff_hz,
-        "inference.connectivity": args.connectivity,
-    }
 
 
 def main(argv=None) -> int:
@@ -81,7 +75,8 @@ def main(argv=None) -> int:
         "duration-study": run_duration_study,
     }
     try:
-        cfg = load_config(args.config, _overrides_from_args(args))
+        overrides = {key: getattr(args, key) for _, key, *_ in FLAGS}
+        cfg = load_config(args.config, overrides)
         files = runners[args.command](cfg)
     except ConfigError as exc:
         print(f"boldkit: config error: {exc}", file=sys.stderr)

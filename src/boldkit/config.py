@@ -17,6 +17,7 @@ from dataclasses import asdict, dataclass, field
 
 from .duration import CONDITIONS
 from .errors import ConfigError, OutOfRangeError
+from .inference import CONNECTIVITIES
 from .task_design import DEFAULT_OVERSAMPLE, BlockDesign, check_hrf_step, check_run_window
 from .volume_io import FLOAT32_MAX, MAX_DIM
 
@@ -72,6 +73,16 @@ def _three(item, message: str):
 
 
 _BOOLEAN = _is(lambda v: isinstance(v, bool), "must be a boolean")
+_PATH = "string naming a path: no NUL, and encodable by os.fsencode"
+
+
+def _nameable(path) -> bool:
+    """Whether path is a string the OS can name a file by: os.fsencode
+    encodes it, and it holds no NUL."""
+    try:
+        return isinstance(path, str) and b"\0" not in os.fsencode(path)
+    except UnicodeEncodeError:
+        return False
 
 
 def _hrf_sampled(key, tr_s):
@@ -88,10 +99,10 @@ def _hrf_sampled(key, tr_s):
 SCHEMA = {
     "seed": _all(_number(low=0, integer=True),
                  _is(lambda v: int(v) < 2**64, "must fit in 64 bits")),
-    "output_dir": _is(lambda v: isinstance(v, str) and v, "must be a non-empty string"),
+    "output_dir": _is(lambda v: v and _nameable(v), f"must be a non-empty {_PATH}"),
     "threads": _number(low=1, integer=True),
     "runs": _all(_is(lambda v: isinstance(v, list) and v, "must be a non-empty list of paths"),
-                 _is(lambda v: all(isinstance(p, str) for p in v), "entries must be strings")),
+                 _is(lambda v: all(map(_nameable, v)), f"entries must each be a {_PATH}")),
     "phantom": {
         "dims": ([24, 24, 21], _three(_number(low=1, high=MAX_DIM, integer=True),
                                       "must be three integers")),
@@ -132,7 +143,8 @@ SCHEMA = {
     "inference": {
         "q": (0.05, _all(_number(low=0, high=1),
                          _is(lambda v: 0 < v < 1, "must lie strictly inside (0, 1)"))),
-        "connectivity": (26, _is(lambda v: v in (6, 18, 26), "must be 6, 18, or 26")),
+        "connectivity": (26, _is(lambda v: v in CONNECTIVITIES,
+                                 f"must be one of {CONNECTIVITIES}")),
     },
     "duration_mode": _is(lambda v: v in DURATION_MODES, f"must be one of {DURATION_MODES}"),
 }
@@ -236,16 +248,18 @@ def load_config(path=None, overrides: dict | None = None) -> PipelineConfig:
     raw = {}
     if path is not None:
         try:
-            with open(path) as fh:
+            with open(path, encoding="utf-8") as fh:
                 raw = json.load(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSONDecodeError, or a UnicodeDecodeError (JSON is UTF-8)
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+        except RecursionError as exc:
+            raise ConfigError(f"config file {path} nests too deeply to read") from exc
         if isinstance(raw, dict) and "config" in raw and "boldkit_version" in raw:
             raw = raw["config"]
 
-    if overrides:
+    if overrides and isinstance(raw, dict):  # validate_config rejects any other root
         raw = _apply_overrides(raw, overrides)
     return validate_config(raw)
 

@@ -60,7 +60,7 @@ def run_slabs(spatial_dims, run_lengths) -> list:
     preprocessed there in place; runs that are the slabs, in order, are
     concatenated without a copy (concatenate_runs). The stack's pages
     become resident only as the slabs are written."""
-    stack = np.empty(tuple(spatial_dims) + (sum(run_lengths),), order="F")
+    stack = output_array(tuple(spatial_dims) + (sum(run_lengths),))
     starts = np.cumsum([0, *run_lengths])
     return [stack[..., start:stop] for start, stop in zip(starts[:-1], starts[1:])]
 
@@ -130,7 +130,7 @@ def average_runs(runset: RunSet, in_place: bool = False) -> Volume4D:
     """
     runs = runset.runs
     first = runs[0].data
-    data = output_array(first, first.shape) if in_place else np.empty(first.shape, order="F")
+    data = output_array(runs[0].header.dims, first if in_place else None)
     for block in time_blocks(first.shape):
         # a running sum adds in the same order as np.mean over stacked runs
         mean = np.add(first[..., block], runs[1].data[..., block], out=data[..., block])

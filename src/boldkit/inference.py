@@ -15,11 +15,13 @@ from .glm import StatMaps
 
 CLUSTER_COLUMNS = ["rank", "n_voxels", "peak_p", "peak_t", "peak_z", "cx", "cy", "cz"]
 
+# Cluster neighborhoods: voxels sharing a face (6), an edge (18), a corner (26).
 _STRUCTURES = {
     6: ndimage.generate_binary_structure(3, 1),
     18: ndimage.generate_binary_structure(3, 2),
     26: ndimage.generate_binary_structure(3, 3),
 }
+CONNECTIVITIES = tuple(_STRUCTURES)
 
 
 @dataclass
@@ -92,7 +94,7 @@ def extract_clusters(rejected: np.ndarray, stats: StatMaps, connectivity: int = 
     sorted by size descending, ties broken by peak t descending.
     """
     if connectivity not in _STRUCTURES:
-        raise ValueError(f"connectivity must be one of 6, 18, 26, got {connectivity}")
+        raise ValueError(f"connectivity must be one of {CONNECTIVITIES}, got {connectivity}")
     rejected = np.asarray(rejected, dtype=bool)
     if rejected.ndim != 3:
         raise ShapeError("rejection mask must be 3-D")

@@ -145,10 +145,8 @@ def generate_phantom(
     Row 0 is drawn on its own and rows 1..nt straight into the run's
     (nt, n_voxels) time-by-voxel view, the same draws as one call.
 
-    The run is drawn into out when it is given (``output_array``: shape
-    dims + (nt,), writable, x-fastest float64), such as its time slab of
-    a stack of runs, and into a new array otherwise; the volume's data is
-    that array.
+    The run is drawn into ``output_array(spec.dims + (nt,), out)``: out, such
+    as its time slab of a stack of runs, or a new array; it is the data.
     """
     if not 0 <= run_index < 2**64:
         raise ValueError("run_index must fit in an unsigned 64-bit integer")
@@ -163,7 +161,7 @@ def generate_phantom(
         response = response / peak
     amplitude = spec.cnr * spec.noise_sigma * field_snr_scale(spec.field_tesla)
 
-    data = np.empty(dims, order="F") if out is None else output_array(out, dims)
+    data = output_array(dims, out)
     stream = np.random.Generator(np.random.Philox(key=(spec.seed << 64) | run_index))
     drift = np.where(stream.standard_normal(n_voxels) >= 0.0,
                      spec.drift_amplitude, -spec.drift_amplitude)

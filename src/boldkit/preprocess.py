@@ -21,7 +21,7 @@ from scipy import ndimage
 from .config import usable_cpus
 from .errors import InsufficientDataError, NumericError, ShapeError
 from .task_design import dct_highpass_basis
-from .volume_io import Volume4D, check_finite, fold_voxels, time_blocks, voxel_series
+from .volume_io import Volume4D, check_finite, fold_voxels, output_array, time_blocks, voxel_series
 
 FWHM_TO_SIGMA = 1.0 / (2.0 * np.sqrt(2.0 * np.log(2.0)))
 KERNEL_TRUNCATE_SIGMAS = 4.0
@@ -100,7 +100,7 @@ def slice_timing_correct(vol: Volume4D, order: SliceOrder, in_place: bool = Fals
     operation is linear in the data.
 
     The result goes into a new array, or into vol.data itself when
-    in_place (see _output_array). The shift is one nt x nt matrix product
+    in_place (``output_array``). The shift is one nt x nt matrix product
     per slice: each slice's matrix is a transient of 8 * nt**2 bytes
     (80 kB at 100 volumes, 128 MB at 4000), and each product passes
     through one scratch buffer of one slice's series, 8 * nx * ny * nt
@@ -115,7 +115,7 @@ def slice_timing_correct(vol: Volume4D, order: SliceOrder, in_place: bool = Fals
         )
     if nt < 2:
         raise InsufficientDataError("slice timing correction needs at least 2 volumes")
-    out = _output_array(vol, in_place)
+    out = output_array(vol.header.dims, vol.data if in_place else None)
 
     tr = vol.header.tr_seconds
     reference_s = order.reference_fraction * tr
@@ -134,19 +134,6 @@ def slice_timing_correct(vol: Volume4D, order: SliceOrder, in_place: bool = Fals
         check_finite(scratch, "slice timing correction")
         out[:, :, z, :].reshape(nx * ny, nt, order="F")[...] = scratch
     return Volume4D._checked(vol.header, out)
-
-
-def _output_array(vol: Volume4D, in_place: bool) -> np.ndarray:
-    """The array a stage writes its result for vol into: a new one, or
-    vol.data itself when in_place, whose values are then overwritten.
-    Written through x-fastest views, it must be a writable x-fastest
-    float64 array."""
-    if not in_place:
-        return np.empty(vol.header.dims, order="F")
-    data = vol.data
-    if not (data.dtype == np.float64 and data.flags.f_contiguous and data.flags.writeable):
-        raise ValueError("in-place preprocessing needs writable x-fastest float64 data")
-    return data
 
 
 @dataclass
@@ -416,7 +403,7 @@ def apply_motion(vol: Volume4D, motion: list, in_place: bool = False) -> Volume4
 
     Identity parameters leave a volume's data as it is (no resampling
     pass), so an already-still series is untouched. The result goes into a
-    new array, or into vol.data itself when in_place (see _output_array):
+    new array, or into vol.data itself when in_place (``output_array``):
     each volume is resampled on its own, into one volume of scratch, and
     only then written over its input. Each resampled volume is checked for
     finiteness as it is written: one that overflows float64 raises
@@ -424,7 +411,7 @@ def apply_motion(vol: Volume4D, motion: list, in_place: bool = False) -> Volume4
     """
     if len(motion) != vol.n_vols:
         raise ShapeError(f"{len(motion)} motion entries for {vol.n_vols} volumes")
-    out = _output_array(vol, in_place)
+    out = output_array(vol.header.dims, vol.data if in_place else None)
     for i, m in enumerate(motion):
         if np.any(m.params):
             out[..., i] = resample_rigid(vol.data[..., i], m, vol.header.voxel_size_mm)
@@ -487,33 +474,32 @@ def _axis_taps(n: int, sigma_vox: float) -> tuple | None:
     return radius, weights, mass
 
 
-def _axis_tiles(n: int, sigma_vox: float, tile: int | None = None) -> list | None:
+def _axis_tiles(n: int, sigma_vox: float) -> list | None:
     """The smoothing along one axis as (rows, cols, operator) tiles: output
     rows = operator @ input cols. None when it is the identity.
 
     operator holds those rows and columns of the n x n matrix of the
     truncated Gaussian, each row divided by its in-field mass, the sum of
     the whole row (_axis_taps), so a tile's rows equal the whole
-    operator's bit for bit. The output is cut into tiles of `tile` rows
-    (default SMOOTH_TILE), each reading the window of inputs within the
-    kernel radius r of them, so an operator is at most tile x (tile + 2r)
-    and the products skip the inputs beyond the kernel's band; an axis of
-    at most `tile` voxels is one tile, the whole n x n operator.
+    operator's bit for bit. The output is cut into tiles of t = SMOOTH_TILE
+    rows (read at each call), each reading the window of inputs within the
+    kernel radius r of them, so an operator is at most t x (t + 2r) and
+    the products skip the inputs beyond the kernel's band; an axis of at
+    most t voxels is one tile, the whole n x n operator.
     The tiles whose rows are all farther than r from either end and have
     equal masses share one operator (a few masses occur on a long axis);
     each other tile has its own. Beyond the interior operators, the tiles
     near either end take at most
-    8 * min(n, 2r + 2 * tile) * min(n, tile + 2r) bytes, which is the
+    8 * min(n, 2r + 2t) * min(n, t + 2r) bytes, which is the
     whole 8 * n**2 when r nears n.
     """
-    tile = tile or SMOOTH_TILE
     taps = _axis_taps(n, sigma_vox)
     if taps is None:
         return None
     radius, weights, mass = taps
     tiles, interior = [], {}
-    for start in range(0, n, tile):
-        stop = min(start + tile, n)
+    for start in range(0, n, SMOOTH_TILE):
+        stop = min(start + SMOOTH_TILE, n)
         rows = slice(start, stop)
         cols = slice(max(0, start - radius), min(n, stop + radius))
         # interior tiles hold the same taps; those of equal masses are equal
@@ -528,10 +514,11 @@ def _axis_tiles(n: int, sigma_vox: float, tile: int | None = None) -> list | Non
 
 
 def _axis_smoothing_operator(n: int, sigma_vox: float) -> np.ndarray | None:
-    """The whole n x n smoothing operator along one axis (one tile of
-    _axis_tiles); None when it is the identity."""
-    tiles = _axis_tiles(n, sigma_vox, tile=n)
-    return None if tiles is None else tiles[0][2]
+    """The whole n x n smoothing operator along one axis, each row divided
+    by its mass as in every tile of _axis_tiles; None when it is the
+    identity."""
+    taps = _axis_taps(n, sigma_vox)
+    return None if taps is None else taps[1] / taps[2]
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow is one NumericError, below
@@ -547,7 +534,7 @@ def gaussian_smooth(vol: Volume4D, fwhm_mm: float, in_place: bool = False) -> Vo
     of the field of view.
 
     The result goes into a new array, or into vol.data itself when
-    in_place (see _output_array); with no axis to smooth, vol is returned
+    in_place (``output_array``); with no axis to smooth, vol is returned
     as it is. Volumes are smoothed independently, a chunk of whole
     volumes (about 1 MB, see time_blocks) at a time, through one
     chunk-sized scratch buffer (_smooth_chunks); beyond the output, no
@@ -563,7 +550,7 @@ def gaussian_smooth(vol: Volume4D, fwhm_mm: float, in_place: bool = False) -> Vo
               if (tiles := _axis_tiles(dims[axis], sigma)) is not None]
     if not passes:
         return vol
-    out = _output_array(vol, in_place)
+    out = output_array(vol.header.dims, vol.data if in_place else None)
     _smooth_chunks(vol.data, passes, out)
     return Volume4D._checked(vol.header, out)
 

@@ -272,9 +272,12 @@ def fold_voxels(values: np.ndarray, spatial_dims) -> np.ndarray:
     return values.T.reshape(tuple(spatial_dims) + values.shape[:-1], order="F")
 
 
-def output_array(out: np.ndarray, dims) -> np.ndarray:
-    """out, checked to be what a stage may write a volume of these dims
-    into: a writable x-fastest float64 array of that shape."""
+def output_array(dims, out: np.ndarray | None = None) -> np.ndarray:
+    """The array every stage writes a volume of these dims into: a new
+    x-fastest float64 array, or out, checked to be one of that shape and
+    writable (ShapeError for another shape, ValueError otherwise)."""
+    if out is None:
+        return np.empty(tuple(dims), order="F")
     if out.shape != tuple(dims):
         raise ShapeError(f"data of shape {tuple(dims)} cannot fill an array of shape {out.shape}")
     if not (out.dtype == np.float64 and out.flags.f_contiguous and out.flags.writeable):
@@ -493,10 +496,9 @@ def read_nifti(path, out: np.ndarray | None = None) -> Volume4D:
     way. The file is read once, whole; a plain file's data section is a
     view of those bytes, and a gzip file's compressed bytes are freed
     before the float64 conversion. The data are converted, scaled and
-    checked for finiteness a block of about 1 MB at a time, into out when it
-    is given (``output_array``: the file's shape, writable, x-fastest
-    float64), such as a run's time slab of a stack, and into a new array
-    otherwise; the result's data is then out itself.
+    checked for finiteness a block of about 1 MB at a time into
+    ``output_array(shape, out)``: out, such as a run's time slab of a
+    stack, or a new array; it is the result's data.
     One DEBUG record per read names the inflater, the file and raw bytes
     and the seconds taken.
 
@@ -526,7 +528,7 @@ def read_nifti(path, out: np.ndarray | None = None) -> Volume4D:
 
     raw = np.frombuffer(payload, dtype=layout.dtype, count=math.prod(shape))
     raw = raw.reshape(shape, order="F")
-    data = np.empty(shape, order="F") if out is None else output_array(out, shape)
+    data = output_array(shape, out)
     vol_header = _volume_header(layout)
 
     slope = float(header["scl_slope"])

@@ -228,6 +228,46 @@ class TestConfig:
             load_config(str(path))
 
 
+class TestFlags:
+    # one legal value per flag, and the config value it sets
+    VALUES = {
+        "--out": ("o", "o"),
+        "--seed": ("5", 5),
+        "--threads": ("3", 3),
+        "--q": ("0.1", 0.1),
+        "--fwhm": ("4", 4.0),
+        "--cutoff-hz": ("0.01", 0.01),
+        "--connectivity": ("6", 6),
+    }
+
+    def test_every_flag_sets_its_config_key(self, monkeypatch):
+        assert [flag for flag, *_ in cli.FLAGS] == list(self.VALUES)
+        seen = []
+        monkeypatch.setattr(cli, "run_simulate", lambda cfg: seen.append(cfg) or [])
+        argv = [arg for flag, (text, _) in self.VALUES.items() for arg in (flag, text)]
+        assert main(["simulate", *argv]) == 0
+        (cfg,) = seen
+        for flag, key, *_ in cli.FLAGS:
+            section, _, name = key.rpartition(".")
+            value = getattr(cfg, section)[name] if section else getattr(cfg, name)
+            assert value == self.VALUES[flag][1], flag
+
+    def test_help_gives_the_schema_defaults(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["analyze", "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        for line in ("FDR level (default 0.05)", "FWHM in mm (default 8.0)",
+                     "cutoff in Hz (default 0.005)", "cluster neighborhood (default 26)"):
+            assert line in text
+
+    def test_connectivity_checked_by_the_config(self, tmp_path, capsys):
+        out = tmp_path / "an"
+        assert main(["analyze", "--connectivity", "8", "--out", str(out)]) == 2
+        assert re.fullmatch(r"boldkit: config error: config key 'inference\.connectivity': .+\n",
+                            capsys.readouterr().err)
+        assert not out.exists()
+
+
 class TestSimulate:
     def test_writes_runs_and_truth(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -426,13 +466,6 @@ class TestAnalyze:
         reference.map("rejection_mask.nii.gz", result.rejected, vol)
         for name in ("t_map.nii.gz", "z_map.nii.gz", "rejection_mask.nii.gz"):
             assert (out / name).read_bytes() == (tmp_path / "reference" / name).read_bytes()
-
-    def test_null_phantom_usually_empty_table(self, tmp_path):
-        cfg = write_config(tmp_path, phantom=dict(FAST_PHANTOM, cnr=0.0, ar1_rho=0.0))
-        out = tmp_path / "null"
-        assert main(["analyze", "--config", cfg, "--out", str(out)]) == 0
-        clusters = json.loads((out / "clusters.json").read_text())
-        assert clusters == []
 
     def test_null_phantoms_rarely_reject(self, tmp_path):
         # q bounds the chance that an all-null map rejects anything at all;
@@ -938,6 +971,46 @@ class TestInputErrors:
         assert "Traceback" not in err
         assert re.fullmatch(r"boldkit: (config|data) error: .+\n", err)
         assert named in err
+
+    UNNAMEABLE_PATHS = {
+        "run_with_nul": ("analyze", "runs", {"runs": ["run\u0000x.nii.gz", "b.nii.gz"]}),
+        "run_with_lone_surrogate": ("analyze", "runs", {"runs": ["\ud800x.nii.gz", "b.nii.gz"]}),
+        "output_dir_with_nul": ("simulate", "output_dir", {"output_dir": "o\u0000x"}),
+    }
+
+    @pytest.mark.parametrize("case", sorted(UNNAMEABLE_PATHS))
+    def test_path_the_os_cannot_name_is_a_config_error(self, tmp_path, monkeypatch, capsys,
+                                                       case):
+        command, key, raw = self.UNNAMEABLE_PATHS[case]
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        assert main([command, "--config", str(path)]) == 2
+        assert re.fullmatch(rf"boldkit: config error: config key '{key}': .+\n",
+                            capsys.readouterr().err)
+        assert os.listdir(tmp_path) == ["cfg.json"]
+
+    @pytest.mark.parametrize("content", [
+        b'{"seed": 1, \xff}',          # not UTF-8
+        b"[" * 200000 + b"]" * 200000,  # nested past the recursion limit
+    ])
+    def test_config_file_that_cannot_be_read_as_json(self, tmp_path, capsys, content):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(content)
+        out = tmp_path / "sim"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
+        assert re.fullmatch(r"boldkit: config error: config file .+\n", capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("content", ["[1]", "null", '"x"'])
+    def test_config_that_is_no_object_with_flags(self, tmp_path, capsys, content):
+        path = tmp_path / "cfg.json"
+        path.write_text(content)
+        out = tmp_path / "sim"
+        assert main(["simulate", "--config", str(path), "--out", str(out), "--q", "0.1"]) == 2
+        assert capsys.readouterr().err == (
+            "boldkit: config error: config key '<root>': config must be a JSON object\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("key, value, code", [
         ("tr_s", float("inf"), 2),

@@ -190,7 +190,7 @@ class TestSliceTiming:
         if data.dtype == np.float64 and data.flags.f_contiguous:
             data.flags.writeable = False
         vol.data = data
-        with pytest.raises(ValueError, match="in-place preprocessing needs"):
+        with pytest.raises(ValueError, match="writable x-fastest float64"):
             if stage == "slice_timing":
                 slice_timing_correct(vol, sequential_order(5), in_place=True)
             else:
