@@ -18,7 +18,8 @@ from dataclasses import asdict, dataclass, field
 from .duration import CONDITIONS
 from .errors import ConfigError, OutOfRangeError
 from .inference import CONNECTIVITIES
-from .task_design import DEFAULT_OVERSAMPLE, BlockDesign, check_hrf_step, check_run_window
+from .task_design import (DEFAULT_OVERSAMPLE, BlockDesign, check_cutoff, check_hrf_step,
+                          check_run_window)
 from .volume_io import FLOAT32_MAX, MAX_DIM
 
 DURATION_MODES = tuple(mode for mode, _ in CONDITIONS)
@@ -227,11 +228,16 @@ def validate_config(raw: dict) -> PipelineConfig:
             except ValueError as exc:
                 raise ConfigError(f"config key 'task': {exc}") from exc
 
-    if cfg.phantom is not None:  # phantom runs must cover the task
+    if cfg.phantom is not None:  # phantom runs must cover the task and carry the cutoff
+        tr_s = float(cfg.phantom["tr_s"])
         try:
-            check_run_window(design, float(cfg.phantom["tr_s"]), int(cfg.phantom["n_vols"]))
+            check_run_window(design, tr_s, int(cfg.phantom["n_vols"]))
         except OutOfRangeError as exc:
             raise ConfigError(f"config key 'phantom.n_vols': {exc}") from exc
+        try:
+            check_cutoff(tr_s, cfg.glm["cutoff_hz"])
+        except ValueError as exc:
+            raise ConfigError(f"config key 'glm.cutoff_hz': {exc}") from exc
 
     cfg.seed, cfg.threads = int(cfg.seed), int(cfg.threads)
     if cfg.runs is not None:

@@ -32,7 +32,7 @@ from .duration import (
     single_run_design,
     total_variation,
 )
-from .errors import BoldkitError, ConfigError, DataError
+from .errors import ConfigError, DataError
 from .glm import StatMaps, correlation_map, fit_glm, t_contrast
 from .inference import CLUSTER_COLUMNS, cluster_table, extract_clusters, fdr_bh
 from .phantom import AcquisitionParams, PhantomSpec, generate_phantom
@@ -49,8 +49,9 @@ from .task_design import (
     BlockDesign,
     DesignMatrix,
     LABEL_TASK,
+    check_cutoff,
     check_hrf_step,
-    dct_highpass_basis,
+    check_run_window,
 )
 from .volume_io import (
     Volume4D,
@@ -174,12 +175,13 @@ def load_runs(cfg: PipelineConfig, n_used: int | None = None):
     the runs kept do not depend on n_used. File runs are all read, so a
     bad input is reported whichever runs the flow uses.
 
+    Every file run's header is read first, and the headers of the runs
+    used must pass _check_runs before any data section is inflated, so a
+    header fault in any run is reported before a data fault in another.
+
     The runs used are generated or read straight into the consecutive
     time slabs of one stack (run_slabs), so concatenating them copies
-    nothing. File runs are stacked only when all are used and their
-    headers, read first, agree in dims, voxel size and TR
-    (check_runs_match); otherwise each is read into its own array, so the
-    errors are those of a plain read and of RunSet.
+    nothing; a file run past n_used is read into an array of its own.
 
     Files are read by up to cfg.threads threads at once (decompression
     releases the GIL); the runs come back in config order, so results do
@@ -196,22 +198,29 @@ def load_runs(cfg: PipelineConfig, n_used: int | None = None):
             vol, truth = generate_phantom(spec, acq, design, run_index=r, out=out)
             runs.append(vol)
         return runs, design, truth
-    slabs = _file_slabs(cfg.runs) if n_used is None else [None] * len(cfg.runs)
+    headers = [read_nifti_header(path) for path in cfg.runs]
+    used = headers[:n_used]
+    _check_runs(cfg, design, used)
+    slabs = run_slabs(used[0].dims[:3], [h.dims[3] for h in used])
     with ThreadPoolExecutor(max_workers=min(cfg.threads, len(cfg.runs))) as pool:
-        runs = list(pool.map(read_nifti, cfg.runs, slabs))
+        runs = list(pool.map(read_nifti, cfg.runs, slabs + [None] * (len(headers) - len(used))))
     return runs[:n_used], design, None
 
 
-def _file_slabs(paths) -> list:
-    """One slab of a stack per file run (run_slabs), sized from the files'
-    headers; None for each run when a header does not read or the runs
-    differ."""
+def _check_runs(cfg: PipelineConfig, design: BlockDesign, headers) -> None:
+    """Fail unless runs with these headers can carry the design: they
+    agree in dims, voxel size and TR (ShapeError), glm.cutoff_hz lies
+    below their Nyquist frequency (ConfigError naming the key), their HRF
+    step can be sampled (OutOfRangeError), and they cover the task
+    (OutOfRangeError). validate_config checks phantom runs by these rules."""
+    check_runs_match(headers)
+    tr_s, n_vols = headers[0].tr_seconds, headers[0].dims[3]
     try:
-        headers = [read_nifti_header(path) for path in paths]
-        check_runs_match(headers)
-    except BoldkitError:
-        return [None] * len(paths)
-    return run_slabs(headers[0].dims[:3], [h.dims[3] for h in headers])
+        check_cutoff(tr_s, cfg.glm["cutoff_hz"])
+    except ValueError as exc:
+        raise ConfigError(f"config key 'glm.cutoff_hz': {exc}") from exc
+    check_hrf_step(tr_s / DEFAULT_OVERSAMPLE)
+    check_run_window(design, tr_s, n_vols)
 
 
 def preprocess_runs(runs: list, cfg: PipelineConfig) -> None:
@@ -320,23 +329,20 @@ def run_simulate(cfg: PipelineConfig) -> list:
     return out.files
 
 
-def _single_condition(cfg: PipelineConfig, vol: Volume4D, design: BlockDesign):
-    """(vol, its one-run design matrix)."""
-    return vol, single_run_design(design, vol.header.tr_seconds, vol.n_vols,
-                                  cutoff_hz=cfg.glm["cutoff_hz"])
+def _prepare_condition(cfg: PipelineConfig, runs: list, design: BlockDesign, mode: str):
+    """(volume, design matrix) for one duration condition of the runs.
 
-
-def _prepare_condition(cfg: PipelineConfig, runset: RunSet, mode: str):
-    """(volume, design matrix) for one duration condition of the run set.
-
-    Stacked runs are concatenated without a copy; averaging writes the
-    mean into runset.runs[0] in place, so it must be the last condition
-    built from the run set.
+    single analyses runs[0]; concatenation and averaging take the runs as
+    a RunSet. Stacked runs are concatenated without a copy; averaging
+    writes the mean into runs[0] in place, so it must be the last
+    condition built from the runs.
     """
     if mode == "concatenate":
-        return concatenate_runs(runset, cutoff_hz=cfg.glm["cutoff_hz"])
-    vol = runset.runs[0] if mode == "single" else average_runs(runset, in_place=True)
-    return _single_condition(cfg, vol, runset.design)
+        return concatenate_runs(RunSet(runs=runs, design=design), cutoff_hz=cfg.glm["cutoff_hz"])
+    vol = runs[0] if mode == "single" else average_runs(RunSet(runs=runs, design=design),
+                                                         in_place=True)
+    return vol, single_run_design(design, vol.header.tr_seconds, vol.n_vols,
+                                  cutoff_hz=cfg.glm["cutoff_hz"])
 
 
 def _check_run_count(cfg: PipelineConfig, fits, needed: str) -> None:
@@ -350,19 +356,6 @@ def _check_run_count(cfg: PipelineConfig, fits, needed: str) -> None:
         raise ConfigError(f"config key '{key}': {needed}, got {count}")
 
 
-def _check_tr(cfg: PipelineConfig, runs) -> None:
-    """Fail before preprocessing when the runs' TR cannot carry the design:
-    glm.cutoff_hz at or above its Nyquist frequency (the drift basis states
-    the rule), or an HRF step the kernel cannot be sampled at
-    (OutOfRangeError)."""
-    tr = runs[0].header.tr_seconds
-    try:
-        dct_highpass_basis(runs[0].n_vols, tr, cfg.glm["cutoff_hz"])
-    except ValueError as exc:
-        raise ConfigError(f"config key 'glm.cutoff_hz': {exc}") from exc
-    check_hrf_step(tr / DEFAULT_OVERSAMPLE)
-
-
 def run_analyze(cfg: PipelineConfig) -> list:
     """Preprocess, fit, threshold, and report one analysis."""
     mode = cfg.duration_mode
@@ -371,13 +364,8 @@ def run_analyze(cfg: PipelineConfig) -> list:
         _check_run_count(cfg, lambda n: n >= 2, f"duration mode '{mode}' needs at least two runs")
     # single mode analyses run 1 only; the other runs are never preprocessed
     runs, design, _ = load_runs(cfg, n_used=1 if mode == "single" else None)
-    _check_tr(cfg, runs)
-    # runs that differ in geometry or TR fail here, before any is preprocessed
-    runset = None if mode == "single" else RunSet(runs=runs, design=design)
-
     preprocess_runs(runs, cfg)
-    vol, design_matrix = (_single_condition(cfg, runs[0], design) if runset is None
-                          else _prepare_condition(cfg, runset, mode))
+    vol, design_matrix = _prepare_condition(cfg, runs, design, mode)
     result = analyze_volume(vol, design_matrix, cfg)
 
     with out:
@@ -404,9 +392,6 @@ def run_duration_study(cfg: PipelineConfig) -> list:
     out = OutputTracker(cfg.output_dir)  # a bad output_dir fails before the work
     _check_run_count(cfg, lambda n: n == 2, "duration study needs exactly 2 runs")
     runs, design, truth = load_runs(cfg)
-    _check_tr(cfg, runs)
-    runset = RunSet(runs=runs, design=design)  # before any run is preprocessed
-
     preprocess_runs(runs, cfg)
 
     # one condition at a time, in CONDITIONS order: the single run is slab 0
@@ -414,7 +399,7 @@ def run_duration_study(cfg: PipelineConfig) -> list:
     # last, writes the mean into slab 0
     t_maps, r_maps, counts = {}, {}, {}
     for mode, name in CONDITIONS:
-        vol, matrix = _prepare_condition(cfg, runset, mode)
+        vol, matrix = _prepare_condition(cfg, runs, design, mode)
         result = analyze_volume(vol, matrix, cfg)
         r_maps[name] = correlation_map(vol, result.regressor)
         # a voxel without noise reads r = 0 by the rule that reads it t = 0

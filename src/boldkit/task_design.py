@@ -248,16 +248,23 @@ def task_regressor(design: BlockDesign, tr_s: float, n_vols: int,
     return convolve_regressor(box, kernel, oversample)
 
 
+def check_cutoff(tr_s: float, cutoff_hz: float) -> None:
+    """The drift cutoffs a run at TR tr_s can carry: positive and below
+    its Nyquist frequency 1 / (2 * tr_s). Raises ValueError otherwise."""
+    if cutoff_hz <= 0:
+        raise ValueError("cutoff_hz must be positive")
+    if cutoff_hz >= 1.0 / (2.0 * tr_s):
+        raise ValueError(f"cutoff {cutoff_hz} Hz at TR {tr_s} s is not below Nyquist")
+
+
 def dct_highpass_basis(n_vols: int, tr_s: float, cutoff_hz: float) -> np.ndarray:
     """Discrete-cosine drift columns below the cutoff frequency.
 
     Returns K = floor(2 * n_vols * tr_s * cutoff_hz) unit-norm columns,
     column k being cos(pi * k * (2n + 1) / (2N)); K may be zero.
+    cutoff_hz must pass ``check_cutoff``.
     """
-    if cutoff_hz <= 0:
-        raise ValueError("cutoff_hz must be positive")
-    if cutoff_hz >= 1.0 / (2.0 * tr_s):
-        raise ValueError(f"cutoff {cutoff_hz} Hz at TR {tr_s} s is not below Nyquist")
+    check_cutoff(tr_s, cutoff_hz)
     n = int(n_vols)
     k_max = int(np.floor(2.0 * n * tr_s * cutoff_hz))
     basis = np.empty((n, k_max), dtype=np.float64)

@@ -162,6 +162,8 @@ class TestConfig:
             validate_config({"phantom": {"ar1_rho": 1.0}})
         with pytest.raises(ConfigError, match="duration_mode"):
             validate_config({"duration_mode": "tripled"})
+        with pytest.raises(ConfigError, match="glm.cutoff_hz"):  # Nyquist at TR 3 s: 1/6 Hz
+            validate_config({"glm": {"cutoff_hz": 0.2}})
 
     # one out-of-range or wrong-type value per config key
     BAD_VALUES = {
@@ -964,8 +966,9 @@ class TestInputErrors:
     }
 
     @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
-    def test_exit_code_and_one_line_message(self, tmp_path, capsys, case):
+    def test_exit_code_and_one_line_message(self, tmp_path, capsys, monkeypatch, case):
         code, named, args = self.BAD_INPUTS[case]
+        monkeypatch.setattr(pipeline, "generate_phantom", refuse)  # each fails before any run
         assert main(["analyze", "--out", str(tmp_path / "an"), *args(tmp_path)]) == code
         err = capsys.readouterr().err
         assert "Traceback" not in err
@@ -1115,10 +1118,18 @@ class TestInputErrors:
         assert re.fullmatch(r"boldkit: data error: 10 volumes at TR 3.0 s cover 30.0 s, "
                             r"short of the 90.0 s run\n", capsys.readouterr().err)
 
+    # runs whose headers cannot carry the FAST_TASK design: (shapes, TRs,
+    # exit code, message)
     MISMATCHED_RUNS = {
-        "dims": ([(8, 8, 6, 40), (8, 8, 5, 40)], [3.0, 3.0],
+        "dims": ([(8, 8, 6, 40), (8, 8, 5, 40)], [3.0, 3.0], 3,
                  "run dims (8, 8, 5, 40) != (8, 8, 6, 40)"),
-        "tr": ([(8, 8, 6, 50)] * 2, [3.0, 2.0], "runs differ in TR"),
+        "tr": ([(8, 8, 6, 50)] * 2, [3.0, 2.0], 3, "runs differ in TR"),
+        "cutoff_above_nyquist": ([(8, 8, 6, 40)] * 2, [120.0, 120.0], 2,
+                                 "config key 'glm.cutoff_hz': cutoff 0.005 Hz at TR 120.0 s "
+                                 "is not below Nyquist"),
+        "hrf_step_out_of_range": ([(8, 8, 6, 40)] * 2, [1e-4, 1e-4], 3, "data error: HRF step "),
+        "shorter_than_the_task": ([(8, 8, 6, 10)] * 2, [3.0, 3.0], 3,
+                                  "10 volumes at TR 3.0 s cover 30.0 s, short of the 90.0 s run"),
     }
 
     @pytest.mark.parametrize("mismatch", sorted(MISMATCHED_RUNS))
@@ -1129,17 +1140,39 @@ class TestInputErrors:
     ])
     def test_runs_that_differ_fail_before_preprocessing(self, tmp_path, capsys, monkeypatch,
                                                         mismatch, command, extra):
-        shapes, trs, message = self.MISMATCHED_RUNS[mismatch]
+        shapes, trs, code, message = self.MISMATCHED_RUNS[mismatch]
         paths = []
         for r, (shape, tr) in enumerate(zip(shapes, trs)):
             paths.append(str(tmp_path / f"run-{r}.nii.gz"))
             write_nifti(make_volume(np.ones(shape), tr_seconds=tr), paths[-1])
         calls = []
         monkeypatch.setattr(pipeline, "preprocess_runs", lambda *args: calls.append(args))
+        monkeypatch.setattr(pipeline, "read_nifti", refuse)  # the headers decide
         cfg = write_runs_config(tmp_path, paths, **extra)
-        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 3
-        assert message in capsys.readouterr().err
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == code
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"boldkit: (config|data) error: .+\n", err)
+        assert message in err
         assert calls == []
+
+    def test_header_fault_wins_over_an_earlier_runs_data_fault(self, tmp_path, capsys,
+                                                               monkeypatch):
+        # run 1's header reads but its gzip stream is cut short; run 2's
+        # header gives other dims, which fails before any data is read
+        rng = np.random.default_rng(0)
+        paths = []
+        for r, shape in enumerate([(8, 8, 6, 40), (8, 8, 5, 40)]):
+            paths.append(str(tmp_path / f"run-{r}.nii.gz"))
+            write_nifti(make_volume(rng.normal(100.0, 1.0, shape)), paths[-1])
+        with open(paths[0], "rb") as fh:
+            blob = fh.read()
+        with open(paths[0], "wb") as fh:
+            fh.write(blob[: len(blob) // 2])
+        monkeypatch.setattr(pipeline, "read_nifti", refuse)
+        cfg = write_runs_config(tmp_path, paths, duration_mode="concatenate")
+        assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err == (
+            "boldkit: data error: run dims (8, 8, 5, 40) != (8, 8, 6, 40)\n")
 
     def test_infinite_flag_value_rejected(self, tmp_path, capsys):
         out = tmp_path / "an"
