@@ -211,10 +211,10 @@ def validate_config(raw: dict) -> PipelineConfig:
         if name == "phantom" and "runs" in raw:
             cfg.phantom = None
             continue
-        section, given = getattr(cfg, name), raw.get(name)
-        if given is not None:
-            _require(isinstance(given, dict), name, "must be an object")
-            for key, value in given.items():
+        section = getattr(cfg, name)
+        if name in raw:  # null included: a section that is given is an object
+            _require(isinstance(raw[name], dict), name, "must be an object")
+            for key, value in raw[name].items():
                 _require(key in entry, f"{name}.{key}", "unknown key")
                 section[key] = value
         for key, (_, check) in entry.items():

@@ -170,18 +170,18 @@ def phantom_pieces(cfg: PipelineConfig):
 def load_runs(cfg: PipelineConfig, n_used: int | None = None):
     """Input runs plus ground-truth ROI masks (phantom source only).
 
-    Only the first n_used runs (all when None) are returned. Phantom runs
-    past them are never generated; each run draws from its own stream, so
-    the runs kept do not depend on n_used. File runs are all read, so a
-    bad input is reported whichever runs the flow uses.
+    Only the first n_used runs (all when None) are generated or read.
+    Each phantom run draws from its own stream, so the runs kept do not
+    depend on n_used. Every file run's header is parsed, so a missing or
+    malformed file exits 3 whichever runs the flow uses, but the data
+    section of a run past n_used is never read: a fault there is not
+    reported.
 
-    Every file run's header is read first, and the headers of the runs
-    used must pass _check_runs before any data section is inflated, so a
-    header fault in any run is reported before a data fault in another.
-
-    The runs used are generated or read straight into the consecutive
-    time slabs of one stack (run_slabs), so concatenating them copies
-    nothing; a file run past n_used is read into an array of its own.
+    The headers are read first, and those of the runs used must pass
+    _check_runs before any data section is inflated, so a header fault
+    in any run is reported before a data fault in another. The runs used
+    are generated or read straight into the consecutive time slabs of
+    one stack (run_slabs), so concatenating them copies nothing.
 
     Files are read by up to cfg.threads threads at once (decompression
     releases the GIL); the runs come back in config order, so results do
@@ -202,9 +202,9 @@ def load_runs(cfg: PipelineConfig, n_used: int | None = None):
     used = headers[:n_used]
     _check_runs(cfg, design, used)
     slabs = run_slabs(used[0].dims[:3], [h.dims[3] for h in used])
-    with ThreadPoolExecutor(max_workers=min(cfg.threads, len(cfg.runs))) as pool:
-        runs = list(pool.map(read_nifti, cfg.runs, slabs + [None] * (len(headers) - len(used))))
-    return runs[:n_used], design, None
+    with ThreadPoolExecutor(max_workers=min(cfg.threads, len(slabs))) as pool:
+        runs = list(pool.map(read_nifti, cfg.runs[:n_used], slabs))
+    return runs, design, None
 
 
 def _check_runs(cfg: PipelineConfig, design: BlockDesign, headers) -> None:
@@ -362,7 +362,7 @@ def run_analyze(cfg: PipelineConfig) -> list:
     out = OutputTracker(cfg.output_dir)  # a bad output_dir fails before the work
     if mode != "single":
         _check_run_count(cfg, lambda n: n >= 2, f"duration mode '{mode}' needs at least two runs")
-    # single mode analyses run 1 only; the other runs are never preprocessed
+    # single mode analyses run 1 only: no other run's data is generated or read
     runs, design, _ = load_runs(cfg, n_used=1 if mode == "single" else None)
     preprocess_runs(runs, cfg)
     vol, design_matrix = _prepare_condition(cfg, runs, design, mode)

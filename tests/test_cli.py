@@ -1,6 +1,7 @@
 """Config validation, CLI commands, output determinism, exit codes."""
 
 import csv
+import gzip
 import json
 import os
 import re
@@ -15,7 +16,7 @@ from boldkit import cli, pipeline, task_design, volume_io
 from boldkit.cli import main
 from boldkit.config import PipelineConfig, load_config, validate_config
 from boldkit.duration import RunSet, average_runs, concatenate_runs, single_run_design
-from boldkit.errors import ConfigError
+from boldkit.errors import ConfigError, DataError
 from boldkit.phantom import generate_phantom
 from boldkit.volume_io import make_volume, read_nifti, write_nifti
 
@@ -370,6 +371,54 @@ class TestAnalyze:
             summaries.append(json.loads(written.pop("manifest.json"))["summary"])
             files.append(written)
         assert files[0] == files[1] and summaries[0] == summaries[1]
+
+    def test_single_mode_reads_only_the_analysed_run(self, tmp_path, monkeypatch):
+        # run 2's gzip stream is cut short: its header reads, its data does not
+        runs = simulate_runs(tmp_path)
+        with open(runs[1], "rb") as fh:
+            blob = fh.read()
+        with open(runs[1], "wb") as fh:
+            fh.write(blob[: len(blob) // 2])
+        assert pipeline.read_nifti_header(runs[1]).dims == (12, 12, 8, 30)
+        with pytest.raises(DataError):
+            read_nifti(runs[1])
+
+        reads = []
+
+        def counted(*args):
+            reads.append(args[0])
+            return read_nifti(*args)
+
+        monkeypatch.setattr(pipeline, "read_nifti", counted)
+        files, summaries = [], []
+        for name, paths in (("both", runs), ("first", runs[:1])):
+            cfg = write_runs_config(tmp_path, paths, name=f"{name}.json")
+            out = tmp_path / name
+            assert main(["analyze", "--config", cfg, "--out", str(out)]) == 0
+            assert reads == [runs[0]]
+            reads.clear()
+            written = read_all_bytes(out)
+            summaries.append(json.loads(written.pop("manifest.json"))["summary"])
+            files.append(written)
+        assert files[0] == files[1] and summaries[0] == summaries[1]
+
+    @pytest.mark.parametrize("second, named", [
+        ("missing.nii.gz", "cannot read"),
+        ("short.nii", "file shorter than the 348-byte header"),
+    ])
+    def test_single_mode_still_parses_every_header(self, tmp_path, capsys, monkeypatch,
+                                                   second, named):
+        runs = simulate_runs(tmp_path)
+        runs[1] = str(tmp_path / second)
+        if second == "short.nii":
+            with open(runs[0], "rb") as fh:
+                (tmp_path / second).write_bytes(gzip.decompress(fh.read())[:100])
+        monkeypatch.setattr(pipeline, "read_nifti", refuse)
+        cfg = write_runs_config(tmp_path, runs)
+        assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "an")]) == 3
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"boldkit: data error: .+\n", err)
+        assert runs[1] in err and named in err
 
     def test_analyze_from_files_matches_phantom_geometry(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -792,7 +841,7 @@ class TestThreads:
             blob = fh.read()
         with open(runs[1], "wb") as fh:
             fh.write(blob[: len(blob) // 2])
-        cfg = write_runs_config(tmp_path, runs)
+        cfg = write_runs_config(tmp_path, runs, duration_mode="concatenate")
         assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "an"),
                      "--threads", "2"]) == 3
 
@@ -963,6 +1012,12 @@ class TestInputErrors:
         "output_dir_is_a_file": (2, "config key 'output_dir'", file_output_args),
         "output_dir_under_a_file": (2, "config key 'output_dir'",
                                     lambda tmp: file_output_args(tmp, under="out")),
+        "null_section": (2, "config key 'glm': must be an object",
+                         lambda tmp: ["--config", write_config(tmp, glm=None)]),
+        "null_phantom": (2, "config key 'phantom': must be an object",
+                         lambda tmp: ["--config", write_config(tmp, phantom=None)]),
+        "flag_into_a_section_that_is_no_object": (2, "config key 'inference.q'", lambda tmp: [
+            "--config", write_config(tmp, inference=5), "--q", "0.1"]),
     }
 
     @pytest.mark.parametrize("case", sorted(BAD_INPUTS))

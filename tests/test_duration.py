@@ -118,6 +118,11 @@ class TestConcatenateRuns:
         for run in runs:
             assert np.shares_memory(run.data, vol.data)
         np.testing.assert_array_equal(vol.data, np.concatenate([run0.data, run1.data], axis=3))
+        # slabs of the stack out of slab order are copied, in the order given
+        swapped = RunSet(runs=[runs[1], runs[0]], design=design)
+        vol, _ = concatenate_runs(swapped)
+        assert not np.shares_memory(vol.data, slabs[0].base)
+        np.testing.assert_array_equal(vol.data, np.concatenate([run1.data, run0.data], axis=3))
 
     @pytest.mark.parametrize("stacked", [True, False])
     def test_checked_runs_are_not_read_again(self, monkeypatch, stacked):

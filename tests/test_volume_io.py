@@ -237,6 +237,30 @@ class TestRead:
         path.write_bytes(blob[:10] + bytes(b ^ 0x5A for b in blob[10:40]) + blob[40:])
         with pytest.raises(FormatError):
             read_nifti(path)
+        # the corrupt bytes lie within the header's share of the stream
+        with pytest.raises(FormatError, match="corrupt gzip stream"):
+            read_nifti_header(path)
+
+    @pytest.mark.parametrize("gzipped", [False, True])
+    def test_file_shorter_than_the_header(self, tmp_path, gzipped):
+        blob = build_raw_nifti((1, 1, 1, 1), b"\x00" * 4, datatype=16, bitpix=32)[:200]
+        path = tmp_path / "short.nii"
+        path.write_bytes(gzip.compress(blob, mtime=0) if gzipped else blob)
+        for read in (read_nifti, read_nifti_header):
+            with pytest.raises(FormatError, match="file shorter than the 348-byte header"):
+                read(path)
+
+    def test_missing_path_is_a_data_error(self, tmp_path):
+        for read in (read_nifti, read_nifti_header):
+            with pytest.raises(DataError, match="cannot read"):
+                read(tmp_path / "missing.nii")
+
+    def test_one_volume_without_a_tr_reads_with_tr_one(self, tmp_path):
+        blob = build_raw_nifti((2, 1, 1, 1), b"\x00" * 8, datatype=16, bitpix=32, tr=0.0)
+        path = tmp_path / "one.nii"
+        path.write_bytes(blob)
+        assert read_nifti(path).header.tr_seconds == 1.0
+        assert read_nifti_header(path).tr_seconds == 1.0
 
 
     @pytest.mark.parametrize("name, raw, datatype, bitpix, slope, inter", [
