@@ -90,14 +90,13 @@ class PhantomSpec:
         if not 0 <= int(self.seed) < 2**64:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
         self.seed = int(self.seed)
-        if self.target_rois is None:
-            self.target_rois = default_target_rois(self.dims)
+        rois = default_target_rois(self.dims) if self.target_rois is None else self.target_rois
+        # bool copies: the caller's dict and masks are neither rewritten nor shared
+        self.target_rois = {name: np.array(mask, dtype=bool) for name, mask in rois.items()}
         occupancy = np.zeros(self.dims, dtype=np.int64)
         for name, mask in self.target_rois.items():
-            mask = np.asarray(mask, dtype=bool)
             if mask.shape != self.dims:
                 raise ShapeError(f"ROI '{name}' shape {mask.shape} != phantom dims {self.dims}")
-            self.target_rois[name] = mask
             occupancy += mask
         if np.any(occupancy > 1):
             raise ValueError("target ROIs must be disjoint")

@@ -474,43 +474,29 @@ def _axis_taps(n: int, sigma_vox: float) -> tuple | None:
     return radius, weights, mass
 
 
-def _axis_tiles(n: int, sigma_vox: float) -> list | None:
-    """The smoothing along one axis as (rows, cols, operator) tiles: output
-    rows = operator @ input cols. None when it is the identity.
+def _axis_tiles(n: int, sigma_vox: float) -> tuple | None:
+    """The smoothing along one axis as (weights, mass, windows), from
+    _axis_taps; None when it is the identity. For each (rows, cols) window
+    the output rows are weights[rows, cols] / mass[rows] @ the input cols.
 
-    operator holds those rows and columns of the n x n matrix of the
+    That operator holds those rows and columns of the n x n matrix of the
     truncated Gaussian, each row divided by its in-field mass, the sum of
-    the whole row (_axis_taps), so a tile's rows equal the whole
-    operator's bit for bit. The output is cut into tiles of t = SMOOTH_TILE
-    rows (read at each call), each reading the window of inputs within the
-    kernel radius r of them, so an operator is at most t x (t + 2r) and
-    the products skip the inputs beyond the kernel's band; an axis of at
-    most t voxels is one tile, the whole n x n operator.
-    The tiles whose rows are all farther than r from either end and have
-    equal masses share one operator (a few masses occur on a long axis);
-    each other tile has its own. Beyond the interior operators, the tiles
-    near either end take at most
-    8 * min(n, 2r + 2t) * min(n, t + 2r) bytes, which is the
-    whole 8 * n**2 when r nears n.
+    the whole row, so a tile's rows equal the whole operator's bit for
+    bit. The output is cut into tiles of t = SMOOTH_TILE rows (read at
+    each call), each reading the window of inputs within the kernel
+    radius r of them, so the products skip the inputs beyond the kernel's
+    band; an axis of at most t voxels is one tile, the whole n x n
+    operator. No operator is built here: _smooth_chunks builds each as
+    its tile is applied.
     """
     taps = _axis_taps(n, sigma_vox)
     if taps is None:
         return None
     radius, weights, mass = taps
-    tiles, interior = [], {}
-    for start in range(0, n, SMOOTH_TILE):
-        stop = min(start + SMOOTH_TILE, n)
-        rows = slice(start, stop)
-        cols = slice(max(0, start - radius), min(n, stop + radius))
-        # interior tiles hold the same taps; those of equal masses are equal
-        key = mass[rows].tobytes() if start >= radius and stop + radius <= n else None
-        operator = interior.get(key)
-        if operator is None:
-            operator = weights[rows, cols] / mass[rows]
-            if key is not None:
-                interior[key] = operator
-        tiles.append((rows, cols, operator))
-    return tiles
+    windows = [(slice(start, min(start + SMOOTH_TILE, n)),
+                slice(max(0, start - radius), min(n, start + SMOOTH_TILE + radius)))
+               for start in range(0, n, SMOOTH_TILE)]
+    return weights, mass, windows
 
 
 def _axis_smoothing_operator(n: int, sigma_vox: float) -> np.ndarray | None:
@@ -538,7 +524,10 @@ def gaussian_smooth(vol: Volume4D, fwhm_mm: float, in_place: bool = False) -> Vo
     as it is. Volumes are smoothed independently, a chunk of whole
     volumes (about 1 MB, see time_blocks) at a time, through one
     chunk-sized scratch buffer (_smooth_chunks); beyond the output, no
-    run-sized array is allocated. Each chunk's result is checked for
+    run-sized array is allocated, and each tile's operator is built as it
+    is applied and never kept, so one operator takes at most
+    8 * t * min(n, t + 2r) bytes (t = SMOOTH_TILE) at any kernel radius r
+    along an axis of n voxels. Each chunk's result is checked for
     finiteness while in cache: one that overflows float64 raises
     NumericError.
     """
@@ -560,6 +549,9 @@ def _smooth_chunks(data: np.ndarray, passes: list, out: np.ndarray) -> None:
     itself, a chunk of volumes at a time; the scratch buffer is freed on
     return.
 
+    Each tile's operator (see _axis_tiles) is built right before its
+    product and dropped after it; rebuilding it for each chunk costs a few
+    microseconds a tile.
     Within a chunk the passes alternate between one chunk-sized scratch
     buffer and the chunk's slab of out, scratch first, so a pass never
     writes the slab it reads; after an odd number of passes the scratch
@@ -572,7 +564,7 @@ def _smooth_chunks(data: np.ndarray, passes: list, out: np.ndarray) -> None:
         src = data[..., block]
         slab = out[..., block]
         chunk_dims = src.shape
-        for i, (axis, tiles) in enumerate(passes):
+        for i, (axis, (weights, mass, windows)) in enumerate(passes):
             dst = slab if i % 2 else scratch[..., :chunk_dims[3]]
             # batches of (before, n) x-fastest matrices, one per index of the later axes
             before, n = math.prod(chunk_dims[:axis]), chunk_dims[axis]
@@ -581,8 +573,8 @@ def _smooth_chunks(data: np.ndarray, passes: list, out: np.ndarray) -> None:
             b = dst.reshape((before, n, after), order="F").transpose(2, 0, 1)
             if before == 1:  # x axis: one (after, n) product, not `after` one-row products
                 a, b = a[:, 0], b[:, 0]
-            for rows, cols, operator in tiles:
-                np.matmul(a[..., cols], operator.T, out=b[..., rows])
+            for rows, cols in windows:
+                np.matmul(a[..., cols], (weights[rows, cols] / mass[rows]).T, out=b[..., rows])
             src = dst
         check_finite(src, "smoothing")
         if src is not slab:

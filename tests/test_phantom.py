@@ -89,6 +89,17 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             PhantomSpec(dims=SMALL_DIMS, target_rois={"a": ball, "b": ball})
 
+    def test_caller_rois_neither_rewritten_nor_shared(self):
+        listed = sphere_mask(SMALL_DIMS, (3, 3, 3), 2).tolist()
+        ball = sphere_mask(SMALL_DIMS, (7, 7, 5), 2)
+        rois = {"a": listed, "b": ball}
+        spec = PhantomSpec(dims=SMALL_DIMS, target_rois=rois)
+        assert rois.keys() == {"a", "b"} and rois["a"] is listed and rois["b"] is ball
+        expected = spec.target_mask().copy()
+        ball[...] = ~ball
+        rois["a"] = np.ones(SMALL_DIMS, dtype=bool)
+        np.testing.assert_array_equal(spec.target_mask(), expected)
+
     def test_parameter_ranges(self):
         with pytest.raises(ValueError):
             small_spec(ar1_rho=1.0)

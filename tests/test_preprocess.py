@@ -556,7 +556,7 @@ class TestGaussianSmooth:
         assert gaussian_smooth(vol, 8.0, in_place=True) is vol
 
     @pytest.mark.parametrize("n,voxel_x", [
-        (600, 1.0),     # radius 13: the middle tiles share one operator
+        (600, 1.0),     # radius 13: the middle tiles read only the band
         (700, 0.05),    # radius 271, past one tile: two tiles touch each end
         (1000, 1e-30),  # radius n - 1: every tile reads the whole axis
     ])
@@ -577,28 +577,17 @@ class TestGaussianSmooth:
         expected = smooth_zero_padded(data, fwhm_to_sigma_vox(8.0, voxel))
         np.testing.assert_allclose(out.data, expected, rtol=1e-12, atol=0)
 
-    def test_long_axis_tiles_share_the_interior_operator(self):
+    def test_long_axis_tiles_are_windows_within_the_radius(self):
         n, sigma, radius = 4000, 3.4, 13
         tile = preprocess.SMOOTH_TILE
         assert tile > radius
-        tiles = preprocess._axis_tiles(n, sigma)
-        assert len(tiles) == -(-n // tile)
-        # the interior tiles hold the same taps and share one operator per
-        # distinct set of row masses (numpy sums a row pairwise, so a few
-        # occur); each tile within the radius of an end has its own
-        by_distance = np.zeros(n)
-        by_distance[:radius + 1] = gaussian_kernel_1d(sigma)[radius:]
-        mass = np.concatenate([
-            by_distance[np.abs(np.subtract.outer(np.arange(i, i + 250), np.arange(n)))].sum(axis=1)
-            for i in range(0, n, 250)])
-        starts = range(0, n, tile)
-        ends = [start for start in starts if start < radius or start + tile + radius > n]
-        interior = {mass[start:start + tile].tobytes() for start in starts if start not in ends}
-        assert len(ends) == 2
-        assert len({id(operator) for _, _, operator in tiles}) == len(ends) + len(interior)
-        last = (len(tiles) - 1) * tile
-        assert tiles[0][1] == slice(0, tile + radius) and tiles[-1][1] == slice(last - radius, n)
-        for rows, cols, operator in tiles:
+        weights, mass, windows = preprocess._axis_tiles(n, sigma)
+        assert len(windows) == -(-n // tile)
+        last = (len(windows) - 1) * tile
+        assert windows[0][1] == slice(0, tile + radius)
+        assert windows[-1][1] == slice(last - radius, n)
+        for rows, cols in windows:
+            operator = weights[rows, cols] / mass[rows]  # as _smooth_chunks builds it
             assert operator.shape == (rows.stop - rows.start, cols.stop - cols.start)
             assert operator.shape[1] <= preprocess.SMOOTH_TILE + 2 * radius
 
@@ -606,7 +595,9 @@ class TestGaussianSmooth:
     @pytest.mark.parametrize("sigma", [0.5, 0.708, 1.03, 1.7, 3.4, 9.0, 80.0])
     def test_tiles_are_blocks_of_the_whole_operator(self, n, sigma):
         whole = preprocess._axis_smoothing_operator(n, sigma)
-        for rows, cols, operator in preprocess._axis_tiles(n, sigma):
+        weights, mass, windows = preprocess._axis_tiles(n, sigma)
+        for rows, cols in windows:
+            operator = weights[rows, cols] / mass[rows]  # as _smooth_chunks builds it
             assert np.array_equal(operator, whole[rows, cols])
             # no tap of the row lies outside the tile's columns
             assert not whole[rows, :cols.start].any() and not whole[rows, cols.stop:].any()
@@ -617,6 +608,15 @@ class TestGaussianSmooth:
         vol = make_volume(rng.standard_normal((4000, 1, 1, 8)), voxel_size_mm=(1.0, 3.3, 4.8),
                           tr_seconds=3.0)
         assert traced_peak(gaussian_smooth, vol, 8.0) < 4 * 2**20
+
+    def test_memory_at_a_radius_past_one_tile(self):
+        # r = n - 1: every tile reads the whole axis, and keeping the
+        # operators of the tiles near the ends would take 8 * 4000**2 bytes;
+        # built as each tile is applied, one takes 8 * 32 * 4000 (1 MiB)
+        rng = np.random.default_rng(22)
+        vol = make_volume(rng.standard_normal((4000, 2, 2, 8)), voxel_size_mm=(0.001, 3.3, 4.8),
+                          tr_seconds=3.0)
+        assert traced_peak(gaussian_smooth, vol, 8.0) < 8 * 2**20
 
     def test_kernel_wider_than_axis_is_clipped(self):
         # a 1e-30 mm voxel puts the 4-sigma radius far beyond any axis;
