@@ -13,10 +13,10 @@ threads and made the fit slower.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtri, stdtr
 
 from .errors import (
     DegenerateRegressorError,
@@ -129,26 +129,184 @@ def fit_glm(Y: np.ndarray, X: DesignMatrix) -> GlmFit:
     )
 
 
+def _log_beta(a: float, b: float) -> float:
+    """ln B(a, b) for a, b > 0, accurate to a few units in the last place
+    of the result even where ln Gamma(a) and ln Gamma(a + b) are large.
+
+    The difference ln Gamma(a) - ln Gamma(a + b) cancels for large a (by
+    7e-12 at a = 16000 through math.lgamma), so it is taken from
+    Stirling's series, after shifting a to at least 16 with
+    Gamma(a) = Gamma(a + 1) / a.
+    """
+    shift = 0.0
+    while a < 16.0:
+        shift += math.log((a + b) / a)
+        a += 1.0
+
+    def series(z):  # Stirling's series of ln Gamma(z) past its leading terms
+        w = 1.0 / (z * z)
+        return (1 / 12 - (1 / 360 - (1 / 1260 - w / 1680) * w) * w) / z
+
+    return (math.lgamma(b) + shift - b * math.log(a) - (a + b - 0.5) * math.log1p(b / a) + b
+            + series(a) - series(a + b))
+
+
+# Continued fraction of the incomplete beta function: relative step at which
+# an element has converged, and the step count no element needs (at most 62
+# were seen over dof 1 to 1e7 at any t).
+_CF_EPS = 1e-15
+_CF_MAX_STEPS = 200
+
+
+def _beta_fraction(x: np.ndarray, a: float, b: float) -> np.ndarray:
+    """The continued fraction of I_x(a, b) (Press et al., Numerical Recipes,
+    betacf) at every x, for x < (a + 1) / (a + b + 2) where it converges.
+
+    Modified Lentz evaluation with the scalar coefficients of each step
+    computed once for all elements. Elements are dropped from the working
+    arrays once a quarter of them has converged, so late steps touch only
+    the slow ones. Lentz's guard against a zero denominator is left out:
+    for the arguments ``t_to_p`` passes, every factor d and c is positive.
+    With b = 1/2 every partial numerator is negative (a Stieltjes
+    fraction, whose denominators keep their sign for x in [0, 1)); on the
+    swapped branch x < 1.5 / (a + 2.5). Over dof 1 to 131000 and t from 0
+    to 1e4 the smallest factor seen was 3e-5.
+    """
+    out = np.empty(x.shape)
+    where = np.arange(x.size)
+    d = x * (-(a + b) / (a + 1.0))
+    d += 1.0
+    np.reciprocal(d, out=d)
+    c = np.ones(x.shape)
+    h = d.copy()
+    step = np.empty(x.shape)
+    for m in range(1, _CF_MAX_STEPS + 1):
+        for coef in (m * (b - m) / ((a + 2 * m - 1) * (a + 2 * m)),
+                     -(a + m) * (a + b + m) / ((a + 2 * m) * (a + 2 * m + 1))):
+            d *= x
+            d *= coef
+            d += 1.0
+            np.reciprocal(d, out=d)
+            np.divide(x, c, out=c)
+            c *= coef
+            c += 1.0
+            np.multiply(d, c, out=step)
+            h *= step
+        step -= 1.0
+        done = np.abs(step, out=step) <= _CF_EPS
+        n_done = np.count_nonzero(done)
+        if n_done == where.size:
+            break
+        if 4 * n_done > where.size:
+            out[where[done]] = h[done]
+            keep = ~done
+            where, x, c, d, h = where[keep], x[keep], c[keep], d[keep], h[keep]
+            step = np.empty(x.shape)
+    out[where] = h
+    return out
+
+
 def t_to_p(t, dof: int, two_sided: bool = False):
     """Upper-tail (or two-sided) t-distribution probability.
 
-    Evaluated through the regularized incomplete beta function, which the
-    Student CDF reduces to; accuracy is at machine-level for the tails
-    used here.
+    P(T > |t|) = I_x(dof/2, 1/2) / 2 with x = dof / (dof + t^2), the
+    regularized incomplete beta function, from its continued fraction on
+    x or, past the switch point, on 1 - x through I_x(a, b) =
+    1 - I_{1-x}(b, a). Against scipy.special.stdtr the relative error is
+    at most 1e-10 wherever the probability exceeds 1e-300, for dof 1 to
+    32000 (tests/test_glm.py measures it). t = 0 gives exactly 0.5
+    (one-sided) and 1 (two-sided), t = +inf gives 0, t = -inf gives 1 and
+    NaN gives NaN.
     """
     t = np.asarray(t, dtype=np.float64)
+    a, b = 0.5 * dof, 0.5
+    upper = np.full(t.shape, np.nan)  # P(T > |t|); NaN where t is NaN
+    log_beta = _log_beta(a, b)
+    r_switch = (b + 1.0) / (a + 1.0)  # x = (a + 1) / (a + b + 2)
+    # r = inf past |t| ~ 1e154 gives p = 0, as stdtr does; log1p(1 / r) at
+    # r = 0 is -inf, as it should be
+    with np.errstate(over="ignore", divide="ignore"):
+        r = t * t
+        r /= dof  # x = 1 / (1 + r)
+        far = r >= r_switch
+        rf = r[far]
+        front = np.exp(-a * np.log1p(rf) - b * np.log1p(1.0 / rf) - log_beta)
+        upper[far] = front * _beta_fraction(1.0 / (1.0 + rf), a, b) / (2.0 * a)
+        near = r < r_switch
+        rn = r[near]
+        front = np.exp(-a * np.log1p(rn) - b * np.log1p(1.0 / rn) - log_beta)
+        upper[near] = 0.5 - front * _beta_fraction(rn / (1.0 + rn), b, a) / (2.0 * b)
     if two_sided:
-        p = 2.0 * stdtr(dof, -np.abs(t))
-    else:
-        p = stdtr(dof, -t)
-    return np.minimum(p, 1.0)
+        return np.minimum(2.0 * upper, 1.0)
+    return np.where(t >= 0.0, upper, 1.0 - upper)
+
+
+# Wichura's AS241 (PPND16), Appl. Statist. 37:477 (1988): rational
+# approximations of the normal quantile near the median and in the tails,
+# numerator and denominator coefficients from the highest power down.
+_AS241_CENTRAL = (
+    (2509.0809287301226727, 33430.575583588128105, 67265.770927008700853,
+     45921.953931549871457, 13731.693765509461125, 1971.5909503065514427,
+     133.14166789178437745, 3.387132872796366608),
+    (5226.4952788528545610, 28729.085735721942674, 39307.89580009271061,
+     21213.794301586595867, 5394.1960214247511077, 687.1870074920579083,
+     42.313330701600911252, 1.0),
+)
+_AS241_MIDDLE = (
+    (7.7454501427834140764e-4, 0.0227238449892691845833, 0.24178072517745061177,
+     1.27045825245236838258, 3.64784832476320460504, 5.7694972214606914055,
+     4.6303378461565452959, 1.42343711074968357734),
+    (1.05075007164441684324e-9, 5.475938084995344946e-4, 0.0151986665636164571966,
+     0.14810397642748007459, 0.68976733498510000455, 1.6763848301838038494,
+     2.05319162663775882187, 1.0),
+)
+_AS241_FAR = (
+    (2.01033439929228813265e-7, 2.71155556874348757815e-5, 0.0012426609473880784386,
+     0.026532189526576123093, 0.29656057182850489123, 1.7848265399172913358,
+     5.4637849111641143699, 6.6579046435011037772),
+    (2.04426310338993978564e-15, 1.4215117583164458887e-7, 1.8463183175100546818e-5,
+     7.868691311456132591e-4, 0.0148753612908506148525, 0.13692988092273580531,
+     0.59983220655588793769, 1.0),
+)
+
+
+def _rational(coefficients, x):
+    """Ratio of two polynomials of the same degree by Horner's rule."""
+    top, bottom = coefficients
+    numerator, denominator = x * top[0], x * bottom[0]
+    for top_c, bottom_c in zip(top[1:-1], bottom[1:-1]):
+        numerator += top_c
+        numerator *= x
+        denominator += bottom_c
+        denominator *= x
+    numerator += top[-1]
+    denominator += bottom[-1]
+    return np.divide(numerator, denominator, out=numerator)
 
 
 def p_to_z(p):
-    """Standard-normal quantile of 1 - p, clamped to |z| <= 40."""
+    """Standard-normal quantile of 1 - p, clamped to |z| <= 40.
+
+    Wichura's AS241 (relative error about 1e-16); p = 0.5 gives +0.0, p = 0
+    gives +40 and p = 1 gives -40.
+    """
     p = np.asarray(p, dtype=np.float64)
+    p = np.clip(p, 0.0, 1.0)
+    q = 0.5 - p
+    z = np.empty(p.shape)
+    central = np.abs(q) <= 0.425
+    qc = q[central]
+    z[central] = qc * _rational(_AS241_CENTRAL, 0.180625 - qc * qc)
+    tail = ~central
+    qt = q[tail]
     with np.errstate(divide="ignore"):
-        z = 0.0 - ndtri(np.clip(p, 0.0, 1.0))  # +0.0 at p = 0.5, where -ndtri gives -0.0
+        r = np.sqrt(-np.log(np.minimum(p[tail], 1.0 - p[tail])))  # +inf at p = 0 or 1
+    zt = r.copy()  # +inf (p = 0 or 1) and NaN pass through
+    middle = r <= 5.0
+    zt[middle] = _rational(_AS241_MIDDLE, r[middle] - 1.6)
+    far = (r > 5.0) & (r < np.inf)
+    zt[far] = _rational(_AS241_FAR, r[far] - 5.0)
+    z[tail] = np.copysign(zt, qt)
     return np.clip(z, -Z_CLAMP, Z_CLAMP)
 
 

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy import ndimage
 
 from .config import usable_cpus
 from .errors import InsufficientDataError, NumericError, ShapeError
@@ -216,6 +215,8 @@ def resample_rigid(data3d: np.ndarray, motion: RigidMotion, voxel_size_mm) -> np
     Coordinates are in mm with c the volume center; interpolation is
     trilinear and out-of-field samples become 0.
     """
+    from scipy import ndimage  # motion correction only: off by default, slow to import
+
     data3d = np.asarray(data3d, dtype=np.float64)
     voxel = np.asarray(voxel_size_mm, dtype=np.float64)
     matrix, offset = _rigid_matrix_offset(data3d.shape, motion, voxel)
@@ -251,6 +252,8 @@ class _ScoringDomain:
     ERODE_VOX = 3
 
     def __init__(self, reference, voxel):
+        from scipy import ndimage  # motion correction only: off by default, slow to import
+
         self.voxel = np.asarray(voxel, dtype=np.float64)
         self.shape = np.array(reference.shape)
         margins = [min(self.ERODE_VOX, max(0, (n - 1) // 3)) for n in reference.shape]
@@ -302,6 +305,8 @@ def _register(moving, domain: _ScoringDomain):
     the cost by less than the relative tolerance, or when the damping
     saturates. Returns (params, cost, iterations, evaluations).
     """
+    from scipy import ndimage  # motion correction only: off by default, slow to import
+
     filtered = ndimage.spline_filter(moving, order=_SPLINE_ORDER)
     evaluations = 0
 

@@ -9,10 +9,10 @@ time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, xlogy
 
 from .errors import NumericError, OutOfRangeError, ShapeError
 
@@ -174,15 +174,77 @@ def boxcar(design: BlockDesign, tr_s: float, n_vols: int, oversample: int = 1) -
     return box
 
 
+# Cephes lgam (S. L. Moshier): Stirling's series past 13, a rational
+# approximation on [2, 3] below it, coefficients from the highest power down.
+_LGAM_STIRLING = (8.11614167470508450300e-4, -5.95061904284301438324e-4,
+                  7.93650340457716943945e-4, -2.77777777730099687205e-3,
+                  8.33333333333331927722e-2)
+_LGAM_NUMERATOR = (-1.37825152569120859100e3, -3.88016315134637840924e4,
+                   -3.31612992738871184744e5, -1.16237097492762307383e6,
+                   -1.72173700820839662146e6, -8.53555664245765465627e5)
+_LGAM_DENOMINATOR = (1.0, -3.51815701436523470549e2, -1.70642106651881159223e4,
+                     -2.20528590553854454839e5, -1.13933444367982507207e6,
+                     -2.53252307177582951285e6, -2.01889141433532773231e6)
+_LOG_SQRT_2PI = 0.91893853320467274178
+
+
+def _horner(x: float, coefficients) -> float:
+    value = coefficients[0]
+    for c in coefficients[1:]:
+        value = value * x + c
+    return value
+
+
+def _log_gamma(x: float) -> float:
+    """ln Gamma(x) for finite x > 0, operation for operation as Cephes lgam
+    computes it, so it equals scipy.special.gammaln bit for bit (which
+    math.lgamma does not: it differs in the last bit at 6, 16 and 6.67).
+    """
+    if x < 13.0:
+        z, shift, u = 1.0, 0.0, x
+        while u >= 3.0:
+            shift -= 1.0
+            u = x + shift
+            z *= u
+        while u < 2.0:
+            z /= u
+            shift += 1.0
+            u = x + shift
+        if u == 2.0:
+            return math.log(z)
+        x += shift - 2.0
+        return math.log(z) + x * _horner(x, _LGAM_NUMERATOR) / _horner(x, _LGAM_DENOMINATOR)
+    q = (x - 0.5) * math.log(x) - x + _LOG_SQRT_2PI
+    if x > 1.0e8:
+        return q
+    w = 1.0 / (x * x)
+    if x >= 1000.0:
+        return q + ((7.9365079365079365079365e-4 * w - 2.7777777777777777777778e-3) * w
+                    + 0.0833333333333333333333) / x
+    return q + _horner(w, _LGAM_STIRLING) / x
+
+
 def _gamma_pdf(t: np.ndarray, shape: float, scale: float) -> np.ndarray:
     """Gamma density at t >= 0, in closed form through its logarithm.
 
-    This is the evaluation scipy.stats.gamma.pdf performs, term for term,
-    without importing scipy.stats, which dominates the package's import
-    time.
+    This is the evaluation scipy.stats.gamma.pdf performs, term for term
+    and bit for bit, with no scipy import: this module is loaded by every
+    CLI call, and scipy.special alone would add about 0.25 s to each. The
+    logarithms are libm's (math.log, as scipy's xlogy uses), since numpy's
+    own np.log differs from it in the last bit on some inputs, and ln
+    Gamma(shape) is ``_log_gamma``.
     """
     x = t / scale
-    return np.exp(xlogy(shape - 1.0, x) - x - gammaln(shape)) / scale
+    a = shape - 1.0
+    if a == 0.0:  # xlogy(0, x) is 0, also at x = 0
+        log_term = np.zeros(x.shape)
+    else:
+        log_term = np.full(x.shape, -math.inf)
+        positive = x > 0.0
+        log_term[positive] = np.fromiter(map(math.log, x[positive].tolist()), np.float64,
+                                         np.count_nonzero(positive))
+        log_term *= a
+    return np.exp(log_term - x - _log_gamma(shape)) / scale
 
 
 def check_hrf_step(dt_s: float, params: HrfParams = DEFAULT_HRF) -> None:

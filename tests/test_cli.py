@@ -861,12 +861,25 @@ class TestThreads:
 
 class TestMisc:
     def test_import_leaves_slow_scipy_subpackages_unloaded(self):
-        # scipy.stats and scipy.signal each add about a second to start-up
-        code = ("import sys, boldkit.cli; "
-                "print(sorted(m for m in ('scipy.stats', 'scipy.signal') if m in sys.modules))")
+        # scipy.stats and scipy.signal each add about a second to start-up,
+        # and scipy itself (through scipy.special or scipy.ndimage) 0.3 s
+        code = ("import sys, boldkit.cli; print(sorted(m for m in "
+                "('scipy', 'scipy.stats', 'scipy.signal') if m in sys.modules))")
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True, timeout=120, env=dict(os.environ, PYTHONPATH=SRC_PATH))
         assert out.stdout.strip() == "[]"
+
+    def test_default_analyze_never_imports_scipy(self, tmp_path):
+        # the import cost must be gone, not moved into the first call
+        code = ("import json, sys; from boldkit.cli import main; "
+                "code = main(sys.argv[1:]); "
+                "print(json.dumps([code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))")
+        out = subprocess.run(
+            [sys.executable, "-c", code, "analyze", "--config", write_config(tmp_path),
+             "--out", str(tmp_path / "an")],
+            capture_output=True, text=True, check=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=SRC_PATH))
+        assert json.loads(out.stdout.strip().splitlines()[-1]) == [0, []]
 
     def test_version_command(self, capsys):
         assert main(["version"]) == 0

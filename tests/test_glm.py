@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtri, stdtr
 from scipy.stats import kstest
 
+from boldkit import glm
 from boldkit.errors import (
     DegenerateRegressorError,
     DegreesOfFreedomError,
@@ -116,6 +118,40 @@ class TestTContrast:
                 assert t_to_p(t, dof) == pytest.approx(
                     p_upper_tail_quadrature(t, dof), rel=1e-8, abs=1e-12
                 )
+
+    @pytest.mark.parametrize("dof", [1, 2, 3, 28, 95, 195, 1000, 32000])
+    def test_p_matches_scipy_stdtr(self, dof):
+        t = np.array([0.0, 1e-3, -1e-3, 1.0, -1.0, 5.0, -5.0, 40.0, -40.0, 1e3, -1e3])
+        for two_sided, oracle in ((False, stdtr(dof, -t)),
+                                  (True, np.minimum(2.0 * stdtr(dof, -np.abs(t)), 1.0))):
+            p = t_to_p(t, dof, two_sided)
+            measured = oracle > 1e-300
+            np.testing.assert_allclose(p[measured], oracle[measured], rtol=1e-10, atol=0)
+
+    def test_t_to_p_edge_values_never_iterate(self, monkeypatch):
+        fraction = glm._beta_fraction
+
+        def finite_only(x, a, b):
+            assert np.all(np.isfinite(x))
+            return fraction(x, a, b)
+
+        monkeypatch.setattr(glm, "_beta_fraction", finite_only)
+        t = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 1e200])
+        with np.errstate(all="raise"):
+            np.testing.assert_array_equal(t_to_p(t, 17), [np.nan, 0.0, 1.0, 0.5, 0.5, 0.0])
+            np.testing.assert_array_equal(t_to_p(t, 17, two_sided=True),
+                                          [np.nan, 0.0, 0.0, 1.0, 1.0, 0.0])
+
+    def test_z_matches_scipy_ndtri(self):
+        p = np.concatenate([np.geomspace(1e-300, 1.0, 20001), 1.0 - np.geomspace(1e-16, 0.5, 2001),
+                            [0.075, 0.425, 0.5, 0.575, 0.925]])
+        oracle = np.clip(-ndtri(p), -glm.Z_CLAMP, glm.Z_CLAMP)  # -inf at p = 1
+        np.testing.assert_allclose(p_to_z(p), oracle, rtol=4e-15, atol=0)
+
+    def test_z_edge_values(self):
+        z = p_to_z(np.array([0.0, 1.0, 0.5, np.nan]))
+        np.testing.assert_array_equal(z, [40.0, -40.0, 0.0, np.nan])
+        assert not np.signbit(z[2])
 
     def test_full_stack_matches_oracle(self):
         rng = np.random.default_rng(7)

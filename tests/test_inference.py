@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
 from boldkit.glm import StatMaps
 from boldkit.inference import (
@@ -14,6 +15,7 @@ from boldkit.inference import (
     cluster_table,
     extract_clusters,
     fdr_bh,
+    label_components,
 )
 from boldkit.pipeline import OutputTracker
 
@@ -137,6 +139,28 @@ class TestExtractClusters:
             oracle = flood_fill_components(mask, connectivity)
             got = {frozenset(map(tuple, c.voxel_ids.tolist())) for c in clusters}
             assert got == set(oracle)
+
+    @pytest.mark.parametrize("connectivity", [6, 18, 26])
+    def test_labels_and_members_match_ndimage(self, connectivity):
+        structure = ndimage.generate_binary_structure(3, {6: 1, 18: 2, 26: 3}[connectivity])
+        rng = np.random.default_rng(100 + connectivity)
+        for _ in range(60):
+            shape = tuple(int(n) for n in rng.integers(1, 20, 3))
+            mask = rng.random(shape) < rng.uniform(0.01, 0.6)
+            labels, n = ndimage.label(mask, structure=structure)
+            got_labels, got_n = label_components(mask, connectivity)
+            assert got_n == n
+            np.testing.assert_array_equal(got_labels, labels)
+
+            # the cluster list ndimage's labels and members give, in its order
+            stats = stat_maps_for(mask, rng)
+            members = ndimage.value_indices(labels, ignore_value=0)
+            expected = [np.transpose(members[k]) for k in range(1, n + 1)]
+            expected.sort(key=lambda c: (-c.shape[0], -stats.t[tuple(c.T)].max()))
+            clusters = extract_clusters(mask, stats, connectivity)
+            assert len(clusters) == len(expected)
+            for cluster, coords in zip(clusters, expected):
+                np.testing.assert_array_equal(cluster.voxel_ids, coords)
 
     def test_sorted_by_size_then_peak(self):
         rng = np.random.default_rng(3)
