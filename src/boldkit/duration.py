@@ -56,31 +56,13 @@ def single_run_design(design: BlockDesign, tr_s: float, n_vols: int,
 def run_slabs(spatial_dims, run_lengths) -> list:
     """The consecutive time slabs of one new x-fastest stack of
     spatial_dims + (sum(run_lengths),), one per run length. Each slab is
-    x-fastest itself, so a run can be generated or read into its slab and
-    preprocessed there in place; runs that are the slabs, in order, are
-    concatenated without a copy (concatenate_runs). The stack's pages
-    become resident only as the slabs are written."""
+    x-fastest itself, so a run can be generated, read or copied into its
+    slab and preprocessed there in place; the stack, every slab's base, is
+    then the runs' concatenation. The stack's pages become resident only
+    as the slabs are written."""
     stack = output_array(tuple(spatial_dims) + (sum(run_lengths),))
     starts = np.cumsum([0, *run_lengths])
     return [stack[..., start:stop] for start, stop in zip(starts[:-1], starts[1:])]
-
-
-def _stack_of(runs) -> np.ndarray | None:
-    """The array whose consecutive time slabs are the runs' data, in run
-    order (as run_slabs makes them), or None."""
-    stack = runs[0].data.base
-    if not (isinstance(stack, np.ndarray) and stack.dtype == np.float64
-            and stack.flags.f_contiguous
-            and stack.shape == runs[0].data.shape[:3] + (sum(run.n_vols for run in runs),)):
-        return None
-    # an x-fastest run of the stack's spatial dims that starts where a slab
-    # starts is that slab
-    address = stack.ctypes.data
-    for run in runs:
-        if run.data.base is not stack or run.data.ctypes.data != address:
-            return None
-        address += run.data.nbytes
-    return stack
 
 
 def concatenate_runs(runset: RunSet,
@@ -92,26 +74,17 @@ def concatenate_runs(runset: RunSet,
     place of a global one, so inter-run baseline offsets cannot
     masquerade as activation.
 
-    Runs that already are the consecutive time slabs of one stack
-    (run_slabs) are concatenated without a copy: the result's data is
-    that stack. Otherwise each run is copied into its time slab of a new
-    stack, and runset.runs[i] is then rebound to a new Volume4D that is a
-    view of that slab; the Volume4D objects passed in are left untouched.
-    A run whose only holder was the RunSet is thus freed as soon as it is
-    copied, so building the stack never holds more than three run-sized
-    arrays. The runs were checked to be finite when built, so the stack
-    is not read again.
+    Each run is copied into its time slab of a new stack (run_slabs), so
+    the result shares no memory with the runs, and runset is left as it
+    was. The runs were checked to be finite when built, so the stack is
+    not read again.
     """
     header = runset.runs[0].header
     n_per_run = [run.n_vols for run in runset.runs]
-    data = _stack_of(runset.runs)
-    if data is None:
-        # pages of the empty stack become resident only as each slab is written
-        slabs = run_slabs(header.dims[:3], n_per_run)
-        data = slabs[0].base
-        for i, slab in enumerate(slabs):
-            slab[...] = runset.runs[i].data
-            runset.runs[i] = Volume4D._checked(runset.runs[i].header, slab)
+    slabs = run_slabs(header.dims[:3], n_per_run)
+    for slab, run in zip(slabs, runset.runs):
+        slab[...] = run.data
+    data = slabs[0].base
     design = build_design_matrix(runset.design, header.tr_seconds, n_per_run, cutoff_hz)
     return Volume4D._checked(replace(header, dims=data.shape), data), design
 
@@ -122,11 +95,11 @@ def average_runs(runset: RunSet, in_place: bool = False) -> Volume4D:
 
     The mean goes into a new array, or, when in_place, into
     runset.runs[0].data (``output_array``), which then holds the mean and
-    no longer the first run; a volume sharing that data, such as the
-    concatenation of stacked runs, changes with it. It is taken a block of
-    about 1 MB of volumes at a time (time_blocks), each block checked for
-    finiteness while in cache: a mean that overflows float64 raises
-    NumericError.
+    no longer the first run; a volume sharing that data, such as the stack
+    whose first slab it is (run_slabs), changes with it. It is taken a
+    block of about 1 MB of volumes at a time (time_blocks), each block
+    checked for finiteness while in cache: a mean that overflows float64
+    raises NumericError.
     """
     runs = runset.runs
     first = runs[0].data

@@ -536,7 +536,7 @@ def gaussian_smooth(vol: Volume4D, fwhm_mm: float, in_place: bool = False) -> Vo
     finiteness while in cache: one that overflows float64 raises
     NumericError.
     """
-    if fwhm_mm <= 0:
+    if not fwhm_mm > 0:  # NaN too
         raise ValueError("fwhm_mm must be positive")
     sigmas = fwhm_to_sigma_vox(fwhm_mm, vol.header.voxel_size_mm)
     dims = vol.header.dims

@@ -313,7 +313,7 @@ def task_regressor(design: BlockDesign, tr_s: float, n_vols: int,
 def check_cutoff(tr_s: float, cutoff_hz: float) -> None:
     """The drift cutoffs a run at TR tr_s can carry: positive and below
     its Nyquist frequency 1 / (2 * tr_s). Raises ValueError otherwise."""
-    if cutoff_hz <= 0:
+    if not cutoff_hz > 0:  # NaN too
         raise ValueError("cutoff_hz must be positive")
     if cutoff_hz >= 1.0 / (2.0 * tr_s):
         raise ValueError(f"cutoff {cutoff_hz} Hz at TR {tr_s} s is not below Nyquist")

@@ -188,11 +188,13 @@ class Volume4D:
     (``read_nifti``, ``generate_phantom``, the ``preprocess`` stages,
     ``average_runs``) checks every block as it writes it and builds its
     result with ``Volume4D._checked``, without a second pass;
-    ``concatenate_runs`` stacks volumes already checked. data may be
-    a view, such as one run's time slab of a stack of runs, and the
-    in-place stages (``in_place=True`` in ``preprocess`` and
+    ``concatenate_runs`` copies volumes already checked into a new stack.
+    data may be a view, such as one run's time slab of a stack of runs,
+    and the in-place stages (``in_place=True`` in ``preprocess`` and
     ``average_runs``) overwrite the data they are given, so a volume is
-    not immutable: it changes when such a stage writes into data it shares.
+    not immutable: it changes when such a stage writes into data it
+    shares, as the stack the flows load (``pipeline.load_runs``) does
+    while its runs are preprocessed in place.
     """
 
     header: VolumeHeader

@@ -518,6 +518,31 @@ class TestAnalyze:
         for name in ("t_map.nii.gz", "z_map.nii.gz", "rejection_mask.nii.gz"):
             assert (out / name).read_bytes() == (tmp_path / "reference" / name).read_bytes()
 
+    @pytest.mark.parametrize("command", ["analyze", "duration-study"])
+    def test_concatenated_condition_is_the_loaded_runs_memory(self, tmp_path, monkeypatch,
+                                                              command):
+        # the flows analyse the stack the runs were loaded into, not a copy
+        loaded, analysed = [], []
+        load_runs, analyze_volume = pipeline.load_runs, pipeline.analyze_volume
+
+        def record_load(*args, **kwargs):
+            result = load_runs(*args, **kwargs)
+            loaded.extend(result[0])
+            return result
+
+        def record_analysis(vol, *args):
+            analysed.append(vol)
+            return analyze_volume(vol, *args)
+
+        monkeypatch.setattr(pipeline, "load_runs", record_load)
+        monkeypatch.setattr(pipeline, "analyze_volume", record_analysis)
+        cfg = write_config(tmp_path, duration_mode="concatenate")
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        assert len(loaded) == 2
+        [concatenated] = [vol for vol in analysed if vol.n_vols == 60]
+        for run in loaded:
+            assert np.shares_memory(concatenated.data, run.data)
+
     def test_null_phantoms_rarely_reject(self, tmp_path):
         # q bounds the chance that an all-null map rejects anything at all;
         # the default preprocessing must not inflate it
@@ -674,9 +699,9 @@ class TestDurationStudy:
     @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
                         reason="reads the peak resident set size from /proc")
     def test_peak_memory_below_three_and_a_half_runs(self, tmp_path):
-        # Preprocessing works inside each run's own array, concatenation
-        # frees each run as it is copied into the stack, and averaging reads
-        # views of the stack, so no stage holds four run-sized arrays. tracemalloc would
+        # Preprocessing works inside each run's own array, the concatenation
+        # is the stack the runs were read into, and averaging reads views of
+        # the stack, so no stage holds four run-sized arrays. tracemalloc would
         # count the empty stack in full at once, but its pages become
         # resident only as they are filled, so the resident high-water mark
         # is measured. glibc otherwise raises its mmap threshold after the

@@ -90,56 +90,35 @@ class TestConcatenateRuns:
         single = task_regressor(design, 3.0, 30)
         np.testing.assert_allclose(task[:30], single, atol=1e-12)
 
-    def test_runs_become_views_of_the_stack(self):
+    @pytest.mark.parametrize("layout", ["slabs", "separate", "slabs swapped"])
+    def test_runs_are_copied_into_a_new_stack(self, layout):
+        # runs that are the time slabs of one stack (run_slabs), in order or
+        # not, are copied like runs in arrays of their own, and the RunSet
+        # keeps its runs and their data
         run0, run1, design, _ = make_runs()
-        arrays = [run0.data, run1.data]
-        originals = [run0.data.copy(), run1.data.copy()]
-        runset = RunSet(runs=[run0, run1], design=design)
+        if layout != "separate":
+            spec = PhantomSpec(dims=run0.spatial_dims, cnr=5.0, seed=0)
+            acq = AcquisitionParams(n_vols=30)
+            run0, run1 = (generate_phantom(spec, acq, design, run_index=r, out=slab)[0]
+                          for r, slab in enumerate(run_slabs(spec.dims, [30, 30])))
+        runs = [run1, run0] if layout == "slabs swapped" else [run0, run1]
+        arrays = [run.data for run in runs]
+        originals = [run.data.copy() for run in runs]
+        runset = RunSet(runs=list(runs), design=design)
         vol, _ = concatenate_runs(runset)
         np.testing.assert_array_equal(vol.data, np.concatenate(originals, axis=3))
-        for run, original in zip(runset.runs, originals):
-            np.testing.assert_array_equal(run.data, original)
-            assert np.shares_memory(run.data, vol.data)
-        # the caller's Volume4D objects keep their own, unchanged arrays
-        for kept, array, original in zip((run0, run1), arrays, originals):
-            assert kept.data is array and not np.shares_memory(array, vol.data)
+        for run, kept, array, original in zip(runset.runs, runs, arrays, originals):
+            assert run is kept and run.data is array
+            assert not np.shares_memory(array, vol.data)
             np.testing.assert_array_equal(array, original)
 
-    def test_slab_runs_are_concatenated_without_a_copy(self):
-        design = alternating_block_design(block_s=15.0, run_length_s=90.0)
-        spec = PhantomSpec(dims=(10, 10, 8), cnr=5.0, seed=0)
-        acq = AcquisitionParams(n_vols=30)
-        slabs = run_slabs(spec.dims, [30, 30])
-        runs = [generate_phantom(spec, acq, design, run_index=r, out=slab)[0]
-                for r, slab in enumerate(slabs)]
-        run0, run1, _, _ = make_runs()
-        vol, _ = concatenate_runs(RunSet(runs=list(runs), design=design))
-        assert vol.data is slabs[0].base
-        for run in runs:
-            assert np.shares_memory(run.data, vol.data)
-        np.testing.assert_array_equal(vol.data, np.concatenate([run0.data, run1.data], axis=3))
-        # slabs of the stack out of slab order are copied, in the order given
-        swapped = RunSet(runs=[runs[1], runs[0]], design=design)
-        vol, _ = concatenate_runs(swapped)
-        assert not np.shares_memory(vol.data, slabs[0].base)
-        np.testing.assert_array_equal(vol.data, np.concatenate([run1.data, run0.data], axis=3))
-
-    @pytest.mark.parametrize("stacked", [True, False])
-    def test_checked_runs_are_not_read_again(self, monkeypatch, stacked):
+    def test_checked_runs_are_not_read_again(self, monkeypatch):
         # the runs were checked to be finite when built; the stack is not
         run0, run1, design, _ = make_runs()
-        stack = None
-        if stacked:
-            slabs = run_slabs(run0.spatial_dims, [30, 30])
-            for slab, run in zip(slabs, (run0, run1)):
-                slab[...] = run.data
-            run0, run1 = (make_volume(slab) for slab in slabs)
-            stack = slabs[0].base
         checks = []
         monkeypatch.setattr(volume_io, "all_finite", lambda values: checks.append(values))
-        vol, _ = concatenate_runs(RunSet(runs=[run0, run1], design=design))
+        concatenate_runs(RunSet(runs=[run0, run1], design=design))
         assert checks == []
-        assert (vol.data is stack) == stacked
 
     def test_full_rank_when_runs_are(self):
         run0, run1, design, _ = make_runs(n_vols=100)

@@ -467,6 +467,12 @@ class TestGaussianSmooth:
         out = gaussian_smooth(vol, 8.0)
         np.testing.assert_allclose(out.data, 3.25, atol=1e-9)
 
+    @pytest.mark.parametrize("fwhm_mm", [0.0, -8.0, float("nan")])
+    def test_nonpositive_fwhm_rejected(self, fwhm_mm):
+        vol = make_volume(np.ones((4, 4, 4, 2)), voxel_size_mm=VOXEL, tr_seconds=3.0)
+        with pytest.raises(ValueError, match="fwhm_mm must be positive"):
+            gaussian_smooth(vol, fwhm_mm)
+
     def test_interior_mean_preserved(self):
         rng = np.random.default_rng(9)
         data = np.zeros((24, 24, 20, 1))
@@ -749,3 +755,9 @@ class TestHighpass:
         vol = make_volume(np.zeros((2, 2, 2, 3)), tr_seconds=3.0)
         with pytest.raises(InsufficientDataError):
             highpass_filter(vol, 0.005)
+
+    @pytest.mark.parametrize("cutoff_hz", [0.0, -0.005, float("nan")])
+    def test_nonpositive_cutoff_rejected(self, cutoff_hz):
+        vol = make_volume(np.zeros((2, 2, 2, 20)), tr_seconds=3.0)
+        with pytest.raises(ValueError, match="cutoff_hz must be positive"):
+            highpass_filter(vol, cutoff_hz)

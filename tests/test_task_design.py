@@ -216,6 +216,11 @@ class TestDctBasis:
         with pytest.raises(ValueError):
             dct_highpass_basis(100, 3.0, 0.2)
 
+    @pytest.mark.parametrize("cutoff_hz", [0.0, -0.005, math.nan])
+    def test_nonpositive_cutoff_rejected(self, cutoff_hz):
+        with pytest.raises(ValueError, match="cutoff_hz must be positive"):
+            dct_highpass_basis(100, 3.0, cutoff_hz)
+
 
 class TestBuildDesignMatrix:
     def test_column_layout(self):
