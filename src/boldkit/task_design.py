@@ -312,7 +312,10 @@ def task_regressor(design: BlockDesign, tr_s: float, n_vols: int,
 
 def check_cutoff(tr_s: float, cutoff_hz: float) -> None:
     """The drift cutoffs a run at TR tr_s can carry: positive and below
-    its Nyquist frequency 1 / (2 * tr_s). Raises ValueError otherwise."""
+    its Nyquist frequency 1 / (2 * tr_s). Raises ValueError otherwise,
+    first for a TR that is not finite and positive."""
+    if not 0 < tr_s < math.inf:  # NaN too
+        raise ValueError(f"tr_s must be finite and positive, got {tr_s}")
     if not cutoff_hz > 0:  # NaN too
         raise ValueError("cutoff_hz must be positive")
     if cutoff_hz >= 1.0 / (2.0 * tr_s):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import boldkit
-from boldkit import cli, pipeline, task_design, volume_io
+from boldkit import cli, glm, pipeline, task_design, volume_io
 from boldkit.cli import main
 from boldkit.config import PipelineConfig, load_config, validate_config
 from boldkit.duration import RunSet, average_runs, concatenate_runs, single_run_design
@@ -675,6 +675,34 @@ class TestDurationStudy:
         csv_lines = (out / "comparison.csv").read_text().splitlines()
         assert csv_lines[0] == "condition,roi,lsd,tv,peak_r"
         assert len(csv_lines) == 1 + len(report["rows"])
+
+    def test_peak_r_comes_from_the_fit_without_a_second_pass(self, tmp_path, monkeypatch):
+        # no condition's series is read again for r: correlation_map, the
+        # second pass, is never called, yet every r map the flow takes its
+        # peaks from is correlation_map's with degenerate voxels at r = 0
+        monkeypatch.setattr(pipeline, "correlation_map", refuse)
+        analyze_volume, peak_correlation = pipeline.analyze_volume, pipeline.peak_correlation
+        expected, seen = [], []
+
+        def record_analysis(vol, matrix, cfg):
+            result = analyze_volume(vol, matrix, cfg)
+            r = glm.correlation_map(vol, matrix.values[:, 0])
+            r[result.stats3d.degenerate] = 0.0
+            expected.append(r)
+            return result
+
+        def record_peak(r_map, roi):
+            if not any(r_map is m for m in seen):
+                seen.append(r_map)
+            return peak_correlation(r_map, roi)
+
+        monkeypatch.setattr(pipeline, "analyze_volume", record_analysis)
+        monkeypatch.setattr(pipeline, "peak_correlation", record_peak)
+        cfg = write_config(tmp_path)
+        assert main(["duration-study", "--config", cfg, "--out", str(tmp_path / "dur")]) == 0
+        assert len(seen) == len(expected) == 3
+        for r_map, oracle in zip(seen, expected):
+            np.testing.assert_allclose(r_map, oracle, rtol=0, atol=1e-12)
 
     def test_duplicated_run_averaged_equals_single(self, tmp_path):
         cfg = write_config(tmp_path)

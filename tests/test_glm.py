@@ -13,7 +13,14 @@ from boldkit.errors import (
     DegreesOfFreedomError,
     InestimableContrastError,
 )
-from boldkit.glm import correlation_map, fit_glm, p_to_z, t_contrast, t_to_p
+from boldkit.glm import (
+    correlation_from_fit,
+    correlation_map,
+    fit_glm,
+    p_to_z,
+    t_contrast,
+    t_to_p,
+)
 from boldkit.inference import fdr_bh
 from boldkit.phantom import AcquisitionParams, PhantomSpec, generate_phantom
 from boldkit.task_design import DesignMatrix, alternating_block_design, build_design_matrix
@@ -319,6 +326,62 @@ class TestCorrelationMap:
         data = series.T.reshape(nt, n_voxels).T.reshape(n_voxels, 1, 1, nt)
         r = correlation_map(make_volume(data, tr_seconds=2.0), regressor)
         assert float(r.mean()) == pytest.approx(expected_r, abs=0.02)
+
+
+class TestCorrelationFromFit:
+    """r from the fit against correlation_map, its one-pass oracle."""
+
+    N = 100
+
+    def condition(self, kind):
+        """(design matrix, (N, V) series) of one duration condition: a 1000
+        baseline plus noise, with a constant voxel (0), a voxel the design
+        fits exactly (1), one that is the task regressor but for 1e-6 noise
+        (2) and a negatively correlated one (3)."""
+        rng = np.random.default_rng({"single": 41, "concatenated": 42, "averaged": 43}[kind])
+        lengths = [self.N, self.N] if kind == "concatenated" else [self.N]
+        matrix = build_design_matrix(alternating_block_design(), 3.0, lengths, 0.005)
+        n, v = matrix.n_rows, 500
+        regressor = matrix.values[:, 0]
+        runs = 2 if kind == "averaged" else 1
+        Y = 1000.0 + 20.0 * rng.standard_normal((runs, n, v)).mean(axis=0)
+        Y += 10.0 * regressor[:, np.newaxis] * rng.random(v)
+        Y[:, 0] = 1000.0
+        Y[:, 1] = matrix.values @ rng.standard_normal(matrix.n_cols) + 1000.0
+        Y[:, 2] = 1000.0 + 5.0 * regressor + 1e-6 * rng.standard_normal(n)
+        Y[:, 3] -= 30.0 * regressor
+        return matrix, Y
+
+    @pytest.mark.parametrize("kind", ["single", "concatenated", "averaged"])
+    def test_matches_correlation_map(self, kind):
+        matrix, Y = self.condition(kind)
+        fit = fit_glm(Y, matrix)
+        r = correlation_from_fit(fit, 0)
+        oracle = correlation_map(make_volume(Y.T[:, None, None, :]), matrix.values[:, 0])
+        oracle = oracle[:, 0, 0]
+
+        degenerate = t_contrast(fit, np.eye(matrix.n_cols)[0]).degenerate
+        np.testing.assert_array_equal(np.flatnonzero(degenerate), [0, 1])
+        assert (r[degenerate] == 0.0).all()  # the one rule for a series without noise
+        np.testing.assert_allclose(r[~degenerate], oracle[~degenerate], rtol=0, atol=1e-12)
+        assert r[2] > 1.0 - 1e-9
+        assert r[3] < -0.5
+
+    def test_constant_column_rejected(self):
+        matrix, Y = self.condition("single")
+        fit = fit_glm(Y, matrix)
+        intercept = matrix.columns_labeled("intercept")[0]
+        with pytest.raises(DegenerateRegressorError):
+            correlation_from_fit(fit, intercept)
+
+    def test_design_without_intercept_rejected(self):
+        rng = np.random.default_rng(44)
+        t = np.arange(40.0)
+        matrix = DesignMatrix(values=np.column_stack([np.sin(t / 3.0), np.cos(t / 5.0)]),
+                              column_labels=["task", "drift"])
+        fit = fit_glm(1000.0 + rng.standard_normal((40, 6)), matrix)
+        with pytest.raises(ValueError, match="no intercept"):
+            correlation_from_fit(fit, 0)
 
 
 class TestBlockedPasses:

@@ -221,6 +221,13 @@ class TestDctBasis:
         with pytest.raises(ValueError, match="cutoff_hz must be positive"):
             dct_highpass_basis(100, 3.0, cutoff_hz)
 
+    @pytest.mark.parametrize("tr_s", [math.nan, -3.0, 0.0, math.inf])
+    def test_bad_tr_rejected_before_the_cutoff(self, tr_s):
+        # the TR is checked first: NaN failed inside int(), and -3.0 was
+        # reported as a cutoff above Nyquist
+        with pytest.raises(ValueError, match="tr_s must be finite and positive"):
+            dct_highpass_basis(100, tr_s, 0.005)
+
 
 class TestBuildDesignMatrix:
     def test_column_layout(self):
