@@ -15,8 +15,7 @@ from .task_design import DEFAULT_CUTOFF_HZ, BlockDesign, DesignMatrix, build_des
 from .volume_io import Volume4D, check_finite, output_array, time_blocks
 
 # The study's conditions in order: each duration_mode and the name the
-# duration study reports it under. Averaging is last, since the flows
-# average in place, over the first run.
+# duration study reports it under.
 CONDITIONS = (("single", "single"), ("concatenate", "concatenated"), ("average", "averaged"))
 
 

@@ -4,12 +4,15 @@ The design is factored once by SVD; every voxel shares the decomposition.
 Rank-deficient designs get the minimum-norm solution with degrees of
 freedom based on the effective rank.
 
-``fit_glm`` streams over column blocks of the (N, V) voxel matrix, each
-about 1 MB, so no (N, V) temporary (residuals) is ever allocated. The
-block loop is serial: ``--threads`` does not apply to it, because worker
-threads contend with BLAS's own threads and made the fit slower. It is
-the flows' only pass over a condition's series: ``correlation_from_fit``
-takes r from the fit's (P, V) outputs. ``correlation_map`` makes its own
+``fit_runs`` fits every run of a set in one stream over column blocks of
+the runs' (N_i, V) voxel matrices, each about 1 MB, so no (N, V)
+temporary (residuals) is ever allocated; ``fit_glm`` is its one-run
+case. The block loop is serial: ``--threads`` does not apply to it,
+because worker threads contend with BLAS's own threads and made the fit
+slower. It is the flows' only pass over the runs' series: ``run_fit``,
+``average_fit`` and ``concatenated_fit`` build each duration condition's
+fit from the per-run fits in O(rank^2 * V), and ``correlation_from_fit``
+takes r from a fit's (P, V) outputs. ``correlation_map`` makes its own
 block pass over a volume and stays as the reference for it.
 """
 
@@ -77,61 +80,217 @@ class StatMaps:
     dof: int
 
 
+@dataclass
+class RunFits:
+    """The per-run least-squares pieces of a set of runs (``fit_runs``).
+
+    Each list holds one entry per run: its design, its design's SVD
+    factors (U_r, s_r, vt_r) and rank, beta (P_i, V), the residual sum of
+    squares RSS_i and the series' sum of squares y_i'y_i (both (V,)). The
+    run's projection c_i = U_r'y_i is s_r * (vt_r beta_i) (``_projection``).
+    summed_rss is |sum_i e_i|^2 per voxel, the residual sum of the runs'
+    mean, when two or more runs share one length, and None otherwise.
+    ``run_fit``, ``average_fit`` and ``concatenated_fit`` build each
+    condition's GlmFit from these alone.
+    """
+
+    designs: list
+    factors: list
+    beta: list
+    rss: list
+    sum_sq: list
+    summed_rss: np.ndarray | None
+
+
+def _factor(X: DesignMatrix):
+    """(U_r, s_r, vt_r, rank): the SVD factors of the design that fits keep."""
+    u, s, vt = np.linalg.svd(X.values, full_matrices=False)
+    rank = int(np.sum(s > _RANK_RTOL * s[0])) if s.size else 0
+    return u[:, :rank], s[:rank], vt[:rank], rank
+
+
+def fit_runs(series: list, designs: list) -> RunFits:
+    """Least-squares fit of each run's series on its own design, in one
+    loop over voxel blocks of every run.
+
+    series[i] is run i's (N_i, V) voxel matrix and designs[i] its design;
+    every run has the same V. Each run's arithmetic is ``fit_glm``'s:
+    beta = vt'(U'y / s) through the SVD of the design (never the normal
+    equations), and the negated residuals X beta - y of one block at a
+    time, so memory beyond the (P, V) outputs stays bounded. When two or
+    more runs share one length the loop also sums their residuals block
+    by block and keeps |sum_i e_i|^2; it never forms that from the per-run
+    sums, where a cross term could round it below zero.
+    """
+    series = [np.asarray(Y, dtype=np.float64) for Y in series]
+    series = [Y[:, np.newaxis] if Y.ndim == 1 else Y for Y in series]
+    v = series[0].shape[1]
+    for Y, X in zip(series, designs):
+        if Y.shape[0] != X.n_rows:
+            raise ShapeError(f"Y has {Y.shape[0]} rows but design has {X.n_rows}")
+        if Y.shape[1] != v:
+            raise ShapeError(f"runs have {Y.shape[1]} and {v} voxels")
+
+    factors = [_factor(X) for X in designs]
+    lengths = [Y.shape[0] for Y in series]
+    beta = [np.empty((X.n_cols, v)) for X in designs]
+    rss = [np.empty(v) for _ in series]
+    sum_sq = [np.empty(v) for _ in series]
+    summing = len(series) > 1 and len(set(lengths)) == 1
+    summed_rss = np.empty(v) if summing else None
+    width = block_width(sum(lengths))
+    # run 0's negated residuals stay in scratch[0]; when summing, every
+    # other run's go to scratch[1] and are added to them
+    scratch = [np.empty((max(lengths), min(width, v))) for _ in range(1 + summing)]
+    for start in range(0, v, width):
+        cols = slice(start, start + width)
+        for i, (Y, X, (u_r, s_r, vt_r, _)) in enumerate(zip(series, designs, factors)):
+            block = Y[:, cols]
+            block_beta = vt_r.T @ ((u_r.T @ block) / s_r[:, np.newaxis])
+            beta[i][:, cols] = block_beta
+            # X beta - Y: the negated residuals of this block only
+            out = scratch[1 if summing and i else 0][:Y.shape[0], :block.shape[1]]
+            residuals = np.matmul(X.values, block_beta, out=out)
+            residuals -= block
+            rss[i][cols] = np.einsum("nv,nv->v", residuals, residuals)
+            sum_sq[i][cols] = np.einsum("nv,nv->v", block, block)
+            if summing and i:
+                scratch[0][:, :block.shape[1]] += residuals
+        if summing:
+            total = scratch[0][:, :block.shape[1]]
+            summed_rss[cols] = np.einsum("nv,nv->v", total, total)
+    return RunFits(designs=list(designs), factors=factors, beta=beta, rss=rss, sum_sq=sum_sq,
+                   summed_rss=summed_rss)
+
+
+def _condition_fit(design: DesignMatrix, factors, beta, rss, sum_sq) -> GlmFit:
+    """A GlmFit from its pieces: residual variance RSS / (N - rank), and
+    _y_scale the series' sum of squares over N. A sum of squares that
+    overflows raises NumericError; every residual sum is at most it."""
+    u_r, s_r, vt_r, rank = factors
+    n = design.n_rows
+    dof = n - rank
+    if dof < 1:
+        raise DegreesOfFreedomError(
+            f"{n} time points with design rank {rank} leave no degrees of freedom"
+        )
+    if not np.isfinite(sum_sq.max()):
+        raise NumericError("voxel values too large: a series' sum of squares overflows float64")
+    return GlmFit(
+        beta=beta,
+        residual_variance=rss / dof,
+        dof=dof,
+        design=design,
+        rank=rank,
+        _u=u_r,
+        _vt=vt_r,
+        _singular_values=s_r,
+        _y_scale=sum_sq / n,
+    )
+
+
+def run_fit(fits: RunFits, i: int) -> GlmFit:
+    """Run i's own fit, as ``fit_glm`` gives it."""
+    return _condition_fit(fits.designs[i], fits.factors[i], fits.beta[i], fits.rss[i],
+                          fits.sum_sq[i])
+
+
+def _projection(factors, beta: np.ndarray) -> np.ndarray:
+    """U_r'y = s_r * (vt_r beta) of the series a fit with these factors
+    gave beta for."""
+    _, s_r, vt_r, _ = factors
+    projection = vt_r @ beta
+    projection *= s_r[:, np.newaxis]
+    return projection
+
+
+def _sum_of_squares(projection: np.ndarray, rss: np.ndarray) -> np.ndarray:
+    """y'y = |U'y|^2 + RSS for a series y with U'y = projection: two
+    non-negative terms, so a large baseline does not cancel."""
+    total = np.einsum("kv,kv->v", projection, projection)
+    total += rss
+    return total
+
+
+def average_fit(fits: RunFits) -> GlmFit:
+    """The fit of the runs' time-point mean, from their own fits.
+
+    The runs share one design X (ValueError otherwise), so the mean
+    series has beta = mean beta_i, U'y = s * (vt beta) and residual sum
+    |sum_i e_i|^2 / n^2 (``fit_runs``'s summed_rss).
+    """
+    first = fits.designs[0]
+    if fits.summed_rss is None or not all(np.array_equal(X.values, first.values)
+                                          for X in fits.designs):
+        raise ValueError("averaged runs must share one design")
+    n = len(fits.beta)
+    beta = fits.beta[0] + fits.beta[1]
+    for run_beta in fits.beta[2:]:
+        beta += run_beta
+    beta /= n
+    rss = fits.summed_rss / n**2
+    sum_sq = _sum_of_squares(_projection(fits.factors[0], beta), rss)
+    return _condition_fit(first, fits.factors[0], beta, rss, sum_sq)
+
+
+def concatenated_fit(fits: RunFits, design: DesignMatrix) -> GlmFit:
+    """The fit of the runs stacked along time on design, from their own fits.
+
+    design has the stacked rows, and each run's rows must lie in the
+    column space of that run's own design (ValueError otherwise), as
+    ``build_design_matrix``'s do. With W = blockdiag(U_i) and U_c the kept
+    left singular vectors of design, span(U_c) lies in span(W), so with
+    M = W'U_c and c the stacked projections c_i = U_i'y_i:
+    - U_c'y = M'c, and beta follows from the SVD factors with
+      ``fit_glm``'s minimum-norm rule;
+    - RSS = sum_i RSS_i + |Q'c|^2, Q an orthonormal basis of the
+      complement of M's columns: non-negative terms throughout.
+    The cost is O(rank^2 * V), with no pass over the series; c is formed
+    a block of voxels at a time, so only the outputs are (P, V).
+    """
+    lengths = [X.n_rows for X in fits.designs]
+    if design.n_rows != sum(lengths):
+        raise ShapeError(f"design has {design.n_rows} rows but the runs {sum(lengths)}")
+    factors = _factor(design)
+    u_c, s_c, vt_c, rank = factors
+    ranks = [f[3] for f in fits.factors]
+    w = np.zeros((design.n_rows, sum(ranks)))
+    for (u_i, _, _, r), row, col in zip(fits.factors, np.cumsum([0, *lengths]),
+                                        np.cumsum([0, *ranks])):
+        w[row:row + u_i.shape[0], col:col + r] = u_i
+    m = w.T @ u_c
+    if np.linalg.norm(u_c - w @ m) > 1e-8 * math.sqrt(max(rank, 1)):
+        raise ValueError("the design has rows outside the column space of their run's design")
+    q = np.linalg.qr(m, mode="complete")[0][:, rank:].T
+    v = fits.beta[0].shape[1]
+    beta = np.empty((design.n_cols, v))
+    rss = fits.rss[0].copy()
+    for run_rss in fits.rss[1:]:
+        rss += run_rss
+    sum_sq = np.empty(v)
+    width = block_width(max(1, sum(ranks)))
+    for start in range(0, v, width):
+        cols = slice(start, start + width)
+        c = np.vstack([_projection(f, run_beta[:, cols])
+                       for f, run_beta in zip(fits.factors, fits.beta)])
+        projected = m.T @ c  # U_c'y
+        beta[:, cols] = vt_c.T @ (projected / s_c[:, np.newaxis])
+        outside = q @ c
+        rss[cols] += np.einsum("kv,kv->v", outside, outside)
+        sum_sq[cols] = _sum_of_squares(projected, rss[cols])
+    return _condition_fit(design, factors, beta, rss, sum_sq)
+
+
 def fit_glm(Y: np.ndarray, X: DesignMatrix) -> GlmFit:
-    """Least-squares fit of every column of Y on the design.
+    """Least-squares fit of every column of Y on the design: the one-run
+    case of ``fit_runs``.
 
     Y is (N, V). Solved through the SVD of X (never the normal
     equations); residual variance divides by N - rank(X). Y is read in
     column blocks, so memory beyond the (P, V) outputs stays bounded.
     A series whose sum of squares overflows raises NumericError.
     """
-    Y = np.asarray(Y, dtype=np.float64)
-    if Y.ndim == 1:
-        Y = Y[:, np.newaxis]
-    if Y.shape[0] != X.n_rows:
-        raise ShapeError(f"Y has {Y.shape[0]} rows but design has {X.n_rows}")
-
-    u, s, vt = np.linalg.svd(X.values, full_matrices=False)
-    rank = int(np.sum(s > _RANK_RTOL * s[0])) if s.size else 0
-    dof = Y.shape[0] - rank
-    if dof < 1:
-        raise DegreesOfFreedomError(
-            f"{Y.shape[0]} time points with design rank {rank} leave no degrees of freedom"
-        )
-
-    u_r, s_r, vt_r = u[:, :rank], s[:rank], vt[:rank]
-    n, v = Y.shape
-    beta = np.empty((X.n_cols, v))
-    residual_variance = np.empty(v)
-    y_scale = np.empty(v)
-    width = block_width(n)
-    scratch = np.empty((n, min(width, v)))
-    for start in range(0, v, width):
-        cols = slice(start, start + width)
-        block = Y[:, cols]
-        block_beta = vt_r.T @ ((u_r.T @ block) / s_r[:, np.newaxis])
-        beta[:, cols] = block_beta
-        # X beta - Y: the negated residuals of this block only
-        residuals = np.matmul(X.values, block_beta, out=scratch[:, :block.shape[1]])
-        residuals -= block
-        residual_variance[cols] = np.einsum("nv,nv->v", residuals, residuals)
-        y_scale[cols] = np.einsum("nv,nv->v", block, block)
-    if not np.isfinite(y_scale.max()):  # every residual sum is at most its series' sum
-        raise NumericError("voxel values too large: a series' sum of squares overflows float64")
-    residual_variance /= dof
-    y_scale /= n
-
-    return GlmFit(
-        beta=beta,
-        residual_variance=residual_variance,
-        dof=dof,
-        design=X,
-        rank=rank,
-        _u=u_r,
-        _vt=vt_r,
-        _singular_values=s_r,
-        _y_scale=y_scale,
-    )
+    return run_fit(fit_runs([Y], [X]), 0)
 
 
 def _log_beta(a: float, b: float) -> float:

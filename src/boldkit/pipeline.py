@@ -21,8 +21,7 @@ from .config import PipelineConfig
 from .duration import (
     CONDITIONS,
     RobustnessRow,
-    RunSet,
-    average_runs,
+    average_runs,  # not called by the flows; the benchmark's tracer wraps it by this name
     check_runs_match,
     concatenate_runs,  # not called by the flows; the benchmark's tracer wraps it by this name
     local_standard_deviation,
@@ -36,9 +35,13 @@ from .errors import ConfigError, DataError
 from .glm import (
     GlmFit,
     StatMaps,
+    average_fit,
+    concatenated_fit,
     correlation_from_fit,
     correlation_map,  # not called by the flows; the benchmark's tracer wraps it by this name
     fit_glm,
+    fit_runs,
+    run_fit,
     t_contrast,
 )
 from .inference import CLUSTER_COLUMNS, cluster_table, extract_clusters, fdr_bh
@@ -266,16 +269,23 @@ class AnalysisResult:
     clusters: list
 
 
-def analyze_volume(vol: Volume4D, design: DesignMatrix, cfg: PipelineConfig) -> AnalysisResult:
+def analyze_volume(vol: Volume4D, design: DesignMatrix | GlmFit,
+                   cfg: PipelineConfig) -> AnalysisResult:
     """GLM fit, FDR over the analysis mask, and cluster extraction.
 
-    The contrast is the design's task column. The analysis mask is every
-    voxel that is not degenerate (no residual noise, a constant series
-    included); degenerate voxels read t = z = 0 (``StatMaps``).
+    design is a DesignMatrix, fitted here to vol's series (``fit_glm``),
+    or a condition's GlmFit already made (``fit_conditions``), used as it
+    is: vol then gives only the geometry. The contrast is the design's
+    task column. The analysis mask is every voxel that is not degenerate
+    (no residual noise, a constant series included); degenerate voxels
+    read t = z = 0 (``StatMaps``).
     """
     shape = vol.spatial_dims
+    if isinstance(design, GlmFit):
+        fit, design = design, design.design
+    else:
+        fit = fit_glm(voxel_series(vol), design)
     task = design.columns_labeled(LABEL_TASK)[0]
-    fit = fit_glm(voxel_series(vol), design)
     c = np.zeros(design.n_cols)
     c[task] = 1.0
     stats = t_contrast(fit, c, two_sided=cfg.glm["two_sided"])
@@ -340,22 +350,31 @@ def run_simulate(cfg: PipelineConfig) -> list:
     return out.files
 
 
-def _prepare_condition(cfg: PipelineConfig, runs: list, stack: Volume4D, design: BlockDesign,
-                       mode: str):
-    """(volume, design matrix) for one duration condition of the runs,
-    the consecutive time slabs of stack (load_runs).
+def fit_conditions(cfg: PipelineConfig, runs: list, stack: Volume4D, design: BlockDesign,
+                   modes):
+    """(volume, GlmFit) of each duration condition in modes, in that
+    order, from one fit of each run (``fit_runs``): no condition's series
+    is built or read again.
 
-    single analyses runs[0] and concatenation the stack itself, with no
-    copy. Averaging takes the runs as a RunSet and writes the mean into
-    runs[0] in place, so it must be the last condition built from them.
+    The runs share one design, and stack is their concatenation, as the
+    stack load_runs reads them into is. single is run 1's own fit,
+    concatenation is fitted on ``build_design_matrix``'s design for the
+    runs (``concatenated_fit``) and averaging on the runs' shared design
+    (``average_fit``). The volume gives each condition's geometry: the
+    stack for the concatenation, run 1 otherwise.
     """
     cutoff_hz = cfg.glm["cutoff_hz"]
-    if mode == "concatenate":
-        return stack, build_design_matrix(design, stack.header.tr_seconds,
-                                          [run.n_vols for run in runs], cutoff_hz)
-    vol = runs[0] if mode == "single" else average_runs(RunSet(runs=runs, design=design),
-                                                         in_place=True)
-    return vol, single_run_design(design, vol.header.tr_seconds, vol.n_vols, cutoff_hz)
+    tr_s = stack.header.tr_seconds
+    matrix = single_run_design(design, tr_s, runs[0].n_vols, cutoff_hz)
+    fits = fit_runs([voxel_series(run) for run in runs], [matrix] * len(runs))
+    for mode in modes:
+        if mode == "single":
+            yield runs[0], run_fit(fits, 0)
+        elif mode == "concatenate":
+            yield stack, concatenated_fit(fits, build_design_matrix(
+                design, tr_s, [run.n_vols for run in runs], cutoff_hz))
+        else:
+            yield runs[0], average_fit(fits)
 
 
 def _check_run_count(cfg: PipelineConfig, fits, needed: str) -> None:
@@ -378,8 +397,8 @@ def run_analyze(cfg: PipelineConfig) -> list:
     # single mode analyses run 1 only: no other run's data is generated or read
     runs, design, _, stack = load_runs(cfg, n_used=1 if mode == "single" else None)
     preprocess_runs(runs, cfg)
-    vol, design_matrix = _prepare_condition(cfg, runs, stack, design, mode)
-    result = analyze_volume(vol, design_matrix, cfg)
+    [(vol, fit)] = fit_conditions(cfg, runs, stack, design, [mode])
+    result = analyze_volume(vol, fit, cfg)
 
     with out:
         out.map("t_map.nii.gz", result.stats3d.t, vol)
@@ -407,23 +426,21 @@ def run_duration_study(cfg: PipelineConfig) -> list:
     runs, design, truth, stack = load_runs(cfg)
     preprocess_runs(runs, cfg)
 
-    # one condition at a time, in CONDITIONS order: the single run is slab 0
-    # of the stack, the concatenation is the stack itself, and averaging,
-    # last, writes the mean into slab 0; r comes from each condition's fit,
-    # with no second pass over its series
+    # every condition's fit comes from one fit of each run, one at a time;
+    # r comes from each condition's fit, with no second pass over a series
     dims = runs[0].spatial_dims
     t_maps, r_maps, counts = {}, {}, {}
-    for mode, name in CONDITIONS:
-        vol, matrix = _prepare_condition(cfg, runs, stack, design, mode)
-        result = analyze_volume(vol, matrix, cfg)
-        r = correlation_from_fit(result.fit, matrix.columns_labeled(LABEL_TASK)[0])
+    conditions = fit_conditions(cfg, runs, stack, design, [mode for mode, _ in CONDITIONS])
+    for (mode, name), (vol, fit) in zip(CONDITIONS, conditions):
+        result = analyze_volume(vol, fit, cfg)
+        r = correlation_from_fit(result.fit, fit.design.columns_labeled(LABEL_TASK)[0])
         r_maps[name] = fold_voxels(r, dims)
         t_maps[name] = result.stats3d.t
         counts[name] = {"n_rejected": int(result.rejected.sum()),
                         "n_clusters": len(result.clusters)}
         if mode == "concatenate":
             concatenated_rejected = result.rejected
-        del result  # the fit's (P, V) beta is not kept through the next condition
+        del result, fit  # the fit's (P, V) beta is not kept through the next condition
 
     if truth is not None:
         targets = truth

@@ -273,8 +273,13 @@ class _ScoringDomain:
         # rotation k moves the sample at offset o from the center by generator_k @ o
         offsets_mm = (self.grid - (self.shape[:, np.newaxis] - 1.0) / 2.0) * column_voxel
         rotated = _ROTATION_GENERATORS @ offsets_mm
-        self.jacobian = np.concatenate([gradient, np.einsum("jn,kjn->kn", gradient, rotated)]).T
-        self.normal = self.jacobian.T @ self.jacobian
+        # an overflow is one NumericError, checked before any solve reads them
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.jacobian = np.concatenate([gradient,
+                                            np.einsum("jn,kjn->kn", gradient, rotated)]).T
+            self.normal = self.jacobian.T @ self.jacobian
+        check_finite(self.jacobian, "motion estimation")
+        check_finite(self.normal, "motion estimation")
 
 
 # 1 mm of translation and 0.02 rad of rotation move the domain's samples
@@ -527,8 +532,8 @@ def gaussian_smooth(vol: Volume4D, fwhm_mm: float, in_place: bool = False) -> Vo
     The result goes into a new array, or into vol.data itself when
     in_place (``output_array``); with no axis to smooth, vol is returned
     as it is. Volumes are smoothed independently, a chunk of whole
-    volumes (about 1 MB, see time_blocks) at a time, through one
-    chunk-sized scratch buffer (_smooth_chunks); beyond the output, no
+    volumes (about 1 MB, see time_blocks) at a time, through at most two
+    chunk-sized scratch buffers (_smooth_chunks); beyond the output, no
     run-sized array is allocated, and each tile's operator is built as it
     is applied and never kept, so one operator takes at most
     8 * t * min(n, t + 2r) bytes (t = SMOOTH_TILE) at any kernel radius r
@@ -551,26 +556,29 @@ def gaussian_smooth(vol: Volume4D, fwhm_mm: float, in_place: bool = False) -> Vo
 
 def _smooth_chunks(data: np.ndarray, passes: list, out: np.ndarray) -> None:
     """Apply the (axis, tiles) passes to data into out, which may be data
-    itself, a chunk of volumes at a time; the scratch buffer is freed on
+    itself, a chunk of volumes at a time; the scratch buffers are freed on
     return.
 
     Each tile's operator (see _axis_tiles) is built right before its
     product and dropped after it; rebuilding it for each chunk costs a few
     microseconds a tile.
-    Within a chunk the passes alternate between one chunk-sized scratch
-    buffer and the chunk's slab of out, scratch first, so a pass never
-    writes the slab it reads; after an odd number of passes the scratch
-    is copied into the slab. Each chunk's result is checked (check_finite)
-    before it is left.
+    Within a chunk every pass but the last writes one of two chunk-sized
+    scratch buffers, alternately, and the last writes the chunk's slab of
+    out, so a pass never writes the array it reads. A single pass made in
+    place would, so it writes the scratch, which is then copied into the
+    slab. Each chunk's result is checked (check_finite) before it is left.
     """
     blocks = time_blocks(data.shape)
-    scratch = np.empty(data[..., blocks[0]].shape, order="F")
+    last = len(passes) - 1
+    copied = last == 0 and out is data  # the one pass writes the scratch
+    scratch = [np.empty(data[..., blocks[0]].shape, order="F")
+               for _ in range(1 if copied else min(2, last))]
     for block in blocks:
         src = data[..., block]
         slab = out[..., block]
         chunk_dims = src.shape
         for i, (axis, (weights, mass, windows)) in enumerate(passes):
-            dst = slab if i % 2 else scratch[..., :chunk_dims[3]]
+            dst = slab if i == last and not copied else scratch[i % 2][..., :chunk_dims[3]]
             # batches of (before, n) x-fastest matrices, one per index of the later axes
             before, n = math.prod(chunk_dims[:axis]), chunk_dims[axis]
             after = math.prod(chunk_dims[axis + 1:])

@@ -564,7 +564,9 @@ def write_nifti(vol: Volume4D, path) -> None:
     float32 noise barely compresses at any level (mtime pinned to zero so
     identical volumes produce identical bytes). Raises ValueError, before
     the path is opened, when a dim exceeds MAX_DIM or a voxel size or the
-    TR does not fit float32.
+    TR does not fit float32, and NumericError when a voxel value does not:
+    the data are cast a block of volumes at a time (time_blocks), each
+    block checked while in cache.
     """
     if max(vol.header.dims) > MAX_DIM:
         raise ValueError(f"dims {vol.header.dims} exceed {MAX_DIM}, the NIfTI header's limit")
@@ -590,8 +592,14 @@ def write_nifti(vol: Volume4D, path) -> None:
         if name in _ORIENTATION_FIELDS:
             header[name] = value
 
-    payload = vol.data.astype(np.float32).tobytes(order="F")
-    blob = header.tobytes() + b"\x00\x00\x00\x00" + payload
+    payload = np.empty(vol.header.dims, dtype=np.float32, order="F")
+    for block in time_blocks(vol.header.dims):
+        with np.errstate(over="ignore"):  # an overflow is one NumericError, below
+            payload[..., block] = vol.data[..., block]
+        if not all_finite(payload[..., block]):
+            raise NumericError(f"cannot write {path}: voxel values beyond the float32 range")
+    # the header, then the payload's memory in file order: no bytes copy of it
+    pieces = (header.tobytes() + b"\x00\x00\x00\x00", payload.reshape(-1, order="F"))
 
     path = str(path)
     if path.endswith(".gz"):
@@ -599,10 +607,12 @@ def write_nifti(vol: Volume4D, path) -> None:
         with open(path, "wb") as raw:
             with gzip.GzipFile(filename="", fileobj=raw, mode="wb", mtime=0,
                                compresslevel=1) as fh:
-                fh.write(blob)
+                for piece in pieces:
+                    fh.write(piece)
     else:
         with open(path, "wb") as fh:
-            fh.write(blob)
+            for piece in pieces:
+                fh.write(piece)
 
 
 def extract_roi_series(vol: Volume4D, mask: np.ndarray) -> np.ndarray:

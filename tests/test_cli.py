@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ import boldkit
 from boldkit import cli, glm, pipeline, task_design, volume_io
 from boldkit.cli import main
 from boldkit.config import PipelineConfig, load_config, validate_config
-from boldkit.duration import RunSet, average_runs, concatenate_runs, single_run_design
+from boldkit.duration import RunSet, average_runs, concatenate_runs
 from boldkit.errors import ConfigError, DataError
 from boldkit.phantom import generate_phantom
 from boldkit.volume_io import make_volume, read_nifti, write_nifti
@@ -483,7 +484,8 @@ class TestAnalyze:
     def test_stacked_runs_give_the_maps_of_runs_built_apart(self, tmp_path, mode, source):
         # analyze draws or reads the runs into the slabs of one stack and
         # preprocesses them there; the reference builds each run in its own
-        # array, preprocesses it there, then concatenates or averages copies
+        # array, preprocesses it there, then fits the condition from those
+        # runs, with a concatenated copy standing for the stack
         preprocess = {"motion_correction": True}
         if source == "phantom":
             cfg_path = write_config(tmp_path, duration_mode=mode, preprocess=preprocess)
@@ -503,14 +505,9 @@ class TestAnalyze:
         else:
             runs = [read_nifti(path) for path in cfg.runs]
         pipeline.preprocess_runs(runs, cfg)
-        runset = RunSet(runs=runs, design=design)
-        if mode == "concatenate":
-            vol, matrix = concatenate_runs(runset, cutoff_hz=cfg.glm["cutoff_hz"])
-        else:
-            vol = average_runs(runset)
-            matrix = single_run_design(design, vol.header.tr_seconds, vol.n_vols,
-                                       cutoff_hz=cfg.glm["cutoff_hz"])
-        result = pipeline.analyze_volume(vol, matrix, cfg)
+        copied, _ = concatenate_runs(RunSet(runs=runs, design=design))
+        [(vol, fit)] = pipeline.fit_conditions(cfg, runs, copied, design, [mode])
+        result = pipeline.analyze_volume(vol, fit, cfg)
         reference = pipeline.OutputTracker(tmp_path / "reference")
         reference.map("t_map.nii.gz", result.stats3d.t, vol)
         reference.map("z_map.nii.gz", result.stats3d.z, vol)
@@ -679,16 +676,22 @@ class TestDurationStudy:
     def test_peak_r_comes_from_the_fit_without_a_second_pass(self, tmp_path, monkeypatch):
         # no condition's series is read again for r: correlation_map, the
         # second pass, is never called, yet every r map the flow takes its
-        # peaks from is correlation_map's with degenerate voxels at r = 0
+        # peaks from is correlation_map's on that condition built explicitly
+        # from the preprocessed runs (run 1, the stack, the runs' average),
+        # with degenerate voxels at r = 0
         monkeypatch.setattr(pipeline, "correlation_map", refuse)
-        analyze_volume, peak_correlation = pipeline.analyze_volume, pipeline.peak_correlation
-        expected, seen = [], []
+        load_runs, analyze_volume = pipeline.load_runs, pipeline.analyze_volume
+        peak_correlation = pipeline.peak_correlation
+        loaded, analysed, seen = [], [], []
 
-        def record_analysis(vol, matrix, cfg):
-            result = analyze_volume(vol, matrix, cfg)
-            r = glm.correlation_map(vol, matrix.values[:, 0])
-            r[result.stats3d.degenerate] = 0.0
-            expected.append(r)
+        def record_load(*args, **kwargs):
+            result = load_runs(*args, **kwargs)
+            loaded.append(result)
+            return result
+
+        def record_analysis(vol, fit, cfg):
+            result = analyze_volume(vol, fit, cfg)
+            analysed.append((fit.design.values[:, 0], result.stats3d.degenerate))
             return result
 
         def record_peak(r_map, roi):
@@ -696,12 +699,20 @@ class TestDurationStudy:
                 seen.append(r_map)
             return peak_correlation(r_map, roi)
 
+        monkeypatch.setattr(pipeline, "load_runs", record_load)
         monkeypatch.setattr(pipeline, "analyze_volume", record_analysis)
         monkeypatch.setattr(pipeline, "peak_correlation", record_peak)
         cfg = write_config(tmp_path)
         assert main(["duration-study", "--config", cfg, "--out", str(tmp_path / "dur")]) == 0
-        assert len(seen) == len(expected) == 3
-        for r_map, oracle in zip(seen, expected):
+
+        [(runs, design, _, stack)] = loaded  # preprocessed in place by the flow
+        averaged = average_runs(RunSet(runs=[replace(run, data=run.data.copy()) for run in runs],
+                                       design=design))
+        assert len(seen) == len(analysed) == 3
+        for r_map, vol, (regressor, degenerate) in zip(seen, (runs[0], stack, averaged),
+                                                       analysed):
+            oracle = glm.correlation_map(vol, regressor)
+            oracle[degenerate] = 0.0
             np.testing.assert_allclose(r_map, oracle, rtol=0, atol=1e-12)
 
     def test_duplicated_run_averaged_equals_single(self, tmp_path):
@@ -1152,6 +1163,28 @@ class TestInputErrors:
         assert re.fullmatch(r"boldkit: (config error|numeric failure): .+\n", err)
         if code == 2:
             assert f"config key 'phantom.{key}': must be finite" in err
+
+    def test_simulated_values_beyond_float32_are_a_numeric_failure(self, tmp_path, capsys):
+        # the phantom is finite in float64, but run files hold float32
+        cfg = write_config(tmp_path, phantom=dict(FAST_PHANTOM, noise_sigma=1e39))
+        out = tmp_path / "sim"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 4
+        assert re.fullmatch(r"boldkit: numeric failure: cannot write .+run-01\.nii\.gz: "
+                            r"voxel values beyond the float32 range\n", capsys.readouterr().err)
+        assert os.listdir(out) == []
+
+    def test_overflow_in_motion_estimation_reaches_no_solver(self, tmp_path, capfd):
+        # the reference's normal matrix overflows float64; LAPACK, which
+        # prints from C on such input, must never see it
+        cfg = write_config(tmp_path, phantom=dict(FAST_PHANTOM, noise_sigma=1e300),
+                           preprocess={"motion_correction": True})
+        out = tmp_path / "an"
+        assert main(["analyze", "--config", cfg, "--out", str(out)]) == 4
+        captured = capfd.readouterr()
+        assert "DLASCL" not in captured.out + captured.err
+        assert re.fullmatch(r"boldkit: numeric failure: motion estimation overflows float64: .+\n",
+                            captured.err)
+        assert not (out / "manifest.json").exists()
 
     @pytest.mark.parametrize("fwhm", [[], ["--fwhm", "0"]])
     def test_overflow_in_preprocessing_is_a_numeric_failure(self, tmp_path, fwhm):

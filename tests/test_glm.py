@@ -13,17 +13,27 @@ from boldkit.errors import (
     DegreesOfFreedomError,
     InestimableContrastError,
 )
+from boldkit.duration import RunSet, average_runs, concatenate_runs, single_run_design
 from boldkit.glm import (
+    average_fit,
+    concatenated_fit,
     correlation_from_fit,
     correlation_map,
     fit_glm,
+    fit_runs,
     p_to_z,
+    run_fit,
     t_contrast,
     t_to_p,
 )
 from boldkit.inference import fdr_bh
 from boldkit.phantom import AcquisitionParams, PhantomSpec, generate_phantom
-from boldkit.task_design import DesignMatrix, alternating_block_design, build_design_matrix
+from boldkit.task_design import (
+    BlockDesign,
+    DesignMatrix,
+    alternating_block_design,
+    build_design_matrix,
+)
 from boldkit.volume_io import block_width, make_volume, voxel_series
 
 from oracles import (
@@ -465,3 +475,151 @@ class TestBlockedPasses:
         rng = np.random.default_rng(33)
         vol = make_volume(rng.standard_normal((v, 1, 1, n)))
         assert traced_peak(correlation_map, vol, rng.standard_normal(n)) < vol.data.nbytes / 4
+
+
+def stacked_design(run_designs):
+    """Per-run designs stacked along time as build_design_matrix stacks
+    its own: column 0 (the task) tied across the runs, every other column
+    kept to its own run's rows."""
+    others = sum(X.n_cols - 1 for X in run_designs)
+    values = np.zeros((sum(X.n_rows for X in run_designs), 1 + others))
+    row, col = 0, 1
+    for X in run_designs:
+        values[row:row + X.n_rows, 0] = X.values[:, 0]
+        values[row:row + X.n_rows, col:col + X.n_cols - 1] = X.values[:, 1:]
+        row, col = row + X.n_rows, col + X.n_cols - 1
+    return DesignMatrix(values=values, column_labels=["task"] + ["drift"] * others)
+
+
+class TestConditionsFromRunFits:
+    """fit_runs fits each run once; run_fit, average_fit and
+    concatenated_fit give each condition's fit from those fits alone, as
+    fit_glm gives it on the condition built explicitly."""
+
+    N = 40
+    TR = 3.0
+    TASK = BlockDesign(onsets_s=(0.0, 30.0, 60.0, 90.0), durations_s=(15.0,) * 4,
+                       run_length_s=120.0)
+    CONSTANT = 7  # a voxel that is 7.0 in every run
+
+    def runs(self, n_runs, seed, n=N):
+        """(N, V) series of n_runs runs over several voxel blocks: baseline
+        1000, noise, a task response in a third of the voxels and one
+        constant voxel."""
+        rng = np.random.default_rng(seed)
+        v = 2 * block_width(2 * self.N) + 57
+        task = single_run_design(self.TASK, self.TR, n).values[:, 0]
+        series = []
+        for _ in range(n_runs):
+            Y = 1000.0 + 20.0 * rng.standard_normal((n, v))
+            Y[:, : v // 3] += 30.0 * task[:, np.newaxis]
+            Y[:, self.CONSTANT] = 7.0
+            series.append(Y)
+        return series
+
+    @staticmethod
+    def assert_same_condition(fit, oracle):
+        assert (fit.dof, fit.rank) == (oracle.dof, oracle.rank)
+        c = np.zeros(fit.design.n_cols)
+        c[0] = 1.0
+        stats, expected = t_contrast(fit, c), t_contrast(oracle, c)
+        np.testing.assert_array_equal(stats.degenerate, expected.degenerate)
+        np.testing.assert_allclose(stats.t, expected.t, rtol=1e-10, atol=1e-10)
+        noisy = ~expected.degenerate
+        np.testing.assert_allclose(fit.residual_variance[noisy],
+                                   oracle.residual_variance[noisy], rtol=1e-10)
+        np.testing.assert_allclose(correlation_from_fit(fit, 0), correlation_from_fit(oracle, 0),
+                                   rtol=0, atol=1e-10)
+        return stats
+
+    @pytest.mark.parametrize("n_runs", [2, 3])
+    def test_conditions_match_fits_of_explicit_conditions(self, n_runs):
+        series = self.runs(n_runs, seed=40 + n_runs)
+        matrix = single_run_design(self.TASK, self.TR, self.N)
+        fits = fit_runs(series, [matrix] * n_runs)
+
+        for i, Y in enumerate(series):  # each run's own fit is fit_glm's, bit for bit
+            single, oracle = run_fit(fits, i), fit_glm(Y, matrix)
+            for name in ("beta", "residual_variance", "_y_scale"):
+                np.testing.assert_array_equal(getattr(single, name), getattr(oracle, name))
+
+        vols = [make_volume(Y.T[:, np.newaxis, np.newaxis, :]) for Y in series]
+        runset = RunSet(runs=vols, design=self.TASK)
+        stacked, stacked_matrix = concatenate_runs(runset)
+        concatenated = self.assert_same_condition(
+            concatenated_fit(fits, stacked_matrix), fit_glm(voxel_series(stacked), stacked_matrix))
+        averaged = self.assert_same_condition(
+            average_fit(fits), fit_glm(voxel_series(average_runs(runset)), matrix))
+        for stats in (concatenated, averaged):
+            assert np.flatnonzero(stats.degenerate).tolist() == [self.CONSTANT]
+
+    def test_duplicated_run_averages_to_the_run_itself(self):
+        [Y] = self.runs(1, seed=50)
+        matrix = single_run_design(self.TASK, self.TR, self.N)
+        fits = fit_runs([Y, Y], [matrix, matrix])
+        single, averaged = run_fit(fits, 0), average_fit(fits)
+        np.testing.assert_array_equal(averaged.beta, single.beta)
+        np.testing.assert_array_equal(averaged.residual_variance, single.residual_variance)
+        c = np.eye(matrix.n_cols)[0]
+        np.testing.assert_array_equal(t_contrast(averaged, c).t, t_contrast(single, c).t)
+        self.assert_same_condition(concatenated_fit(fits, stacked_design([matrix, matrix])),
+                                   fit_glm(np.vstack([Y, Y]), stacked_design([matrix, matrix])))
+
+    def test_run_and_its_negation_average_to_no_residual(self):
+        [Y] = self.runs(1, seed=51)
+        matrix = single_run_design(self.TASK, self.TR, self.N)
+        fits = fit_runs([Y, -Y], [matrix, matrix])
+        assert np.all(fits.summed_rss == 0.0)
+        averaged = average_fit(fits)
+        assert np.all(averaged.residual_variance == 0.0)
+        oracle = fit_glm((Y + -Y) / 2, matrix)
+        c = np.eye(matrix.n_cols)[0]
+        stats, expected = t_contrast(averaged, c), t_contrast(oracle, c)
+        assert stats.degenerate.all() and expected.degenerate.all()
+        np.testing.assert_array_equal(stats.t, expected.t)
+
+    def test_run_without_a_task_block(self):
+        # the second run's task column is zero: its own design is rank
+        # deficient, and only the first run carries the tied task
+        series = self.runs(2, seed=52)
+        matrix = single_run_design(self.TASK, self.TR, self.N)
+        idle = DesignMatrix(values=np.column_stack([np.zeros(self.N), matrix.values[:, 1:]]),
+                            column_labels=matrix.column_labels)
+        fits = fit_runs(series, [matrix, idle])
+        assert [f[3] for f in fits.factors] == [matrix.n_cols, matrix.n_cols - 1]
+        stacked = stacked_design([matrix, idle])
+        self.assert_same_condition(concatenated_fit(fits, stacked),
+                                   fit_glm(np.vstack(series), stacked))
+        with pytest.raises(ValueError, match="share one design"):
+            average_fit(fits)
+
+    def test_rank_deficient_run_design(self):
+        # every run's design repeats its intercept column
+        series = self.runs(3, seed=53)
+        base = single_run_design(self.TASK, self.TR, self.N)
+        matrix = DesignMatrix(values=np.column_stack([base.values, base.values[:, -1]]),
+                              column_labels=base.column_labels + ["intercept"])
+        fits = fit_runs(series, [matrix] * 3)
+        assert fits.factors[0][3] == base.n_cols
+        stacked = stacked_design([matrix] * 3)
+        self.assert_same_condition(concatenated_fit(fits, stacked),
+                                   fit_glm(np.vstack(series), stacked))
+        self.assert_same_condition(average_fit(fits), fit_glm(sum(series) / 3, matrix))
+
+    def test_runs_of_different_lengths_concatenate(self):
+        series = self.runs(1, seed=54) + self.runs(1, seed=55, n=45)
+        designs = [single_run_design(self.TASK, self.TR, n) for n in (self.N, 45)]
+        fits = fit_runs(series, designs)
+        assert fits.summed_rss is None
+        stacked = build_design_matrix(self.TASK, self.TR, [self.N, 45])
+        self.assert_same_condition(concatenated_fit(fits, stacked),
+                                   fit_glm(np.vstack(series), stacked))
+
+    def test_design_outside_the_runs_designs_is_rejected(self):
+        series = self.runs(2, seed=56)
+        matrix = single_run_design(self.TASK, self.TR, self.N)
+        fits = fit_runs(series, [matrix, matrix])
+        stacked = stacked_design([matrix, matrix])
+        stacked.values[:, 0] = np.random.default_rng(57).standard_normal(2 * self.N)
+        with pytest.raises(ValueError, match="outside the column space"):
+            concatenated_fit(fits, stacked)

@@ -19,6 +19,7 @@ from boldkit.errors import (
     DataError,
     EmptyMaskError,
     FormatError,
+    NumericError,
     ShapeError,
     TruncatedFileError,
     UnsupportedDatatypeError,
@@ -535,6 +536,23 @@ class TestWrite:
         with pytest.raises(ValueError, match="fit float32"):
             write_nifti(vol, path)
         assert not path.exists()
+
+    @pytest.mark.parametrize("value", [1e39, -1e39, np.finfo(np.float64).max])
+    def test_voxel_values_past_float32_rejected_before_writing(self, tmp_path, value):
+        data = np.ones((4, 4, 4, 40))
+        data[1, 2, 3, -1] = value
+        path = tmp_path / "big.nii.gz"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy overflow warning either
+            with pytest.raises(NumericError, match="beyond the float32 range"):
+                write_nifti(make_volume(data), path)
+        assert not path.exists()
+
+    def test_largest_float32_value_is_written(self, tmp_path):
+        top = float(np.finfo(np.float32).max)
+        path = tmp_path / "top.nii"
+        write_nifti(make_volume(np.array([[[top, -top]]])), path)
+        np.testing.assert_array_equal(read_nifti(path).data[0, 0, :, 0], [top, -top])
 
     @pytest.mark.parametrize("name", ["long.nii", "long.nii.gz"])
     def test_dims_past_int16_rejected_before_writing(self, tmp_path, name):
