@@ -52,18 +52,6 @@ def single_run_design(design: BlockDesign, tr_s: float, n_vols: int,
     return build_design_matrix(design, tr_s, [n_vols], cutoff_hz)
 
 
-def run_slabs(spatial_dims, run_lengths) -> list:
-    """The consecutive time slabs of one new x-fastest stack of
-    spatial_dims + (sum(run_lengths),), one per run length. Each slab is
-    x-fastest itself, so a run can be generated, read or copied into its
-    slab and preprocessed there in place; the stack, every slab's base, is
-    then the runs' concatenation. The stack's pages become resident only
-    as the slabs are written."""
-    stack = output_array(tuple(spatial_dims) + (sum(run_lengths),))
-    starts = np.cumsum([0, *run_lengths])
-    return [stack[..., start:stop] for start, stop in zip(starts[:-1], starts[1:])]
-
-
 def concatenate_runs(runset: RunSet,
                      cutoff_hz: float = DEFAULT_CUTOFF_HZ) -> tuple[Volume4D, DesignMatrix]:
     """Stack runs along time and build the matching design matrix.
@@ -73,36 +61,30 @@ def concatenate_runs(runset: RunSet,
     place of a global one, so inter-run baseline offsets cannot
     masquerade as activation.
 
-    Each run is copied into its time slab of a new stack (run_slabs), so
-    the result shares no memory with the runs, and runset is left as it
-    was. The runs were checked to be finite when built, so the stack is
-    not read again.
+    The runs are joined into a new array, x-fastest as theirs are, so
+    the result shares no memory with them and runset is left as it was.
+    The runs were checked to be finite when built, so the result is not
+    read again.
     """
     header = runset.runs[0].header
     n_per_run = [run.n_vols for run in runset.runs]
-    slabs = run_slabs(header.dims[:3], n_per_run)
-    for slab, run in zip(slabs, runset.runs):
-        slab[...] = run.data
-    data = slabs[0].base
+    data = np.concatenate([run.data for run in runset.runs], axis=3)
     design = build_design_matrix(runset.design, header.tr_seconds, n_per_run, cutoff_hz)
     return Volume4D._checked(replace(header, dims=data.shape), data), design
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow is one NumericError, below
-def average_runs(runset: RunSet, in_place: bool = False) -> Volume4D:
+def average_runs(runset: RunSet) -> Volume4D:
     """Voxelwise mean across runs at each time point (nt unchanged).
 
-    The mean goes into a new array, or, when in_place, into
-    runset.runs[0].data (``output_array``), which then holds the mean and
-    no longer the first run; a volume sharing that data, such as the stack
-    whose first slab it is (run_slabs), changes with it. It is taken a
+    The mean goes into a new array (``output_array``). It is taken a
     block of about 1 MB of volumes at a time (time_blocks), each block
     checked for finiteness while in cache: a mean that overflows float64
     raises NumericError.
     """
     runs = runset.runs
     first = runs[0].data
-    data = output_array(runs[0].header.dims, first if in_place else None)
+    data = output_array(runs[0].header.dims)
     for block in time_blocks(first.shape):
         # a running sum adds in the same order as np.mean over stacked runs
         mean = np.add(first[..., block], runs[1].data[..., block], out=data[..., block])

@@ -128,7 +128,6 @@ def generate_phantom(
     acq: AcquisitionParams,
     design: BlockDesign,
     run_index: int = 0,
-    out: np.ndarray | None = None,
 ) -> tuple[Volume4D, dict]:
     """Simulate one run and return it with its ground-truth ROI masks.
 
@@ -142,10 +141,8 @@ def generate_phantom(
     scan order (x fastest): row 0 sets the drift signs, rows 1..nt are
     the AR(1) innovations; overflowing intensities raise NumericError.
     Row 0 is drawn on its own and rows 1..nt straight into the run's
-    (nt, n_voxels) time-by-voxel view, the same draws as one call.
-
-    The run is drawn into ``output_array(spec.dims + (nt,), out)``: out, such
-    as its time slab of a stack of runs, or a new array; it is the data.
+    (nt, n_voxels) time-by-voxel view, the same draws as one call. The
+    run is drawn into a new x-fastest array (``output_array``), its data.
     """
     if not 0 <= run_index < 2**64:
         raise ValueError("run_index must fit in an unsigned 64-bit integer")
@@ -160,7 +157,7 @@ def generate_phantom(
         response = response / peak
     amplitude = spec.cnr * spec.noise_sigma * field_snr_scale(spec.field_tesla)
 
-    data = output_array(dims, out)
+    data = output_array(dims)
     stream = np.random.Generator(np.random.Philox(key=(spec.seed << 64) | run_index))
     drift = np.where(stream.standard_normal(n_voxels) >= 0.0,
                      spec.drift_amplitude, -spec.drift_amplitude)

@@ -27,7 +27,6 @@ from .duration import (
     local_standard_deviation,
     non_target_rois,
     peak_correlation,
-    run_slabs,
     single_run_design,
     total_variation,
 )
@@ -39,7 +38,7 @@ from .glm import (
     concatenated_fit,
     correlation_from_fit,
     correlation_map,  # not called by the flows; the benchmark's tracer wraps it by this name
-    fit_glm,
+    fit_glm,  # not called by the flows; the benchmark's tracer wraps it by this name
     fit_runs,
     run_fit,
     t_contrast,
@@ -57,7 +56,6 @@ from .preprocess import (
 from .task_design import (
     DEFAULT_OVERSAMPLE,
     BlockDesign,
-    DesignMatrix,
     LABEL_TASK,
     build_design_matrix,
     check_cutoff,
@@ -66,6 +64,7 @@ from .task_design import (
 )
 from .volume_io import (
     Volume4D,
+    VolumeHeader,
     fold_voxels,
     read_nifti,
     read_nifti_header,
@@ -137,9 +136,10 @@ class OutputTracker:
             writer.writerows([repr(v) if isinstance(v, float) else str(v)
                               for v in map(row.__getitem__, columns)] for row in rows)
 
-    def map(self, name: str, data3d: np.ndarray, like: Volume4D) -> None:
-        """A 3-D map as a one-volume NIfTI with like's geometry."""
-        header = replace(like.header, dims=data3d.shape + (1,))
+    def map(self, name: str, data3d: np.ndarray, geometry: VolumeHeader) -> None:
+        """A 3-D map as a one-volume NIfTI with geometry's voxel size,
+        TR and orientation."""
+        header = replace(geometry, dims=data3d.shape + (1,))
         write_nifti(Volume4D(header=header, data=data3d[..., np.newaxis]), self.path(name))
 
     def manifest(self, command: str, cfg: PipelineConfig, summary: dict) -> None:
@@ -179,7 +179,7 @@ def phantom_pieces(cfg: PipelineConfig):
 
 
 def load_runs(cfg: PipelineConfig, n_used: int | None = None):
-    """(runs, block design, ground-truth ROI masks or None, stack).
+    """(runs, block design, ground-truth ROI masks or None).
 
     Only the first n_used runs (all when None) are generated or read.
     Each phantom run draws from its own stream, so the runs kept do not
@@ -190,10 +190,8 @@ def load_runs(cfg: PipelineConfig, n_used: int | None = None):
 
     The headers are read first, and those of the runs used must pass
     _check_runs before any data section is inflated, so a header fault
-    in any run is reported before a data fault in another. The runs used
-    are generated or read straight into the consecutive time slabs of
-    one stack (run_slabs), returned as one Volume4D: it is the runs'
-    concatenation, and stays so while each run is preprocessed in place.
+    in any run is reported before a data fault in another. Each run used
+    is generated or read into an array of its own.
 
     Files are read by up to cfg.threads threads at once (decompression
     releases the GIL); the runs come back in config order, so results do
@@ -204,21 +202,17 @@ def load_runs(cfg: PipelineConfig, n_used: int | None = None):
     truth = None
     if cfg.uses_phantom():
         spec, acq = phantom_pieces(cfg)
-        n_runs = len(range(int(cfg.phantom["n_runs"]))[:n_used])
-        slabs = run_slabs(spec.dims, [acq.n_vols] * n_runs)
         runs = []
-        for r, out in enumerate(slabs):
-            vol, truth = generate_phantom(spec, acq, design, run_index=r, out=out)
+        for r in range(int(cfg.phantom["n_runs"]))[:n_used]:
+            vol, truth = generate_phantom(spec, acq, design, run_index=r)
             runs.append(vol)
     else:
         headers = [read_nifti_header(path) for path in cfg.runs]
-        used = headers[:n_used]
-        _check_runs(cfg, design, used)
-        slabs = run_slabs(used[0].dims[:3], [h.dims[3] for h in used])
-        with ThreadPoolExecutor(max_workers=min(cfg.threads, len(slabs))) as pool:
-            runs = list(pool.map(read_nifti, cfg.runs[:n_used], slabs))
-    stack = slabs[0].base
-    return runs, design, truth, Volume4D._checked(replace(runs[0].header, dims=stack.shape), stack)
+        _check_runs(cfg, design, headers[:n_used])
+        paths = cfg.runs[:n_used]
+        with ThreadPoolExecutor(max_workers=min(cfg.threads, len(paths))) as pool:
+            runs = list(pool.map(read_nifti, paths))
+    return runs, design, truth
 
 
 def _check_runs(cfg: PipelineConfig, design: BlockDesign, headers) -> None:
@@ -240,9 +234,8 @@ def _check_runs(cfg: PipelineConfig, design: BlockDesign, headers) -> None:
 def preprocess_runs(runs: list, cfg: PipelineConfig) -> None:
     """Preprocess every run of the list in place, stage by stage.
 
-    Every stage writes into the run's own array (in_place=True), a slab
-    of the stack when the runs are stacked, so the stack stays their
-    concatenation; runs[i] is rebound to each stage's Volume4D of it.
+    Every stage writes into the run's own array (in_place=True), so no
+    run is copied; runs[i] is rebound to each stage's Volume4D of it.
     """
     pre = cfg.preprocess
     for i in range(len(runs)):
@@ -269,22 +262,18 @@ class AnalysisResult:
     clusters: list
 
 
-def analyze_volume(vol: Volume4D, design: DesignMatrix | GlmFit,
+def analyze_volume(geometry: VolumeHeader, fit: GlmFit,
                    cfg: PipelineConfig) -> AnalysisResult:
-    """GLM fit, FDR over the analysis mask, and cluster extraction.
+    """Task contrast, FDR over the analysis mask, and cluster extraction.
 
-    design is a DesignMatrix, fitted here to vol's series (``fit_glm``),
-    or a condition's GlmFit already made (``fit_conditions``), used as it
-    is: vol then gives only the geometry. The contrast is the design's
-    task column. The analysis mask is every voxel that is not degenerate
-    (no residual noise, a constant series included); degenerate voxels
-    read t = z = 0 (``StatMaps``).
+    fit is a condition's GlmFit (``fit_conditions``), and geometry the
+    header of its grid: the fit's voxels are geometry's in x-fastest
+    order. The contrast is the design's task column. The analysis mask
+    is every voxel that is not degenerate (no residual noise, a constant
+    series included); degenerate voxels read t = z = 0 (``StatMaps``).
     """
-    shape = vol.spatial_dims
-    if isinstance(design, GlmFit):
-        fit, design = design, design.design
-    else:
-        fit = fit_glm(voxel_series(vol), design)
+    shape = geometry.spatial_dims
+    design = fit.design
     task = design.columns_labeled(LABEL_TASK)[0]
     c = np.zeros(design.n_cols)
     c[task] = 1.0
@@ -316,16 +305,16 @@ def _run_name(number: int) -> str:
     return f"run-{number:02d}.nii.gz"
 
 
-def _remove_stale_runs(out_dir: str, n_runs: int) -> None:
-    """Delete the run files past n_runs that an earlier simulate with more
-    runs left in out_dir, so the directory holds only the runs the new
-    manifest lists. Only names simulate itself writes are touched."""
+def _remove_stale_runs(out_dir: str) -> None:
+    """Delete every run file and the truth.json an earlier simulate left
+    in out_dir, so the directory holds only what the new simulate writes,
+    and nothing of the earlier one if the new one fails. Only names
+    simulate itself writes are touched."""
     for name in os.listdir(out_dir):
         match = re.fullmatch(r"run-(\d+)\.nii\.gz", name)
-        if not match or int(match[1]) <= n_runs or name != _run_name(int(match[1])):
-            continue
+        stale = name == "truth.json" or (match and name == _run_name(int(match[1])))
         path = os.path.join(out_dir, name)
-        if os.path.isfile(path):
+        if stale and os.path.isfile(path):
             os.remove(path)
 
 
@@ -338,7 +327,7 @@ def run_simulate(cfg: PipelineConfig) -> list:
 
     n_runs = int(cfg.phantom["n_runs"])
     with OutputTracker(cfg.output_dir) as out:
-        _remove_stale_runs(out.out_dir, n_runs)
+        _remove_stale_runs(out.out_dir)
         for r in range(n_runs):
             vol, truth = generate_phantom(spec, acq, design, run_index=r)
             write_nifti(vol, out.path(_run_name(r + 1)))
@@ -350,31 +339,30 @@ def run_simulate(cfg: PipelineConfig) -> list:
     return out.files
 
 
-def fit_conditions(cfg: PipelineConfig, runs: list, stack: Volume4D, design: BlockDesign,
-                   modes):
-    """(volume, GlmFit) of each duration condition in modes, in that
+def fit_conditions(cfg: PipelineConfig, runs: list, design: BlockDesign, modes):
+    """(VolumeHeader, GlmFit) of each duration condition in modes, in that
     order, from one fit of each run (``fit_runs``): no condition's series
-    is built or read again.
+    is built, and no run is read again.
 
-    The runs share one design, and stack is their concatenation, as the
-    stack load_runs reads them into is. single is run 1's own fit,
-    concatenation is fitted on ``build_design_matrix``'s design for the
-    runs (``concatenated_fit``) and averaging on the runs' shared design
-    (``average_fit``). The volume gives each condition's geometry: the
-    stack for the concatenation, run 1 otherwise.
+    The runs share one design. single is run 1's own fit, concatenation
+    is fitted on ``build_design_matrix``'s design for the runs
+    (``concatenated_fit``) and averaging on the runs' shared design
+    (``average_fit``). The header gives each condition's grid: run 1's,
+    with the runs' summed length for the concatenation.
     """
     cutoff_hz = cfg.glm["cutoff_hz"]
-    tr_s = stack.header.tr_seconds
-    matrix = single_run_design(design, tr_s, runs[0].n_vols, cutoff_hz)
+    header = runs[0].header
+    lengths = [run.n_vols for run in runs]
+    matrix = single_run_design(design, header.tr_seconds, header.n_vols, cutoff_hz)
     fits = fit_runs([voxel_series(run) for run in runs], [matrix] * len(runs))
     for mode in modes:
         if mode == "single":
-            yield runs[0], run_fit(fits, 0)
+            yield header, run_fit(fits, 0)
         elif mode == "concatenate":
-            yield stack, concatenated_fit(fits, build_design_matrix(
-                design, tr_s, [run.n_vols for run in runs], cutoff_hz))
+            yield replace(header, dims=header.spatial_dims + (sum(lengths),)), concatenated_fit(
+                fits, build_design_matrix(design, header.tr_seconds, lengths, cutoff_hz))
         else:
-            yield runs[0], average_fit(fits)
+            yield header, average_fit(fits)
 
 
 def _check_run_count(cfg: PipelineConfig, fits, needed: str) -> None:
@@ -395,16 +383,17 @@ def run_analyze(cfg: PipelineConfig) -> list:
     if mode != "single":
         _check_run_count(cfg, lambda n: n >= 2, f"duration mode '{mode}' needs at least two runs")
     # single mode analyses run 1 only: no other run's data is generated or read
-    runs, design, _, stack = load_runs(cfg, n_used=1 if mode == "single" else None)
+    runs, design, _ = load_runs(cfg, n_used=1 if mode == "single" else None)
     preprocess_runs(runs, cfg)
-    [(vol, fit)] = fit_conditions(cfg, runs, stack, design, [mode])
-    result = analyze_volume(vol, fit, cfg)
+    [(geometry, fit)] = fit_conditions(cfg, runs, design, [mode])
+    result = analyze_volume(geometry, fit, cfg)
 
     with out:
-        out.map("t_map.nii.gz", result.stats3d.t, vol)
-        out.map("z_map.nii.gz", result.stats3d.z, vol)
-        out.map("p_fdr_adjusted.nii.gz", np.minimum(result.adjusted_p, ADJUSTED_P_CEILING), vol)
-        out.map("rejection_mask.nii.gz", result.rejected, vol)
+        out.map("t_map.nii.gz", result.stats3d.t, geometry)
+        out.map("z_map.nii.gz", result.stats3d.z, geometry)
+        out.map("p_fdr_adjusted.nii.gz", np.minimum(result.adjusted_p, ADJUSTED_P_CEILING),
+                geometry)
+        out.map("rejection_mask.nii.gz", result.rejected, geometry)
         rows = cluster_table(result.clusters)
         out.csv("clusters.csv", CLUSTER_COLUMNS, rows)
         out.json("clusters.json", rows, sort_keys=False)  # keys in CLUSTER_COLUMNS order
@@ -423,16 +412,16 @@ def run_duration_study(cfg: PipelineConfig) -> list:
     """Single vs concatenated vs averaged comparison on a two-run set."""
     out = OutputTracker(cfg.output_dir)  # a bad output_dir fails before the work
     _check_run_count(cfg, lambda n: n == 2, "duration study needs exactly 2 runs")
-    runs, design, truth, stack = load_runs(cfg)
+    runs, design, truth = load_runs(cfg)
     preprocess_runs(runs, cfg)
 
     # every condition's fit comes from one fit of each run, one at a time;
     # r comes from each condition's fit, with no second pass over a series
     dims = runs[0].spatial_dims
     t_maps, r_maps, counts = {}, {}, {}
-    conditions = fit_conditions(cfg, runs, stack, design, [mode for mode, _ in CONDITIONS])
-    for (mode, name), (vol, fit) in zip(CONDITIONS, conditions):
-        result = analyze_volume(vol, fit, cfg)
+    conditions = fit_conditions(cfg, runs, design, [mode for mode, _ in CONDITIONS])
+    for (mode, name), (geometry, fit) in zip(CONDITIONS, conditions):
+        result = analyze_volume(geometry, fit, cfg)
         r = correlation_from_fit(result.fit, fit.design.columns_labeled(LABEL_TASK)[0])
         r_maps[name] = fold_voxels(r, dims)
         t_maps[name] = result.stats3d.t

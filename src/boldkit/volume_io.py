@@ -150,7 +150,9 @@ def _header_dtype(byteorder: str) -> np.dtype:
 class VolumeHeader:
     """Geometry metadata of a 4-D volume.
 
-    dims are (nx, ny, nz, nt), voxel_size_mm covers the three spatial axes
+    dims are (nx, ny, nz, nt) (``spatial_dims`` and ``n_vols`` split
+    them), so a header alone gives the grid of a volume or a map;
+    voxel_size_mm covers the three spatial axes
     (slice gap folded into the z pitch), tr_seconds is the volume
     repetition time. datatype_code is the voxel datatype of the file the
     volume was read from (float32, as written, for one built in memory).
@@ -176,6 +178,14 @@ class VolumeHeader:
                 f"tr_seconds must be positive and finite for a time series, got {self.tr_seconds}"
             )
 
+    @property
+    def n_vols(self) -> int:
+        return self.dims[3]
+
+    @property
+    def spatial_dims(self) -> tuple[int, int, int]:
+        return self.dims[:3]
+
 
 @dataclass
 class Volume4D:
@@ -188,13 +198,10 @@ class Volume4D:
     (``read_nifti``, ``generate_phantom``, the ``preprocess`` stages,
     ``average_runs``) checks every block as it writes it and builds its
     result with ``Volume4D._checked``, without a second pass;
-    ``concatenate_runs`` copies volumes already checked into a new stack.
-    data may be a view, such as one run's time slab of a stack of runs,
-    and the in-place stages (``in_place=True`` in ``preprocess`` and
-    ``average_runs``) overwrite the data they are given, so a volume is
-    not immutable: it changes when such a stage writes into data it
-    shares, as the stack the flows load (``pipeline.load_runs``) does
-    while its runs are preprocessed in place.
+    ``concatenate_runs`` joins volumes already checked into a new array.
+    The in-place ``preprocess`` stages (``in_place=True``) overwrite the
+    data they are given, so a volume is not immutable: the flows
+    preprocess each run inside its own array (``pipeline.preprocess_runs``).
     """
 
     header: VolumeHeader
@@ -225,11 +232,11 @@ class Volume4D:
 
     @property
     def n_vols(self) -> int:
-        return self.header.dims[3]
+        return self.header.n_vols
 
     @property
     def spatial_dims(self) -> tuple[int, int, int]:
-        return self.header.dims[:3]
+        return self.header.spatial_dims
 
 
 def voxel_series(vol: Volume4D) -> np.ndarray:
@@ -486,7 +493,7 @@ def read_nifti_header(path) -> VolumeHeader:
     return _volume_header(_parse_header(path, raw_header, file_bytes * MAX_DEFLATE_RATIO))
 
 
-def read_nifti(path, out: np.ndarray | None = None) -> Volume4D:
+def read_nifti(path) -> Volume4D:
     """Read a single-file NIfTI-1 volume, applying intensity scaling.
 
     Stored values become raw * scl_slope + scl_inter (a slope of zero is
@@ -498,9 +505,8 @@ def read_nifti(path, out: np.ndarray | None = None) -> Volume4D:
     way. The file is read once, whole; a plain file's data section is a
     view of those bytes, and a gzip file's compressed bytes are freed
     before the float64 conversion. The data are converted, scaled and
-    checked for finiteness a block of about 1 MB at a time into
-    ``output_array(shape, out)``: out, such as a run's time slab of a
-    stack, or a new array; it is the result's data.
+    checked for finiteness a block of about 1 MB at a time into a new
+    x-fastest array (``output_array``), the result's data.
     One DEBUG record per read names the inflater, the file and raw bytes
     and the seconds taken.
 
@@ -509,8 +515,7 @@ def read_nifti(path, out: np.ndarray | None = None) -> Volume4D:
     a non-finite scl_slope) or gzip stream or non-finite data, UnsupportedDatatypeError
     for datatypes outside the supported set, TruncatedFileError when
     the data section is short, or longer than the file could hold
-    (checked before inflating it), and ShapeError when out has another
-    shape than the file's data.
+    (checked before inflating it).
     """
     start = time.perf_counter()
     try:
@@ -530,7 +535,7 @@ def read_nifti(path, out: np.ndarray | None = None) -> Volume4D:
 
     raw = np.frombuffer(payload, dtype=layout.dtype, count=math.prod(shape))
     raw = raw.reshape(shape, order="F")
-    data = output_array(shape, out)
+    data = output_array(shape)
     vol_header = _volume_header(layout)
 
     slope = float(header["scl_slope"])

@@ -319,6 +319,16 @@ class TestSimulate:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["outputs"] == ["run-01.nii.gz", "run-02.nii.gz", "truth.json"]
 
+    def test_failed_simulate_leaves_nothing_of_an_earlier_one(self, tmp_path):
+        # the second simulate fails on run 1 (past float32); no run file or
+        # truth of the first is left beside the missing manifest
+        out = tmp_path / "sim"
+        assert main(["simulate", "--config", write_config(tmp_path), "--out", str(out)]) == 0
+        (out / "notes.txt").write_text("keep")
+        huge = write_config(tmp_path, "huge.json", phantom=dict(FAST_PHANTOM, noise_sigma=1e39))
+        assert main(["simulate", "--config", huge, "--out", str(out)]) == 4
+        assert sorted(os.listdir(out)) == ["notes.txt"]
+
     def test_file_source_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"runs": ["x.nii"]}))
@@ -482,10 +492,9 @@ class TestAnalyze:
     @pytest.mark.parametrize("mode", ["concatenate", "average"])
     @pytest.mark.parametrize("source", ["phantom", "files"])
     def test_stacked_runs_give_the_maps_of_runs_built_apart(self, tmp_path, mode, source):
-        # analyze draws or reads the runs into the slabs of one stack and
-        # preprocesses them there; the reference builds each run in its own
-        # array, preprocesses it there, then fits the condition from those
-        # runs, with a concatenated copy standing for the stack
+        # the reference builds each run by hand in its own array,
+        # preprocesses it there, then fits and analyses the condition from
+        # those runs; its maps are the flow's, byte for byte
         preprocess = {"motion_correction": True}
         if source == "phantom":
             cfg_path = write_config(tmp_path, duration_mode=mode, preprocess=preprocess)
@@ -496,8 +505,6 @@ class TestAnalyze:
         assert main(["analyze", "--config", cfg_path, "--out", str(out)]) == 0
 
         cfg = load_config(cfg_path)
-        stacked = pipeline.load_runs(cfg)[0]
-        assert stacked[0].data.base is not None and stacked[1].data.base is stacked[0].data.base
         design = pipeline.block_design_from_config(cfg)
         if source == "phantom":
             spec, acq = pipeline.phantom_pieces(cfg)
@@ -505,20 +512,19 @@ class TestAnalyze:
         else:
             runs = [read_nifti(path) for path in cfg.runs]
         pipeline.preprocess_runs(runs, cfg)
-        copied, _ = concatenate_runs(RunSet(runs=runs, design=design))
-        [(vol, fit)] = pipeline.fit_conditions(cfg, runs, copied, design, [mode])
-        result = pipeline.analyze_volume(vol, fit, cfg)
+        [(geometry, fit)] = pipeline.fit_conditions(cfg, runs, design, [mode])
+        result = pipeline.analyze_volume(geometry, fit, cfg)
         reference = pipeline.OutputTracker(tmp_path / "reference")
-        reference.map("t_map.nii.gz", result.stats3d.t, vol)
-        reference.map("z_map.nii.gz", result.stats3d.z, vol)
-        reference.map("rejection_mask.nii.gz", result.rejected, vol)
+        reference.map("t_map.nii.gz", result.stats3d.t, geometry)
+        reference.map("z_map.nii.gz", result.stats3d.z, geometry)
+        reference.map("rejection_mask.nii.gz", result.rejected, geometry)
         for name in ("t_map.nii.gz", "z_map.nii.gz", "rejection_mask.nii.gz"):
             assert (out / name).read_bytes() == (tmp_path / "reference" / name).read_bytes()
 
     @pytest.mark.parametrize("command", ["analyze", "duration-study"])
-    def test_concatenated_condition_is_the_loaded_runs_memory(self, tmp_path, monkeypatch,
-                                                              command):
-        # the flows analyse the stack the runs were loaded into, not a copy
+    def test_no_condition_series_is_built(self, tmp_path, monkeypatch, command):
+        # every condition reaches the analysis as a fit and the header of
+        # its grid, never as a volume, and each run has its own array
         loaded, analysed = [], []
         load_runs, analyze_volume = pipeline.load_runs, pipeline.analyze_volume
 
@@ -527,18 +533,20 @@ class TestAnalyze:
             loaded.extend(result[0])
             return result
 
-        def record_analysis(vol, *args):
-            analysed.append(vol)
-            return analyze_volume(vol, *args)
+        def record_analysis(geometry, *args):
+            analysed.append(geometry)
+            return analyze_volume(geometry, *args)
 
         monkeypatch.setattr(pipeline, "load_runs", record_load)
         monkeypatch.setattr(pipeline, "analyze_volume", record_analysis)
         cfg = write_config(tmp_path, duration_mode="concatenate")
         assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 0
         assert len(loaded) == 2
-        [concatenated] = [vol for vol in analysed if vol.n_vols == 60]
-        for run in loaded:
-            assert np.shares_memory(concatenated.data, run.data)
+        assert analysed and all(type(geometry) is volume_io.VolumeHeader
+                                for geometry in analysed)
+        [concatenated] = [geometry for geometry in analysed if geometry.n_vols == 60]
+        assert concatenated.dims == (12, 12, 8, 60)
+        assert not np.shares_memory(loaded[0].data, loaded[1].data)
 
     def test_null_phantoms_rarely_reject(self, tmp_path):
         # q bounds the chance that an all-null map rejects anything at all;
@@ -677,8 +685,8 @@ class TestDurationStudy:
         # no condition's series is read again for r: correlation_map, the
         # second pass, is never called, yet every r map the flow takes its
         # peaks from is correlation_map's on that condition built explicitly
-        # from the preprocessed runs (run 1, the stack, the runs' average),
-        # with degenerate voxels at r = 0
+        # from copies of the preprocessed runs (run 1, the runs'
+        # concatenation, their average), with degenerate voxels at r = 0
         monkeypatch.setattr(pipeline, "correlation_map", refuse)
         load_runs, analyze_volume = pipeline.load_runs, pipeline.analyze_volume
         peak_correlation = pipeline.peak_correlation
@@ -689,8 +697,8 @@ class TestDurationStudy:
             loaded.append(result)
             return result
 
-        def record_analysis(vol, fit, cfg):
-            result = analyze_volume(vol, fit, cfg)
+        def record_analysis(geometry, fit, cfg):
+            result = analyze_volume(geometry, fit, cfg)
             analysed.append((fit.design.values[:, 0], result.stats3d.degenerate))
             return result
 
@@ -705,11 +713,12 @@ class TestDurationStudy:
         cfg = write_config(tmp_path)
         assert main(["duration-study", "--config", cfg, "--out", str(tmp_path / "dur")]) == 0
 
-        [(runs, design, _, stack)] = loaded  # preprocessed in place by the flow
-        averaged = average_runs(RunSet(runs=[replace(run, data=run.data.copy()) for run in runs],
-                                       design=design))
+        [(runs, design, _)] = loaded  # preprocessed in place by the flow
+        copies = RunSet(runs=[replace(run, data=run.data.copy()) for run in runs], design=design)
+        concatenated, _ = concatenate_runs(copies)
+        averaged = average_runs(copies)
         assert len(seen) == len(analysed) == 3
-        for r_map, vol, (regressor, degenerate) in zip(seen, (runs[0], stack, averaged),
+        for r_map, vol, (regressor, degenerate) in zip(seen, (runs[0], concatenated, averaged),
                                                        analysed):
             oracle = glm.correlation_map(vol, regressor)
             oracle[degenerate] = 0.0
@@ -738,12 +747,11 @@ class TestDurationStudy:
     @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
                         reason="reads the peak resident set size from /proc")
     def test_peak_memory_below_three_and_a_half_runs(self, tmp_path):
-        # Preprocessing works inside each run's own array, the concatenation
-        # is the stack the runs were read into, and averaging reads views of
-        # the stack, so no stage holds four run-sized arrays. tracemalloc would
-        # count the empty stack in full at once, but its pages become
-        # resident only as they are filled, so the resident high-water mark
-        # is measured. glibc otherwise raises its mmap threshold after the
+        # Preprocessing works inside each run's own array, and every
+        # condition is fitted from the runs themselves (fit_runs), with no
+        # concatenated or averaged series built, so no stage holds four
+        # run-sized arrays. The process's resident high-water mark is
+        # measured. glibc otherwise raises its mmap threshold after the
         # first large free and keeps later buffers on the heap, where freed
         # pages stay resident; a fixed threshold returns each at once.
         shape = (32, 32, 16, 100)
@@ -762,11 +770,10 @@ class TestDurationStudy:
     @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
                         reason="reads the peak resident set size from /proc")
     def test_peak_memory_below_two_and_a_half_runs(self, tmp_path):
-        # Each run is read into its time slab of one stack and preprocessed
-        # there, the concatenation is the stack itself and the average is
-        # written into the first slab, so the flow holds the stack, two runs,
-        # and transients well below a third run. glibc's mmap threshold is
-        # fixed as in the test above.
+        # Each run is read into its own array and preprocessed there, and no
+        # condition's series is built (fit_runs), so the flow holds the two
+        # runs and transients well below a third run. glibc's mmap threshold
+        # is fixed as in the test above.
         assert duration_high_water_rise(tmp_path) < 2.5
 
     def test_constant_runs_read_zero_correlation(self, tmp_path):

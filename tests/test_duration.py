@@ -12,7 +12,6 @@ from boldkit.duration import (
     local_standard_deviation,
     non_target_rois,
     peak_correlation,
-    run_slabs,
     single_run_design,
     total_variation,
 )
@@ -21,7 +20,7 @@ from boldkit.errors import EmptyMaskError, NumericError, ShapeError
 from boldkit.phantom import AcquisitionParams, PhantomSpec, generate_phantom, sphere_mask
 from boldkit.preprocess import gaussian_smooth
 from boldkit.task_design import alternating_block_design, task_regressor
-from boldkit.volume_io import make_volume
+from boldkit.volume_io import Volume4D, make_volume
 
 from oracles import lsd_voxel_loop
 
@@ -92,15 +91,16 @@ class TestConcatenateRuns:
 
     @pytest.mark.parametrize("layout", ["slabs", "separate", "slabs swapped"])
     def test_runs_are_copied_into_a_new_stack(self, layout):
-        # runs that are the time slabs of one stack (run_slabs), in order or
-        # not, are copied like runs in arrays of their own, and the RunSet
-        # keeps its runs and their data
+        # runs that are the time slabs of one array, in order or not, are
+        # copied like runs in arrays of their own, and the RunSet keeps its
+        # runs and their data
         run0, run1, design, _ = make_runs()
         if layout != "separate":
-            spec = PhantomSpec(dims=run0.spatial_dims, cnr=5.0, seed=0)
-            acq = AcquisitionParams(n_vols=30)
-            run0, run1 = (generate_phantom(spec, acq, design, run_index=r, out=slab)[0]
-                          for r, slab in enumerate(run_slabs(spec.dims, [30, 30])))
+            stack = np.empty(run0.spatial_dims + (60,), order="F")
+            stack[..., :30], stack[..., 30:] = run0.data, run1.data
+            run0, run1 = (Volume4D(header=run.header, data=stack[..., 30 * r:30 * (r + 1)])
+                          for r, run in enumerate((run0, run1)))
+            assert run0.data.base is stack and run1.data.base is stack
         runs = [run1, run0] if layout == "slabs swapped" else [run0, run1]
         arrays = [run.data for run in runs]
         originals = [run.data.copy() for run in runs]
@@ -113,7 +113,7 @@ class TestConcatenateRuns:
             np.testing.assert_array_equal(array, original)
 
     def test_checked_runs_are_not_read_again(self, monkeypatch):
-        # the runs were checked to be finite when built; the stack is not
+        # the runs were checked to be finite when built; their join is not
         run0, run1, design, _ = make_runs()
         checks = []
         monkeypatch.setattr(volume_io, "all_finite", lambda values: checks.append(values))
@@ -139,25 +139,15 @@ class TestAverageRuns:
         out = average_runs(RunSet(runs=[run0, negated], design=design))
         np.testing.assert_allclose(out.data, 0.0, atol=1e-12)
 
-    def test_in_place_equals_new_array(self):
-        run0, run1, design, _ = make_runs()
-        runs = [make_volume(-run0.data), run1, run0]
-        expected = average_runs(RunSet(runs=list(runs), design=design)).data
-        first = runs[0].data
-        out = average_runs(RunSet(runs=list(runs), design=design), in_place=True)
-        assert out.data is first
-        np.testing.assert_array_equal(out.data, expected)
-
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("in_place", [False, True])
-    def test_overflowing_mean_is_a_numeric_error(self, in_place):
+    def test_overflowing_mean_is_a_numeric_error(self):
         # the sum of two runs at 1.5e308 overflows in the last of several blocks
         run0, run1, design, _ = make_runs(dims=(24, 24, 21), n_vols=30)
         assert volume_io.block_width(24 * 24 * 21) < 30
         for run in (run0, run1):
             run.data[..., -1] = 1.5e308
         with pytest.raises(NumericError, match="run averaging overflows"):
-            average_runs(RunSet(runs=[run0, run1], design=design), in_place=in_place)
+            average_runs(RunSet(runs=[run0, run1], design=design))
 
     def test_commutes_with_smoothing(self):
         run0, run1, design, _ = make_runs()

@@ -26,7 +26,7 @@ from boldkit.errors import (
 )
 from boldkit import pipeline, volume_io
 from boldkit.config import validate_config
-from boldkit.duration import RunSet, average_runs, concatenate_runs, single_run_design
+from boldkit.duration import RunSet, average_runs, concatenate_runs
 from boldkit.preprocess import gaussian_smooth, interleaved_order, slice_timing_correct
 from boldkit.task_design import BlockDesign
 from boldkit.volume_io import (
@@ -262,29 +262,6 @@ class TestRead:
         path.write_bytes(blob)
         assert read_nifti(path).header.tr_seconds == 1.0
         assert read_nifti_header(path).tr_seconds == 1.0
-
-
-    @pytest.mark.parametrize("name, raw, datatype, bitpix, slope, inter", [
-        ("float32.nii.gz", np.arange(120, dtype=np.float32) - 60.5, 16, 32, 0.0, 0.0),
-        ("scaled-int16.nii", np.arange(120, dtype=np.int16) - 60, 4, 16, 2.5, -3.0),
-    ])
-    def test_read_into_an_output_array(self, tmp_path, name, raw, datatype, bitpix,
-                                       slope, inter):
-        blob = build_raw_nifti((5, 4, 3, 2), raw.tobytes(), datatype=datatype, bitpix=bitpix,
-                               scl_slope=slope, scl_inter=inter)
-        path = tmp_path / name
-        path.write_bytes(gzip.compress(blob, mtime=0) if name.endswith(".gz") else blob)
-        expected = read_nifti(path)
-        assert read_nifti_header(path) == expected.header
-
-        stack = np.full((5, 4, 3, 6), -1.0, order="F")
-        slab = stack[..., 3:5]
-        vol = read_nifti(path, out=slab)
-        assert vol.data is slab and vol.header == expected.header
-        assert np.array_equal(slab, expected.data)
-        assert (stack[..., :3] == -1.0).all() and (stack[..., 5:] == -1.0).all()
-        with pytest.raises(ShapeError):
-            read_nifti(path, out=stack[..., :3])
 
 
 @pytest.mark.usefixtures("zlib_only")
@@ -688,19 +665,26 @@ class TestLayout:
         np.testing.assert_array_equal(fold_voxels(series[2], (4, 3, 2)), vol.data[..., 2])
 
     def test_analyze_volume_fits_a_view_of_the_data(self, monkeypatch):
-        original = pipeline.fit_glm
+        # the conditions analyze_volume receives are fitted on views of
+        # each run's own data (fit_runs), not on copies
+        original = pipeline.fit_runs
         fitted = []
 
-        def recording_fit(Y, design):
-            fitted.append(Y)
-            return original(Y, design)
+        def recording_fit(series, designs):
+            fitted.extend(series)
+            return original(series, designs)
 
-        monkeypatch.setattr(pipeline, "fit_glm", recording_fit)
-        vol = random_volume(np.random.default_rng(8), dims=(6, 5, 4, 20))
+        monkeypatch.setattr(pipeline, "fit_runs", recording_fit)
+        rng = np.random.default_rng(8)
+        runs = [random_volume(rng, dims=(6, 5, 4, 20)) for _ in range(2)]
         design = BlockDesign(onsets_s=(0.0, 30.0), durations_s=(15.0, 15.0), run_length_s=60.0)
         cfg = validate_config({})
-        pipeline.analyze_volume(vol, single_run_design(design, 3.0, 20), cfg)
-        assert np.shares_memory(fitted[0], vol.data)
+        for geometry, fit in pipeline.fit_conditions(cfg, runs, design,
+                                                     ["single", "concatenate", "average"]):
+            pipeline.analyze_volume(geometry, fit, cfg)
+        assert len(fitted) == len(runs)
+        for series, run in zip(fitted, runs):
+            assert np.shares_memory(series, run.data)
 
 
 @pytest.mark.usefixtures("zlib_only")
