@@ -247,6 +247,8 @@ class _ScoringDomain:
     The Jacobian holds the derivatives of the reference's cubic spline at
     each voxel under a small rigid motion; gradient values within rounding
     are zero, so a direction it does not respond to has a zero column.
+    ``slices`` selects the domain from a volume, and ``r_max`` is the
+    largest distance of a domain voxel from the center, in mm.
     """
 
     ERODE_VOX = 3
@@ -257,7 +259,7 @@ class _ScoringDomain:
         self.voxel = np.asarray(voxel, dtype=np.float64)
         self.shape = np.array(reference.shape)
         margins = [min(self.ERODE_VOX, max(0, (n - 1) // 3)) for n in reference.shape]
-        domain = tuple(slice(m, n - m) for m, n in zip(margins, reference.shape))
+        self.slices = domain = tuple(slice(m, n - m) for m, n in zip(margins, reference.shape))
         self.grid = np.indices(self.shape, dtype=np.float64)[(slice(None), *domain)].reshape(3, -1)
         self.reference_values = reference[domain].ravel()
         coefficients = ndimage.spline_filter(reference, order=_SPLINE_ORDER)
@@ -272,6 +274,7 @@ class _ScoringDomain:
         gradient /= column_voxel
         # rotation k moves the sample at offset o from the center by generator_k @ o
         offsets_mm = (self.grid - (self.shape[:, np.newaxis] - 1.0) / 2.0) * column_voxel
+        self.r_max = float(np.sqrt((offsets_mm * offsets_mm).sum(axis=0)).max())
         rotated = _ROTATION_GENERATORS @ offsets_mm
         # an overflow is one NumericError, checked before any solve reads them
         with np.errstate(over="ignore", invalid="ignore"):
@@ -281,10 +284,16 @@ class _ScoringDomain:
         check_finite(self.jacobian, "motion estimation")
         check_finite(self.normal, "motion estimation")
 
+    def step_voxels(self, step) -> float:
+        """Bound on the distance a rigid step moves any domain sample, in
+        voxels of the finest axis: (|t| + |omega| r_max) / min(voxel)."""
+        reach_mm = np.linalg.norm(step[:3]) + np.linalg.norm(step[3:]) * self.r_max
+        return float(reach_mm / self.voxel.min())
 
-# 1 mm of translation and 0.02 rad of rotation move the domain's samples
-# by comparable distances, so the step tolerance scales the same way
-_STEP_TOL = 1e-7 * np.array([1.0, 1.0, 1.0, 0.02, 0.02, 0.02])
+
+# a step that moves no domain sample further than this (in voxels) is
+# below what the data can resolve, so the descent stops without trying it
+_STEP_TOL_VOX = 1e-3
 _COST_RTOL = 1e-10
 _MAX_ITERATIONS = 100
 _DAMPING_START = 1e-3
@@ -297,23 +306,36 @@ def _register(moving, domain: _ScoringDomain):
     The moving volume is spline-prefiltered once; each cost evaluation
     samples it with cubic interpolation at the rigidly-mapped positions
     of the domain's voxels, and the cost is the mean square of the
-    differences against the reference there. A volume whose range is
-    within rounding does not respond to motion and keeps zero motion.
+    differences against the reference there. At zero motion the positions
+    are the domain's own nodes, where the spline interpolates the data,
+    so the first residual is read off the moving volume without
+    resampling. A volume whose range is within rounding does not respond
+    to motion and keeps zero motion.
 
     Otherwise inverse-compositional damped Gauss-Newton descent runs from
     zero motion. Each iteration solves (H + damping diag H) step = J^T r,
     with the domain's fixed Jacobian J and normal matrix H, for the
     motion of the reference that explains the residual r, and composes
     the estimate with its inverse only if the exact cost then falls,
-    raising the damping and re-solving otherwise. Stops when the step
-    falls below the parameter tolerance, when an accepted step improves
-    the cost by less than the relative tolerance, or when the damping
-    saturates. Returns (params, cost, iterations, evaluations).
+    raising the damping and re-solving otherwise. Stops, with the reason,
+    when a step would move no domain sample by more than _STEP_TOL_VOX
+    voxel (``step_voxels``; the step is not tried), when an accepted step
+    improves the cost by less than the relative tolerance, when the
+    damping saturates, or at the iteration cap. Returns (params,
+    iterations, evaluations, cost, reason, last_step_vox): evaluations
+    counts resamplings only, and last_step_vox is ``step_voxels`` of the
+    last step solved for (0 when none was).
     """
     from scipy import ndimage  # motion correction only: off by default, slow to import
 
     filtered = ndimage.spline_filter(moving, order=_SPLINE_ORDER)
     evaluations = 0
+
+    def checked_cost(residual):
+        cost = float(np.mean(residual * residual))
+        if not np.isfinite(cost):
+            raise NumericError("non-finite registration cost")
+        return cost
 
     def residual_and_cost(params):
         nonlocal evaluations
@@ -327,16 +349,14 @@ def _register(moving, domain: _ScoringDomain):
             prefilter=False,
         )
         residual = sampled - domain.reference_values
-        cost = float(np.mean(residual * residual))
-        if not np.isfinite(cost):
-            raise NumericError("non-finite registration cost")
-        return residual, cost
+        return residual, checked_cost(residual)
 
     x = np.zeros(6)
-    residual, current = residual_and_cost(x)
+    residual = moving[domain.slices].ravel() - domain.reference_values
+    current = checked_cost(residual)
     magnitude = max(np.abs(filtered).max(initial=0.0), domain.reference_magnitude)
     if np.ptp(moving) <= _ROUNDING * magnitude:
-        return x, current, 0, evaluations
+        return x, 0, evaluations, current, "flat volume", 0.0
     jacobian, normal = domain.jacobian, domain.normal
     damping = _DAMPING_START
     for iteration in range(1, _MAX_ITERATIONS + 1):
@@ -345,21 +365,22 @@ def _register(moving, domain: _ScoringDomain):
             lhs = normal + damping * np.diag(np.diag(normal))
             # lstsq: a zero column (no information) makes lhs singular
             step = np.linalg.lstsq(lhs, gradient, rcond=None)[0]
-            if np.all(np.abs(step) <= _STEP_TOL):
-                return x, current, iteration, evaluations
+            step_vox = domain.step_voxels(step)
+            if step_vox <= _STEP_TOL_VOX:
+                return x, iteration, evaluations, current, "step below 1e-3 voxel", step_vox
             trial_x = _compose_inverse(x, step)
             trial_residual, trial = residual_and_cost(trial_x)
             if trial < current:
                 break
             damping *= 10.0
             if damping > _DAMPING_MAX:
-                return x, current, iteration, evaluations
+                return x, iteration, evaluations, current, "damping saturated", step_vox
         converged = current - trial <= _COST_RTOL * current
         x, residual, current = trial_x, trial_residual, trial
         damping = max(damping / 10.0, _DAMPING_START)
         if converged:
-            break
-    return x, current, iteration, evaluations
+            return x, iteration, evaluations, current, "cost converged", step_vox
+    return x, iteration, evaluations, current, "iteration cap", step_vox
 
 
 def estimate_motion(vol: Volume4D, reference_index: int = 0, threads: int | None = None) -> list:
@@ -380,8 +401,9 @@ def estimate_motion(vol: Volume4D, reference_index: int = 0, threads: int | None
     (default: the usable CPUs); the resampling releases the GIL. Each
     registration runs the same arithmetic at any thread count, so the
     parameters do not depend on it. One DEBUG record per registered
-    volume, in volume order, reports its iterations, cost evaluations and
-    final cost.
+    volume, in volume order, reports its iterations, cost evaluations
+    (resamplings only: the zero-motion cost needs none), final cost, why
+    the descent stopped and its last step in voxels (``_register``).
     """
     nt = vol.n_vols
     if not 0 <= reference_index < nt:
@@ -399,11 +421,9 @@ def estimate_motion(vol: Volume4D, reference_index: int = 0, threads: int | None
         registered = list(pool.map(lambda i: _register(vol.data[..., i], domain), moving))
 
     estimates = [RigidMotion() for _ in range(nt)]
-    for i, (params, final_cost, iterations, evaluations) in zip(moving, registered):
-        logger.debug(
-            "volume %d: %d iterations, %d cost evaluations, final cost %.6g",
-            i, iterations, evaluations, final_cost,
-        )
+    for i, (params, *report) in zip(moving, registered):
+        logger.debug("volume %d: %d iterations, %d cost evaluations, final cost %.6g, "
+                     "stopped: %s, last step %.3g voxel", i, *report)
         estimates[i] = RigidMotion.from_params(params)
     return estimates
 

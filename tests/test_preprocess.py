@@ -344,6 +344,85 @@ class TestEstimateMotion:
             assert scale > 0
             assert np.abs(domain.jacobian[:, k] - difference).max() <= 1e-3 * scale
 
+    @pytest.mark.parametrize("kind", ["blobs", "noise"])
+    def test_spline_at_the_domain_nodes_is_the_data(self, kind):
+        # the zero-motion cost reads moving[domain] instead of resampling it
+        dims = (14, 13, 11)
+        if kind == "blobs":
+            field, grid = smooth_blob_field(dims, seed=13)
+            moving = field(grid)
+        else:
+            moving = np.random.default_rng(14).normal(100.0, 10.0, dims)
+        domain = preprocess._ScoringDomain(moving, VOXEL)
+        sampled = ndimage.map_coordinates(ndimage.spline_filter(moving, order=3), domain.grid,
+                                          order=3, mode="constant", cval=0.0, prefilter=False)
+        direct = moving[domain.slices].ravel()
+        assert np.abs(sampled - direct).max() <= 1e-12 * np.abs(direct).max()
+
+    def test_copy_of_the_reference_registers_to_zero_without_resampling(self, caplog,
+                                                                       monkeypatch):
+        field, grid = smooth_blob_field((12, 12, 10), seed=15)
+        frame = field(grid)
+        vol = make_volume(np.stack([frame, frame.copy()], axis=-1), voxel_size_mm=VOXEL,
+                          tr_seconds=3.0)
+        calls = []
+        resample = ndimage.map_coordinates
+        monkeypatch.setattr(ndimage, "map_coordinates",
+                            lambda *args, **kwargs: calls.append(1) or resample(*args, **kwargs))
+        with caplog.at_level(logging.DEBUG, logger="boldkit.preprocess"):
+            motion = estimate_motion(vol)
+        assert not np.any(motion[1].params)
+        assert calls == []
+        [record] = [r for r in caplog.records if r.name == "boldkit.preprocess"]
+        assert record.args[2] == 0  # cost evaluations
+        assert record.args[3] == 0.0  # final cost
+        assert record.args[4] == "step below 1e-3 voxel"
+
+    def test_registration_budget_on_the_acceptance_cases(self, caplog):
+        # acceptance criterion 6's 20 cases: 20x20x16 blob fields moved by
+        # up to 2 voxels / 2 degrees; each stops within a few resamplings
+        dims = (20, 20, 16)
+        voxel = np.asarray(VOXEL)
+        rng = np.random.default_rng(606)
+        grid_mm = np.stack(np.meshgrid(*[np.arange(d, dtype=float) for d in dims],
+                                       indexing="ij"), axis=-1) * voxel
+        center_mm = (np.array(dims) - 1) / 2 * voxel
+        reasons = {"step below 1e-3 voxel", "cost converged", "damping saturated",
+                   "iteration cap"}
+        records = []
+        for case in range(20):
+            blob_rng = np.random.default_rng(6000 + case)
+            blobs = [(float(blob_rng.uniform(0.5, 2.0)),
+                      blob_rng.uniform(3.5, np.array(dims) - 3.5) * voxel,
+                      float(blob_rng.uniform(9.0, 18.0))) for _ in range(10)]
+
+            def field(points):
+                value = np.zeros(points.shape[:-1])
+                for amp, center, width in blobs:
+                    value += amp * np.exp(-((points - center) ** 2).sum(-1) / (2 * width**2))
+                return value
+
+            true = np.concatenate([rng.uniform(-2.0, 2.0, 3) * voxel,
+                                   np.deg2rad(rng.uniform(-2.0, 2.0, 3))])
+            inv_rot = np.linalg.inv(rotation_matrix(true[3:]))
+            moved = field((grid_mm - center_mm) @ inv_rot.T + center_mm - inv_rot @ true[:3])
+            vol = make_volume(np.stack([field(grid_mm), moved], axis=-1), voxel_size_mm=VOXEL,
+                              tr_seconds=3.0)
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="boldkit.preprocess"):
+                estimate = estimate_motion(vol)[1]
+            records += [r for r in caplog.records if r.name == "boldkit.preprocess"]
+            assert np.abs((estimate.translation_mm - true[:3]) / voxel).max() < 0.1
+            assert np.abs(np.rad2deg(estimate.rotation_rad - true[3:])).max() < 0.5
+        evaluations = [r.args[2] for r in records]
+        assert len(evaluations) == 20
+        assert max(evaluations) <= 6
+        assert sum(evaluations) <= 100
+        for record in records:
+            reason, last_step_vox = record.args[4:6]
+            assert reason in reasons
+            assert last_step_vox <= 1e-3 or reason != "step below 1e-3 voxel"
+
     def test_warns_once_with_the_rank_of_an_unconstraining_reference(self, caplog):
         dims = (12, 12, 10)
         field, grid = smooth_blob_field(dims)
