@@ -4,7 +4,8 @@ The file is plain JSON (RFC 8259): an object of nested key/value
 sections. Every key is validated; unknown keys and out-of-range values
 raise ConfigError naming the offending key. A manifest written by a
 previous run is also accepted anywhere a config is (its embedded
-``config`` object is used), which makes reruns reproducible.
+``config`` object is used, less any RETIRED_KEYS), which makes reruns
+reproducible.
 """
 
 from __future__ import annotations
@@ -118,7 +119,6 @@ SCHEMA = {
         "n_runs": (2, _number(low=1, integer=True)),
         "n_vols": (100, _number(low=4, high=MAX_DIM, integer=True)),
         "tr_s": (3.0, _all(_number(low=1e-6), _hrf_sampled)),
-        "te_ms": (85.0, _number(low=0)),
     },
     "task": {
         "onsets_s": ([0.0, 60.0, 120.0, 180.0, 240.0],
@@ -138,7 +138,6 @@ SCHEMA = {
     },
     "glm": {
         "cutoff_hz": (0.005, _number(low=1e-9)),
-        "contrast": ("task", _is(lambda v: v == "task", "must be 'task'")),
         "two_sided": (False, _BOOLEAN),
     },
     "inference": {
@@ -149,6 +148,10 @@ SCHEMA = {
     },
     "duration_mode": _is(lambda v: v in DURATION_MODES, f"must be one of {DURATION_MODES}"),
 }
+
+# (section, key) pairs that manifests of earlier versions list. No flow
+# ever read them, so load_config drops them from a manifest's config.
+RETIRED_KEYS = (("phantom", "te_ms"), ("glm", "contrast"))
 
 
 def _defaults(section: str):
@@ -264,6 +267,9 @@ def load_config(path=None, overrides: dict | None = None) -> PipelineConfig:
             raise ConfigError(f"config file {path} nests too deeply to read") from exc
         if isinstance(raw, dict) and "config" in raw and "boldkit_version" in raw:
             raw = raw["config"]
+            for section, key in RETIRED_KEYS:
+                if isinstance(raw, dict) and isinstance(raw.get(section), dict):
+                    raw[section].pop(key, None)
 
     if overrides and isinstance(raw, dict):  # validate_config rejects any other root
         raw = _apply_overrides(raw, overrides)

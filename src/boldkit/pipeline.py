@@ -252,9 +252,8 @@ def preprocess_runs(runs: list, cfg: PipelineConfig) -> None:
 
 @dataclass
 class AnalysisResult:
-    """The fit, stat maps and inference products of one GLM analysis."""
+    """The stat maps and inference products of one GLM analysis."""
 
-    fit: GlmFit
     stats3d: StatMaps
     rejected: np.ndarray
     adjusted_p: np.ndarray
@@ -292,7 +291,6 @@ def analyze_volume(geometry: VolumeHeader, fit: GlmFit,
 
     clusters = extract_clusters(rejected, stats3d, cfg.inference["connectivity"])
     return AnalysisResult(
-        fit=fit,
         stats3d=stats3d,
         rejected=rejected,
         adjusted_p=adjusted,
@@ -422,7 +420,7 @@ def run_duration_study(cfg: PipelineConfig) -> list:
     conditions = fit_conditions(cfg, runs, design, [mode for mode, _ in CONDITIONS])
     for (mode, name), (geometry, fit) in zip(CONDITIONS, conditions):
         result = analyze_volume(geometry, fit, cfg)
-        r = correlation_from_fit(result.fit, fit.design.columns_labeled(LABEL_TASK)[0])
+        r = correlation_from_fit(fit, fit.design.columns_labeled(LABEL_TASK)[0])
         r_maps[name] = fold_voxels(r, dims)
         t_maps[name] = result.stats3d.t
         counts[name] = {"n_rejected": int(result.rejected.sum()),

@@ -195,11 +195,6 @@ def _compose_inverse(params, step) -> np.ndarray:
     return np.concatenate([params[:3] - rot @ step[:3], _euler_angles(rot)])
 
 
-def invert_rigid(motion: RigidMotion) -> RigidMotion:
-    """Parameters of the inverse transform (same axis-order convention)."""
-    return RigidMotion.from_params(_compose_inverse(np.zeros(6), motion.params))
-
-
 def _rigid_matrix_offset(shape, motion: RigidMotion, voxel):
     """ndimage (matrix, offset) in voxel units for p -> R(p - c) + c + t."""
     center_mm = (np.array(shape) - 1.0) / 2.0 * voxel

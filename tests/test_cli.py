@@ -15,7 +15,7 @@ import pytest
 import boldkit
 from boldkit import cli, glm, pipeline, task_design, volume_io
 from boldkit.cli import main
-from boldkit.config import PipelineConfig, load_config, validate_config
+from boldkit.config import SCHEMA, PipelineConfig, load_config, validate_config
 from boldkit.duration import RunSet, average_runs, concatenate_runs
 from boldkit.errors import ConfigError, DataError
 from boldkit.phantom import generate_phantom
@@ -152,6 +152,11 @@ class TestConfig:
     def test_unknown_key_named(self):
         with pytest.raises(ConfigError, match="phantom.cnrr"):
             validate_config({"phantom": {"cnrr": 3}})
+        # retired keys, with the values earlier versions took by default
+        with pytest.raises(ConfigError, match=re.escape("config key 'phantom.te_ms': unknown")):
+            validate_config({"phantom": {"te_ms": 85.0}})
+        with pytest.raises(ConfigError, match=re.escape("config key 'glm.contrast': unknown")):
+            validate_config({"glm": {"contrast": "task"}})
 
     def test_both_sources_rejected(self):
         with pytest.raises(ConfigError):
@@ -184,7 +189,6 @@ class TestConfig:
         "phantom.n_runs": 1.5,
         "phantom.n_vols": 3,
         "phantom.tr_s": -3.0,
-        "phantom.te_ms": True,
         "task.onsets_s": "0, 60",
         "task.durations_s": [30.0, -1.0, 30.0, 30.0, 30.0],
         "task.run_length_s": 0.0,
@@ -194,7 +198,6 @@ class TestConfig:
         "preprocess.motion_correction": "no",
         "preprocess.fwhm_mm": -8.0,
         "glm.cutoff_hz": 0.0,
-        "glm.contrast": "rest",
         "glm.two_sided": None,
         "inference.q": 0.0,
         "inference.connectivity": 8,
@@ -214,6 +217,19 @@ class TestConfig:
         raw = {section: {name: value}} if name else {key: value}
         with pytest.raises(ConfigError, match=re.escape(f"config key '{key}': ")):
             validate_config(raw)
+
+    def test_every_key_is_read(self):
+        # a key that no module past config reads is accepted and then ignored
+        package = os.path.join(SRC_PATH, "boldkit")
+        source = ""
+        for name in sorted(os.listdir(package)):
+            if name.endswith(".py") and name != "config.py":
+                with open(os.path.join(package, name), encoding="utf-8") as fh:
+                    source += fh.read()
+        reads = {key: f"cfg.{key}" for key in SCHEMA}
+        reads.update((f"{section}.{key}", f'["{key}"]') for section, entry in SCHEMA.items()
+                     if isinstance(entry, dict) for key in entry)
+        assert sorted(key for key, read in reads.items() if read not in source) == []
 
     def test_flag_overrides_win(self, tmp_path):
         path = write_config(tmp_path, inference={"q": 0.10})
@@ -653,6 +669,21 @@ class TestAnalyze:
         # the manifest doubles as a config for faithful re-execution
         assert main(["analyze", "--config", str(out / "manifest.json"),
                      "--out", str(out)]) == 0
+        assert read_all_bytes(out) == first
+
+    def test_manifest_listing_retired_keys_reruns_identically(self, tmp_path):
+        # earlier versions listed phantom.te_ms and glm.contrast, which no
+        # flow read; their manifests rerun to the same files, this manifest too
+        cfg = write_config(tmp_path)
+        out = tmp_path / "an"
+        assert main(["analyze", "--config", cfg, "--out", str(out)]) == 0
+        first = read_all_bytes(out)
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest["config"]["phantom"]["te_ms"] = 85.0
+        manifest["config"]["glm"]["contrast"] = "task"
+        old = tmp_path / "old-manifest.json"
+        old.write_text(json.dumps(manifest, indent=2, sort_keys=True))
+        assert main(["analyze", "--config", str(old), "--out", str(out)]) == 0
         assert read_all_bytes(out) == first
 
 

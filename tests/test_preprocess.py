@@ -19,7 +19,6 @@ from boldkit.preprocess import (
     gaussian_smooth,
     highpass_filter,
     interleaved_order,
-    invert_rigid,
     resample_rigid,
     rotation_matrix,
     sequential_order,
@@ -216,7 +215,7 @@ class TestRigidTransforms:
 
     def test_invert_round_trip(self):
         motion = RigidMotion.from_params([4.0, -2.0, 1.5, 0.03, -0.02, 0.035])
-        inverse = invert_rigid(motion)
+        inverse = RigidMotion.from_params(preprocess._compose_inverse(np.zeros(6), motion.params))
         rot = rotation_matrix(motion.rotation_rad)
         rot_inv = rotation_matrix(inverse.rotation_rad)
         np.testing.assert_allclose(rot @ rot_inv, np.eye(3), atol=1e-12)
