@@ -342,9 +342,11 @@ def fit_conditions(cfg: PipelineConfig, runs: list, design: BlockDesign, modes):
     order, from one fit of each run (``fit_runs``): no condition's series
     is built, and no run is read again.
 
-    The runs share one design. single is run 1's own fit, concatenation
-    is fitted on ``build_design_matrix``'s design for the runs
-    (``concatenated_fit``) and averaging on the runs' shared design
+    The runs share one length (``check_runs_match`` checks file runs;
+    phantom runs all have ``phantom.n_vols``), so every run is fitted on
+    one design, ``single_run_design``'s. single is run 1's own fit,
+    concatenation is fitted on ``build_design_matrix``'s design for the
+    runs (``concatenated_fit``) and averaging on the shared design
     (``average_fit``). The header gives each condition's grid: run 1's,
     with the runs' summed length for the concatenation.
     """
@@ -352,7 +354,7 @@ def fit_conditions(cfg: PipelineConfig, runs: list, design: BlockDesign, modes):
     header = runs[0].header
     lengths = [run.n_vols for run in runs]
     matrix = single_run_design(design, header.tr_seconds, header.n_vols, cutoff_hz)
-    fits = fit_runs([voxel_series(run) for run in runs], [matrix] * len(runs))
+    fits = fit_runs([voxel_series(run) for run in runs], matrix)
     for mode in modes:
         if mode == "single":
             yield header, run_fit(fits, 0)
