@@ -6,6 +6,7 @@ peak correlation) over target and non-target ROIs.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from numbers import Integral
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -111,7 +112,8 @@ def local_standard_deviation(map3d: np.ndarray, roi: np.ndarray, radius_vox: int
     """Mean over ROI voxels of the standard deviation in each voxel's
     (2r+1)^3 neighborhood, clipped to the volume."""
     map3d, roi = _map_and_roi(map3d, roi)
-    if radius_vox < 1:
+    # a bool is an Integral too, and a float would be truncated
+    if isinstance(radius_vox, bool) or not isinstance(radius_vox, Integral) or radius_vox < 1:
         raise ValueError("radius_vox must be a positive integer")
 
     # each ROI voxel's window over the zero-padded map; the padding is

@@ -60,8 +60,10 @@ class PhantomSpec:
     """Geometry, activation targets, and noise model of the phantom.
 
     The default cnr is calibrated so a default single run (100 volumes,
-    TR 3 s, 30 s alternating blocks) yields a mean in-ROI t of about 9,
-    and a two-run concatenation about 12.7.
+    TR 3 s, 30 s alternating blocks), unpreprocessed and fitted by OLS,
+    yields a mean in-ROI t of about 9, and a two-run concatenation about
+    12.7. Default ``analyze`` slice-times and smooths the run first,
+    which raises it to about 35.
     """
 
     dims: tuple = DEFAULT_DIMS

@@ -289,6 +289,10 @@ class _ScoringDomain:
 # a step that moves no domain sample further than this (in voxels) is
 # below what the data can resolve, so the descent stops without trying it
 _STEP_TOL_VOX = 1e-3
+# near the optimum each step is at most a few hundredths of the one
+# before, so a step below this is applied without resampling to try it:
+# the step after it would be about _STEP_TOL_VOX
+_APPLY_UNTRIED_VOX = 0.05
 _COST_RTOL = 1e-10
 _MAX_ITERATIONS = 100
 _DAMPING_START = 1e-3
@@ -314,12 +318,16 @@ def _register(moving, domain: _ScoringDomain):
     the estimate with its inverse only if the exact cost then falls,
     raising the damping and re-solving otherwise. Stops, with the reason,
     when a step would move no domain sample by more than _STEP_TOL_VOX
-    voxel (``step_voxels``; the step is not tried), when an accepted step
+    voxel (``step_voxels``; the step is not tried), when it would move
+    none by more than _APPLY_UNTRIED_VOX voxel (the step is composed into
+    the estimate without resampling to try it), when an accepted step
     improves the cost by less than the relative tolerance, when the
     damping saturates, or at the iteration cap. Returns (params,
     iterations, evaluations, cost, reason, last_step_vox): evaluations
-    counts resamplings only, and last_step_vox is ``step_voxels`` of the
-    last step solved for (0 when none was).
+    counts resamplings only, cost is that of the last resampled estimate
+    (for a step applied untried, the point it was solved from), and
+    last_step_vox is ``step_voxels`` of the last step solved for (0 when
+    none was).
     """
     from scipy import ndimage  # motion correction only: off by default, slow to import
 
@@ -363,6 +371,9 @@ def _register(moving, domain: _ScoringDomain):
             step_vox = domain.step_voxels(step)
             if step_vox <= _STEP_TOL_VOX:
                 return x, iteration, evaluations, current, "step below 1e-3 voxel", step_vox
+            if step_vox <= _APPLY_UNTRIED_VOX:
+                return (_compose_inverse(x, step), iteration, evaluations, current,
+                        "step below 0.05 voxel, applied untried", step_vox)
             trial_x = _compose_inverse(x, step)
             trial_residual, trial = residual_and_cost(trial_x)
             if trial < current:
@@ -398,7 +409,12 @@ def estimate_motion(vol: Volume4D, reference_index: int = 0, threads: int | None
     parameters do not depend on it. One DEBUG record per registered
     volume, in volume order, reports its iterations, cost evaluations
     (resamplings only: the zero-motion cost needs none), final cost, why
-    the descent stopped and its last step in voxels (``_register``).
+    the descent stopped and its last step in voxels (``_register``). The
+    reasons are "step below 1e-3 voxel", "step below 0.05 voxel, applied
+    untried", "cost converged", "damping saturated", "iteration cap" and
+    "flat volume"; after "applied untried" the final cost is the cost at
+    the last resampled estimate, the point the applied step was solved
+    from.
     """
     nt = vol.n_vols
     if not 0 <= reference_index < nt:

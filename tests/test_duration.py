@@ -215,6 +215,20 @@ class TestLocalStandardDeviation:
             assert local_standard_deviation(volume, roi, radius_vox) == pytest.approx(
                 lsd_voxel_loop(volume, roi, radius_vox), rel=1e-12)
 
+    @pytest.mark.parametrize("radius_vox", [1.5, 1.9, True, 0])
+    def test_radius_that_is_not_a_positive_integer_is_rejected(self, radius_vox):
+        roi = np.zeros((5, 5, 5), dtype=bool)
+        roi[2, 2, 2] = True
+        with pytest.raises(ValueError, match="radius_vox must be a positive integer"):
+            local_standard_deviation(np.zeros((5, 5, 5)), roi, radius_vox)
+
+    def test_numpy_integer_radius_is_accepted(self):
+        volume = np.random.default_rng(4).standard_normal((6, 6, 6))
+        roi = np.zeros((6, 6, 6), dtype=bool)
+        roi[3, 3, 3] = True
+        assert local_standard_deviation(volume, roi, np.int64(2)) == \
+            local_standard_deviation(volume, roi, 2)
+
     def test_nan_in_neighbourhood_propagates(self):
         volume = np.random.default_rng(3).standard_normal((6, 6, 6))
         volume[1, 0, 0] = np.nan

@@ -377,18 +377,16 @@ class TestEstimateMotion:
         assert record.args[3] == 0.0  # final cost
         assert record.args[4] == "step below 1e-3 voxel"
 
-    def test_registration_budget_on_the_acceptance_cases(self, caplog):
-        # acceptance criterion 6's 20 cases: 20x20x16 blob fields moved by
-        # up to 2 voxels / 2 degrees; each stops within a few resamplings
+    @staticmethod
+    def acceptance_cases():
+        """Acceptance criterion 6's 20 cases as (volume, true params):
+        20x20x16 blob fields moved by up to 2 voxels / 2 degrees."""
         dims = (20, 20, 16)
         voxel = np.asarray(VOXEL)
         rng = np.random.default_rng(606)
         grid_mm = np.stack(np.meshgrid(*[np.arange(d, dtype=float) for d in dims],
                                        indexing="ij"), axis=-1) * voxel
         center_mm = (np.array(dims) - 1) / 2 * voxel
-        reasons = {"step below 1e-3 voxel", "cost converged", "damping saturated",
-                   "iteration cap"}
-        records = []
         for case in range(20):
             blob_rng = np.random.default_rng(6000 + case)
             blobs = [(float(blob_rng.uniform(0.5, 2.0)),
@@ -405,8 +403,16 @@ class TestEstimateMotion:
                                    np.deg2rad(rng.uniform(-2.0, 2.0, 3))])
             inv_rot = np.linalg.inv(rotation_matrix(true[3:]))
             moved = field((grid_mm - center_mm) @ inv_rot.T + center_mm - inv_rot @ true[:3])
-            vol = make_volume(np.stack([field(grid_mm), moved], axis=-1), voxel_size_mm=VOXEL,
-                              tr_seconds=3.0)
+            yield make_volume(np.stack([field(grid_mm), moved], axis=-1), voxel_size_mm=VOXEL,
+                              tr_seconds=3.0), true
+
+    def test_registration_budget_on_the_acceptance_cases(self, caplog):
+        # each case stops within a few resamplings
+        voxel = np.asarray(VOXEL)
+        reasons = {"step below 1e-3 voxel", "step below 0.05 voxel, applied untried",
+                   "cost converged", "damping saturated", "iteration cap"}
+        records = []
+        for vol, true in self.acceptance_cases():
             caplog.clear()
             with caplog.at_level(logging.DEBUG, logger="boldkit.preprocess"):
                 estimate = estimate_motion(vol)[1]
@@ -415,12 +421,41 @@ class TestEstimateMotion:
             assert np.abs(np.rad2deg(estimate.rotation_rad - true[3:])).max() < 0.5
         evaluations = [r.args[2] for r in records]
         assert len(evaluations) == 20
-        assert max(evaluations) <= 6
-        assert sum(evaluations) <= 100
+        assert max(evaluations) <= 4
+        assert sum(evaluations) <= 55
         for record in records:
             reason, last_step_vox = record.args[4:6]
             assert reason in reasons
             assert last_step_vox <= 1e-3 or reason != "step below 1e-3 voxel"
+            assert last_step_vox <= 0.05 or reason != "step below 0.05 voxel, applied untried"
+
+    def test_untried_last_step_stays_near_the_full_search(self, monkeypatch):
+        # at 0 every step above 1e-3 voxel is tried by resampling
+        voxel = np.asarray(VOXEL)
+        cases = list(self.acceptance_cases())
+        applied = [estimate_motion(vol)[1] for vol, _ in cases]
+        monkeypatch.setattr(preprocess, "_APPLY_UNTRIED_VOX", 0.0)
+        for (vol, _), estimate in zip(cases, applied):
+            full = estimate_motion(vol)[1]
+            assert np.abs((estimate.translation_mm - full.translation_mm) / voxel).max() <= 1e-3
+            assert np.abs(np.rad2deg(estimate.rotation_rad - full.rotation_rad)).max() <= 0.01
+
+    def test_small_motion_registers_without_resampling(self, caplog):
+        # the first step solved is 0.027 voxel: applied without trying it
+        dims = (20, 20, 16)
+        field, grid = smooth_blob_field(dims, seed=16)
+        true = np.concatenate([np.multiply([0.02, -0.01, 0.01], VOXEL), np.zeros(3)])
+        moved = inject_rigid_analytic(field, grid, dims, true)
+        vol = make_volume(np.stack([field(grid), moved], axis=-1), voxel_size_mm=VOXEL,
+                          tr_seconds=3.0)
+        with caplog.at_level(logging.DEBUG, logger="boldkit.preprocess"):
+            estimate = estimate_motion(vol)[1]
+        [record] = [r for r in caplog.records if r.name == "boldkit.preprocess"]
+        assert record.args[1:3] == (1, 0)  # iterations, cost evaluations
+        assert record.args[4] == "step below 0.05 voxel, applied untried"
+        assert np.any(estimate.params)
+        assert np.abs((estimate.translation_mm - true[:3]) / np.asarray(VOXEL)).max() < 1e-3
+        assert np.abs(np.rad2deg(estimate.rotation_rad)).max() < 0.01
 
     def test_warns_once_with_the_rank_of_an_unconstraining_reference(self, caplog):
         dims = (12, 12, 10)
